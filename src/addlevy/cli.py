@@ -381,8 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="addlevy",
         description="Energies, capacities, classifiers, and Monte Carlo "
                     "checks for additive Levy processes.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker thread cap for numeric backends")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -472,11 +470,6 @@ def main(argv=None, _exit=True) -> int:
         if _exit:
             raise
         raise CliError(f"argument parsing failed (exit {exc.code})")
-    if args.threads:
-        import os
-
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
     try:
         if args.command == "run":
             return cmd_run(args)

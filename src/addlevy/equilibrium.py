@@ -105,6 +105,26 @@ def assemble_matrix(gauge: Union[Kernel, ExponentVector, PotentialDensity],
                         diagonal_policy=policy, points=mu.points, cell=h)
 
 
+def _step_length(slope: float, curv: float, gamma_max: float) -> float:
+    """Exact line search of slope*t + curv*t^2 over [0, gamma_max]."""
+    if curv > 0.0:
+        return min(max(-slope / (2.0 * curv), 0.0), gamma_max)
+    return gamma_max if slope < 0.0 else 0.0
+
+
+def _fw_state(w: np.ndarray, g: np.ndarray):
+    """Energy w'g, FW vertex argmin g, and FW gap relative to the energy, for g = M w."""
+    energy = float(w.dot(g))
+    i_fw = int(g.argmin())
+    return energy, i_fw, 2.0 * (energy - g[i_fw]) / max(abs(energy), 1e-300)
+
+
+def _result(w, energy, iterations, rel_gap, tol, trace) -> EquilibriumResult:
+    return EquilibriumResult(weights=w, energy=energy, capacity=1.0 / energy,
+                             iterations=iterations, fw_gap=float(rel_gap),
+                             converged=bool(rel_gap < tol), energy_trace=tuple(trace))
+
+
 def solve_equilibrium(m: EnergyMatrix, tol: float = 1e-8,
                       max_iter: int = 50000) -> EquilibriumResult:
     """Minimize w' M w over the probability simplex by away-step Frank-Wolfe.
@@ -112,6 +132,13 @@ def solve_equilibrium(m: EnergyMatrix, tol: float = 1e-8,
     Exact line search on the quadratic; stops when the Frank-Wolfe duality
     gap falls below ``tol`` relative to the current energy.  The energy is
     monotone nonincreasing across iterations.
+
+    Each step moves toward or away from one vertex e_i, so g = M w is
+    carried along with row i of M (equal to column i, M being exactly
+    symmetric) and a step costs O(n).  At every exit, and before a
+    converged verdict is accepted, g is recomputed exactly: the reported
+    ``fw_gap``, ``energy`` and ``capacity`` are those of the returned
+    weights, and ``converged`` means that gap is below ``tol``.
     """
     mat = m.entries
     n = mat.shape[0]
@@ -119,55 +146,50 @@ def solve_equilibrium(m: EnergyMatrix, tol: float = 1e-8,
         # any probability vector puts weight on an infinite entry pair
         return EquilibriumResult(weights=np.full(n, 1.0 / n), energy=np.inf,
                                  capacity=0.0, iterations=0, fw_gap=0.0, converged=True)
+    diag = np.diagonal(mat)
     w = np.full(n, 1.0 / n)
-    energy = float(w @ mat @ w)
+    g = mat @ w
+    energy, i_fw, rel_gap = _fw_state(w, g)
     trace = [energy]
-    rel_gap = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        grad = 2.0 * (mat @ w)
-        i_fw = int(np.argmin(grad))
-        fw_gap = float(grad @ w - grad[i_fw])
-        rel_gap = fw_gap / max(abs(energy), 1e-300)
         if rel_gap < tol:
-            return EquilibriumResult(weights=w, energy=energy, capacity=1.0 / energy,
-                                     iterations=it - 1, fw_gap=rel_gap,
-                                     converged=True, energy_trace=tuple(trace))
-        active = np.flatnonzero(w > 0.0)
-        i_aw = int(active[np.argmax(grad[active])])
-        away_gap = float(grad[i_aw] - grad @ w)
-        if fw_gap >= away_gap:
-            direction = -w.copy()
-            direction[i_fw] += 1.0
-            gamma_max = 1.0
+            # the carried g may have drifted by roundoff: decide on an exact M w
+            g = mat @ w
+            energy, i_fw, rel_gap = _fw_state(w, g)
+            if rel_gap < tol:
+                return _result(w, energy, it - 1, rel_gap, tol, trace)
+        i_aw = int(np.where(w > 0.0, g, -np.inf).argmax())
+        if energy - g[i_fw] >= g[i_aw] - energy:
+            i, sign, gamma_max = i_fw, 1.0, 1.0
         else:
-            direction = w.copy()
-            direction[i_aw] -= 1.0
             denom = 1.0 - w[i_aw]
-            gamma_max = w[i_aw] / denom if denom > 0.0 else 0.0
-        slope = float(grad @ direction)
-        curv = float(direction @ mat @ direction)
-        if curv > 0.0:
-            gamma = min(max(-slope / (2.0 * curv), 0.0), gamma_max)
-        else:
-            gamma = gamma_max if slope < 0.0 else 0.0
+            i, sign, gamma_max = i_aw, -1.0, (w[i_aw] / denom if denom > 0.0 else 0.0)
+        # along sign * (e_i - w): slope 2 sign (g_i - w'g), curvature M_ii - 2 g_i + w'g
+        gamma = _step_length(2.0 * sign * (g[i] - energy), diag[i] - 2.0 * g[i] + energy,
+                             gamma_max)
         if gamma == 0.0:
             # blocked away step; fall back to the plain FW direction
-            direction = -w.copy()
-            direction[i_fw] += 1.0
-            slope = float(grad @ direction)
-            curv = float(direction @ mat @ direction)
-            gamma = min(max(-slope / (2.0 * curv), 0.0), 1.0) if curv > 0.0 else 0.0
+            i, sign = i_fw, 1.0
+            curv = diag[i] - 2.0 * g[i] + energy
+            gamma = _step_length(2.0 * (g[i] - energy), curv, 1.0) if curv > 0.0 else 0.0
             if gamma == 0.0:
                 break
-        w = w + gamma * direction
-        w = np.maximum(w, 0.0)
-        w /= w.sum()
-        energy = float(w @ mat @ w)
+        step = sign * gamma
+        w *= 1.0 - step
+        w[i] += step
+        if sign < 0.0 and (gamma == gamma_max or w[i] < 0.0):
+            w[i] = 0.0  # drop step: remove the atom exactly, with no roundoff residue
+        g *= 1.0 - step
+        g += step * mat[i]
+        total = w.sum()
+        w /= total
+        g /= total
+        energy, i_fw, rel_gap = _fw_state(w, g)
         trace.append(energy)
-    return EquilibriumResult(weights=w, energy=energy, capacity=1.0 / energy,
-                             iterations=it, fw_gap=rel_gap, converged=False,
-                             energy_trace=tuple(trace))
+    g = mat @ w
+    energy, _, rel_gap = _fw_state(w, g)
+    return _result(w, energy, it, rel_gap, tol, trace)
 
 
 def bessel_riesz_capacity(disc: SetDiscretization, s: float, tol: float = 1e-8,

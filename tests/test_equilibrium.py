@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from addlevy import (
     EnergyMatrix,
@@ -53,6 +54,93 @@ class TestAssembleMatrix:
         assert np.array_equal(m.entries, m.entries.T)
 
 
+# A branch decision that cleared its threshold by less than this, relative to
+# the energy, may be decided by roundoff: the carried M w of the solver and
+# the fresh products of the reference differ by about 1e-15 relative.
+DECISION_MARGIN = 1e-12
+
+
+def dense_equilibrium(mat, tol=1e-8, max_iter=50000):
+    """Reference away-step Frank-Wolfe: the original dense loop, which forms
+    the full gradient and the curvature from n x n products at every step.
+
+    Two additions: a drop step zeroes the dropped weight exactly, as
+    ``solve_equilibrium`` does, and ``margin`` is the smallest relative
+    distance by which any branch decision (convergence, FW and away
+    vertices, FW versus away, clipped or interior step) cleared its
+    threshold.  Returns (weights, energy, iterations, converged, margin).
+    """
+    n = mat.shape[0]
+    w = np.full(n, 1.0 / n)
+    energy = float(w @ mat @ w)
+    margin = np.inf
+    it = 0
+    for it in range(1, max_iter + 1):
+        grad = 2.0 * (mat @ w)
+        scale = max(abs(energy), 1e-300)
+        i_fw = int(np.argmin(grad))
+        fw_gap = float(grad @ w - grad[i_fw])
+        rel_gap = fw_gap / scale
+        margin = min(margin, abs(rel_gap - tol))
+        if rel_gap < tol:
+            return w, energy, it - 1, True, margin
+        active = np.flatnonzero(w > 0.0)
+        i_aw = int(active[np.argmax(grad[active])])
+        away_gap = float(grad[i_aw] - grad @ w)
+        if n > 1:
+            lo = np.partition(grad, 1)
+            margin = min(margin, (lo[1] - lo[0]) / scale)
+        if active.size > 1:
+            hi = np.partition(grad[active], -2)
+            margin = min(margin, (hi[-1] - hi[-2]) / scale)
+        margin = min(margin, abs(fw_gap - away_gap) / scale)
+        if fw_gap >= away_gap:
+            direction = -w.copy()
+            direction[i_fw] += 1.0
+            gamma_max = 1.0
+        else:
+            direction = w.copy()
+            direction[i_aw] -= 1.0
+            denom = 1.0 - w[i_aw]
+            gamma_max = w[i_aw] / denom if denom > 0.0 else 0.0
+        slope = float(grad @ direction)
+        curv = float(direction @ mat @ direction)
+        if curv > 0.0:
+            gamma = min(max(-slope / (2.0 * curv), 0.0), gamma_max)
+            if gamma_max > 0.0:
+                margin = min(margin, abs(-slope / (2.0 * curv) - gamma_max) / gamma_max)
+        else:
+            gamma = gamma_max if slope < 0.0 else 0.0
+        drop = fw_gap < away_gap and gamma == gamma_max
+        if gamma == 0.0:
+            drop = False
+            direction = -w.copy()
+            direction[i_fw] += 1.0
+            slope = float(grad @ direction)
+            curv = float(direction @ mat @ direction)
+            gamma = min(max(-slope / (2.0 * curv), 0.0), 1.0) if curv > 0.0 else 0.0
+            if gamma == 0.0:
+                break
+        w = w + gamma * direction
+        if drop:
+            w[i_aw] = 0.0
+        w = np.maximum(w, 0.0)
+        w /= w.sum()
+        energy = float(w @ mat @ w)
+    return w, energy, it, False, margin
+
+
+def exact_rel_gap(mat, w):
+    g = mat @ w
+    energy = w @ g
+    return 2.0 * (energy - g.min()) / energy
+
+
+def toy(entries):
+    return EnergyMatrix(entries=np.array(entries, dtype=float), source="toy",
+                        diagonal_policy="Regularized")
+
+
 class TestSolveEquilibrium:
     def test_two_atom_symmetric(self):
         # [TRIVIAL] symmetry + uniqueness pin the split at (1/2, 1/2)
@@ -76,6 +164,96 @@ class TestSolveEquilibrium:
         assert res.fw_gap < 1e-8
         trace = np.asarray(res.energy_trace)
         assert np.all(np.diff(trace) <= 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1),
+           positive=st.booleans(), shift=st.floats(0.05, 1.0),
+           max_iter=st.sampled_from([1, 3, 20, 50000]))
+    def test_matches_dense_reference(self, n, seed, positive, shift, max_iter):
+        # [DERIVED] the O(n) steps take the dense loop's branches: same
+        # iterations, weights and energy up to roundoff, wherever no branch
+        # decision of the reference was within roundoff of its threshold
+        rng = np.random.default_rng(seed)
+        a = rng.random((n, n)) if positive else rng.standard_normal((n, n))
+        mat = a @ a.T / n + shift * np.eye(n)
+        mat = 0.5 * (mat + mat.T)
+        res = solve_equilibrium(toy(mat), max_iter=max_iter)
+        w, energy, iterations, converged, margin = dense_equilibrium(mat, max_iter=max_iter)
+        assert res.fw_gap == pytest.approx(exact_rel_gap(mat, res.weights), rel=1e-9, abs=1e-14)
+        assert res.energy == pytest.approx(res.weights @ mat @ res.weights, rel=1e-14)
+        assert res.capacity == 1.0 / res.energy
+        assert res.converged == (res.fw_gap < 1e-8)
+        if converged and res.converged:
+            # a relative gap below tol puts each energy within tol of the minimum
+            assert res.energy == pytest.approx(energy, rel=2e-8)
+        if margin > DECISION_MARGIN:
+            # the reference's flag is False on every max_iter exit, even at a minimizer
+            assert res.converged or not converged
+            assert res.iterations == iterations
+            assert np.max(np.abs(res.weights - w)) <= 1e-12
+            assert abs(res.energy - energy) <= 1e-12 * energy
+
+    def test_away_step_closed_form(self):
+        # [DERIVED] M = diag(1, 1, 2): the minimizer is proportional to
+        # 1/M_ii, (2/5, 2/5, 1/5) with energy 2/5.  From the uniform start
+        # g = (1/3, 1/3, 2/3) and w'g = 4/9, so the away gap 2/9 beats the FW
+        # gap 1/9; the line search gives gamma = 1/5 < gamma_max = 1/2 and
+        # lands on the minimizer in one step.  A FW step toward e_0 could not.
+        res = solve_equilibrium(toy([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
+        assert res.converged and res.iterations == 1
+        assert res.weights == pytest.approx([0.4, 0.4, 0.2], abs=1e-15)
+        assert res.energy == pytest.approx(0.4, rel=1e-15)
+
+    def test_drop_step_closed_form(self):
+        # [DERIVED] the minimizer is (1/2, 1/2, 0) with energy 3/4: there
+        # g = (3/4, 3/4, 2), so g is equal on the support and larger off it
+        # (KKT).  The uniform start prefers the away step from atom 2, whose
+        # line search is clipped at gamma_max = 1/2: a drop step.
+        mat = [[1, 0.5, 2], [0.5, 1, 2], [2, 2, 5]]
+        res = solve_equilibrium(toy(mat))
+        assert res.converged and res.iterations == 1
+        assert res.weights[2] == 0.0
+        assert res.weights == pytest.approx([0.5, 0.5, 0.0], abs=1e-15)
+        assert res.energy == pytest.approx(0.75, rel=1e-15)
+
+    def test_blocked_step_exits_with_exact_certificate(self):
+        # [DERIVED] M = [[1, 2], [2, 5]]: the minimizer is the vertex e_0
+        # (g = (1, 2)), reached by one full FW step.  With tol = 0 the gap 0
+        # never counts as converged, so the next step is blocked both ways
+        # and the loop stops at the minimizer with its exact gap.
+        res = solve_equilibrium(toy([[1, 2], [2, 5]]), tol=0.0)
+        assert res.iterations == 2 and not res.converged
+        assert res.weights.tolist() == [1.0, 0.0]
+        assert res.energy == 1.0 and res.fw_gap == 0.0
+
+    def test_max_iter_exit_reports_returned_weights(self):
+        # [DERIVED] one drop step reaches the minimizer of the matrix above;
+        # the gap, energy and capacity are those of the returned weights,
+        # not of the uniform start (whose relative gap is 11/16)
+        res = solve_equilibrium(toy([[1, 0.5, 2], [0.5, 1, 2], [2, 2, 5]]), max_iter=1)
+        assert res.iterations == 1
+        assert res.fw_gap == 0.0 and res.converged
+        assert res.energy == pytest.approx(0.75, rel=1e-15)
+        assert res.capacity == pytest.approx(4.0 / 3.0, rel=1e-15)
+        # M = diag(1, 2, 4): the away step from atom 2 (away gap 5/9 against
+        # FW gap 4/9) has gamma = 5/19 and stops at w = (8, 8, 3)/19, where
+        # g = (8, 16, 12)/19, w'g = 12/19 and the relative gap is 2/3; the
+        # uniform start's is 8/7
+        res = solve_equilibrium(toy(np.diag([1.0, 2.0, 4.0])), max_iter=1)
+        assert res.iterations == 1 and not res.converged
+        assert res.weights == pytest.approx(np.array([8, 8, 3]) / 19, abs=1e-15)
+        assert res.energy == pytest.approx(12 / 19, rel=1e-15)
+        assert res.fw_gap == pytest.approx(2 / 3, rel=1e-14)
+
+    def test_riesz_grid_matches_dense_reference(self):
+        # [DERIVED] a kernel matrix of the kind the CLI solves
+        m = assemble_matrix(riesz_kernel(1, 0.5), cube_grid([(0.0, 1.0)], 64))
+        res = solve_equilibrium(m)
+        w, energy, iterations, converged, margin = dense_equilibrium(m.entries)
+        assert converged and res.converged
+        assert res.iterations == iterations
+        assert res.energy == pytest.approx(energy, rel=1e-12)
+        assert np.max(np.abs(res.weights - w)) <= 1e-10
 
     def test_infinite_entries_zero_capacity(self):
         mat = EnergyMatrix(entries=np.array([[np.inf, 1.0], [1.0, np.inf]]),
