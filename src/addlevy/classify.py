@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from addlevy.quadrature import QuadratureSpec
+from addlevy.quadrature import panel_nodes, tensor_nodes
 
 
 @dataclass(frozen=True)
@@ -123,24 +122,10 @@ def _shell_boxes(dim: int, r: float) -> list[list[tuple[float, float]]]:
     return boxes
 
 
-def _axis_rule(a: float, b: float, n_panels: int, n_nodes: int):
-    x, w = leggauss(n_nodes)
-    edges = np.linspace(a, b, n_panels + 1)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return ((mids[:, None] + half[:, None] * x[None, :]).ravel(),
-            (half[:, None] * w[None, :]).ravel())
-
-
 def _box_integral(f, box: list[tuple[float, float]], nodes_per_axis: int) -> float:
-    rules = []
-    for (a, b) in box:
-        n_panels = max(1, nodes_per_axis // 8)
-        rules.append(_axis_rule(a, b, n_panels, 8))
-    node_grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-    pts = np.stack([g.ravel() for g in node_grids], axis=-1)
-    w_grids = np.meshgrid(*[r[1] for r in rules], indexing="ij")
-    wts = np.prod(np.stack([g.ravel() for g in w_grids], axis=-1), axis=-1)
+    n_panels = max(1, nodes_per_axis // 8)
+    pts, wts = tensor_nodes([panel_nodes(np.linspace(a, b, n_panels + 1), 8)
+                             for (a, b) in box])
     return float(np.sum(wts * np.asarray(f(pts))))
 
 
@@ -191,7 +176,6 @@ def _verdict_from_increments(radii, increments, partials, growth_bound: float,
 def numeric_convergence_probe(integrand: Callable[[np.ndarray], np.ndarray],
                               total_dim: int,
                               radii: Optional[Sequence[float]] = None,
-                              quad: Optional[QuadratureSpec] = None,
                               growth_bound: float = 1e3) -> ConvergenceVerdict:
     """Classify int over R^D of a nonnegative integrand by dyadic partial sums.
 
@@ -256,14 +240,10 @@ def _graded_panels(lo: float, hi: float, scale: float) -> np.ndarray:
 
 def _graded_rule(lo: float, hi: float, scale: float, n_nodes: int = 5,
                  side: str = "lo"):
-    x, w = leggauss(n_nodes)
     edges = _graded_panels(lo, hi, scale)
     if side == "hi":
         edges = (lo + hi) - edges[::-1]
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return ((mids[:, None] + half[:, None] * x[None, :]).ravel(),
-            (half[:, None] * w[None, :]).ravel())
+    return panel_nodes(edges, n_nodes)
 
 
 def _multi_graded_rule(points, scale: float, n_nodes: int = 5):
@@ -307,7 +287,6 @@ def _stable_pair_partials(alphas, d: int, s: float, radii) -> list:
     radii = sorted(float(r) for r in radii)
     total = 0.0
     out = []
-    x6, w6 = leggauss(6)
     # dyadic panel edges aligned with the requested radii
     p_edges = [0.0]
     v = 1.0
@@ -316,10 +295,9 @@ def _stable_pair_partials(alphas, d: int, s: float, radii) -> list:
         v *= 2.0
     p_edges.append(radii[-1])
     p_edges = np.array(p_edges)
+    p_nodes, p_weights = panel_nodes(p_edges, 6)
     next_r = 0
-    for p_lo, p_hi in zip(p_edges[:-1], p_edges[1:]):
-        p = 0.5 * (p_lo + p_hi) + 0.5 * (p_hi - p_lo) * x6
-        wp = 0.5 * (p_hi - p_lo) * w6
+    for p_hi, p, wp in zip(p_edges[1:], p_nodes.reshape(-1, 6), p_weights.reshape(-1, 6)):
         feature = min(1.0, 1.0 / max(p_hi, 1e-12))
         t, wt = _multi_graded_rule((-1.0, 0.0, 1.0), feature)
         if d == 1:
@@ -350,7 +328,6 @@ def _stable_pair_partials(alphas, d: int, s: float, radii) -> list:
 
 
 def probe_intersection_dimension_test(sys: StableSystem, s: float,
-                                      quad: Optional[QuadratureSpec] = None,
                                       growth_bound: float = 1e3) -> ConvergenceVerdict:
     """Numeric convergence verdict of the intersection-dimension test at s.
 
@@ -369,18 +346,17 @@ def probe_intersection_dimension_test(sys: StableSystem, s: float,
     if sys.n * sys.d > 4:
         raise ValueError("probe limited to N*d <= 4; use the analytic route")
     return numeric_convergence_probe(stable_intersection_integrand(sys, s),
-                                     total_dim=sys.n * sys.d, quad=quad,
+                                     total_dim=sys.n * sys.d,
                                      growth_bound=growth_bound)
 
 
-def probe_intersections_exist(sys: StableSystem,
-                              quad: Optional[QuadratureSpec] = None) -> ConvergenceVerdict:
+def probe_intersections_exist(sys: StableSystem) -> ConvergenceVerdict:
     """Existence probe: the dimension test at s just above 0.
 
     Convergence there means some measure of positive energy lives on the
     intersection set, i.e. the processes meet.
     """
-    return probe_intersection_dimension_test(sys, 1e-3, quad=quad)
+    return probe_intersection_dimension_test(sys, 1e-3)
 
 
 def dimension_by_bisection(test: Callable[[float], ConvergenceVerdict],

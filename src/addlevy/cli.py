@@ -154,16 +154,14 @@ def cmd_lambda(args) -> dict:
 def cmd_energy(args) -> dict:
     psi = _exponent_arg(args.psi)
     mu = discretize(_set_arg(args.set))
-    quad = QuadratureSpec(r_max=args.r_max, n_nodes=args.n_nodes,
-                          rel_tol=args.rel_tol)
+    quad = QuadratureSpec(r_max=args.r_max, rel_tol=args.rel_tol)
     rep = energy_fourier(psi, mu, quad)
     if not rep.converged:
         raise NotConverged("energy quadrature did not meet its tolerance")
     return {"command": "energy", "energy": rep.value,
             "tail_estimate": rep.tail_estimate, "converged": rep.converged,
             "params": {"psi": psi.to_json(), "set": _load_json_arg(args.set),
-                       "r_max": args.r_max, "n_nodes": args.n_nodes,
-                       "rel_tol": args.rel_tol}}, None
+                       "r_max": args.r_max, "rel_tol": args.rel_tol}}, None
 
 
 def _gauge_from_args(args):
@@ -400,7 +398,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", required=True, help="exponent vector as JSON (or @file)")
     p.add_argument("--set", required=True, help="set discretization as JSON (or @file)")
     p.add_argument("--r-max", type=float, default=400.0)
-    p.add_argument("--n-nodes", type=int, default=2048)
     p.add_argument("--rel-tol", type=float, default=1e-4,
                    help="relative tolerance for the convergence certificate")
     common(p)

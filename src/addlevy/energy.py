@@ -16,14 +16,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from addlevy.exponents import DimensionMismatchError, ExponentVector
-from addlevy.kernels import Kernel, riesz_constant, riesz_kernel
+from addlevy.kernels import Kernel, lambda_closed, riesz_constant, riesz_kernel
 from addlevy.measures import AtomicMeasure
 from addlevy.quadrature import (
     QuadratureSpec,
     halfline_edges,
     integrate_panels,
     panel_nodes,
-    powerlaw_tail,
+    tensor_nodes,
 )
 
 __all__ = [
@@ -88,7 +88,7 @@ def _max_frequency(*measures: AtomicMeasure) -> float:
 
 
 def _default_quad() -> QuadratureSpec:
-    return QuadratureSpec(r_max=400.0, n_nodes=2048, rel_tol=1e-6)
+    return QuadratureSpec(r_max=400.0, rel_tol=1e-6)
 
 
 def _halfline_value(f: Callable[[np.ndarray], np.ndarray], quad: QuadratureSpec,
@@ -107,18 +107,14 @@ def _halfline_value(f: Callable[[np.ndarray], np.ndarray], quad: QuadratureSpec,
         return EnergyReport(value=value, tail_estimate=np.inf, converged=False)
     # tail_amp is the integrand amplitude at r_max; f ~ tail_amp (r/r_max)^-decay
     tail = tail_amp * quad.r_max / (decay - 1.0)
-    if quad.tail_policy == "PowerLawExtrapolate":
-        # consistency estimate: redo at half the radius and compare
-        half_r = quad.r_max / 2.0
-        half_main = upto(half_r)
-        half_tail = tail_amp * 2.0 ** decay * half_r / (decay - 1.0)
-        value = norm * (main + tail)
-        residual = abs(value - norm * (half_main + half_tail))
-        return EnergyReport(value=value, tail_estimate=residual,
-                            converged=residual <= quad.rel_tol * max(abs(value), 1e-300))
-    value = norm * main
-    return EnergyReport(value=value, tail_estimate=norm * tail,
-                        converged=norm * tail <= quad.rel_tol * max(abs(value), 1e-300))
+    # consistency estimate: redo at half the radius and compare
+    half_r = quad.r_max / 2.0
+    half_main = upto(half_r)
+    half_tail = tail_amp * 2.0 ** decay * half_r / (decay - 1.0)
+    value = norm * (main + tail)
+    residual = abs(value - norm * (half_main + half_tail))
+    return EnergyReport(value=value, tail_estimate=residual,
+                        converged=residual <= quad.rel_tol * max(abs(value), 1e-300))
 
 
 def energy_fourier(psi: ExponentVector, mu: AtomicMeasure,
@@ -159,11 +155,7 @@ def _tensor_energy(psi: ExponentVector, mu: AtomicMeasure, quad: QuadratureSpec,
     n_panels = int(math.ceil(2.0 * quad.r_max / width))
     n_panels = min(n_panels, 64 if d == 3 else 512)
     edges = np.linspace(-quad.r_max, quad.r_max, n_panels + 1)
-    nodes, weights = panel_nodes(edges, 8)
-    grids = np.meshgrid(*([nodes] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([weights] * d), indexing="ij")
-    wts = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
+    pts, wts = tensor_nodes([panel_nodes(edges, 8)] * d)
     vals = np.abs(mu.fourier(pts)) ** 2 * psi.kernel_values(pts)
     main = float(np.sum(wts * vals))
     norm = 1.0 / (2.0 * math.pi) ** d
@@ -172,13 +164,9 @@ def _tensor_energy(psi: ExponentVector, mu: AtomicMeasure, quad: QuadratureSpec,
     s_d = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     k_end = float(psi.kernel_values(_axis_point(quad.r_max, d))[0])
     tail = amp * s_d * k_end * quad.r_max ** d / (decay - d)
-    if quad.tail_policy == "PowerLawExtrapolate":
-        value = norm * (main + tail)
-        return EnergyReport(value, norm * tail * 0.5,
-                            converged=tail <= 0.05 * max(main, 1e-300))
-    value = norm * main
-    return EnergyReport(value, norm * tail,
-                        converged=norm * tail <= quad.rel_tol * max(abs(value), 1e-300))
+    value = norm * (main + tail)
+    return EnergyReport(value, norm * tail * 0.5,
+                        converged=tail <= 0.05 * max(main, 1e-300))
 
 
 def _axis_point(r: float, d: int) -> np.ndarray:
@@ -198,7 +186,7 @@ def energy_identity_check(k: Kernel, nu: AtomicMeasure, mu: AtomicMeasure,
     if k.fourier is None:
         raise ValueError("kernel must carry a Fourier transform")
     if quad is None:
-        quad = QuadratureSpec(r_max=2000.0, n_nodes=2048, rel_tol=1e-6)
+        quad = QuadratureSpec(r_max=2000.0, rel_tol=1e-6)
     if k.dim != 1:
         raise ValueError("identity check supports d=1 in v1")
     # real side
@@ -261,12 +249,6 @@ def riesz_identity_sides(mu: AtomicMeasure, s: float, cell: float) -> tuple[floa
     return real_side, fourier_side
 
 
-def _lambda_vec(z: np.ndarray) -> np.ndarray:
-    w = 1.0 + z
-    aw2 = np.abs(w) ** 2
-    return 2.0 * w.real / aw2 + 2.0 * ((1.0 + z.real) ** 2 - z.imag ** 2) / aw2 ** 2
-
-
 def sojourn_second_moment(psi: ExponentVector, fhat: Callable[[np.ndarray], np.ndarray],
                           quad: Optional[QuadratureSpec] = None) -> float:
     """E|Sf|^2 = 4^-N (2 pi)^-d int |f_hat|^2 prod_j Lambda(Psi_j) dxi (d=1).
@@ -276,13 +258,13 @@ def sojourn_second_moment(psi: ExponentVector, fhat: Callable[[np.ndarray], np.n
     if psi.dim != 1:
         raise ValueError("sojourn second moment supports d=1 in v1")
     if quad is None:
-        quad = QuadratureSpec(r_max=60.0, n_nodes=1024, rel_tol=1e-8)
+        quad = QuadratureSpec(r_max=60.0, rel_tol=1e-8)
 
     def f(sgrid):
         pts = sgrid.reshape(-1, 1)
         prod = np.ones(pts.shape[0])
         for comp in psi.components:
-            prod *= _lambda_vec(comp._eval(pts))
+            prod *= lambda_closed(comp._eval(pts))
         return np.abs(np.asarray(fhat(sgrid))) ** 2 * prod
 
     edges = halfline_edges(quad.r_max)

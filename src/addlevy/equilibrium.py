@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from addlevy.classify import numeric_convergence_probe
 from addlevy.exponents import ExponentVector
 from addlevy.kernels import Kernel, PotentialDensity, riesz_kernel
 from addlevy.measures import AtomicMeasure, SetDiscretization, cell_width, discretize
-from addlevy.quadrature import QuadratureSpec, halfline_edges, integrate_panels
+from addlevy.quadrature import halfline_edges, integrate_panels
 
 
 class InconclusiveError(RuntimeError):
@@ -33,8 +33,6 @@ class EnergyMatrix:
     entries: np.ndarray
     source: str
     diagonal_policy: str  # "Regularized" or "Infinite"
-    points: np.ndarray = None
-    cell: float = 0.0
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -102,7 +100,7 @@ def assemble_matrix(gauge: Union[Kernel, ExponentVector, PotentialDensity],
         raise ValueError(f"unknown diagonal policy {policy!r}")
     vals = 0.5 * (vals + vals.T)  # enforce exact symmetry against roundoff
     return EnergyMatrix(entries=vals, source=gauge.meta.get("name", repr(gauge.meta)),
-                        diagonal_policy=policy, points=mu.points, cell=h)
+                        diagonal_policy=policy)
 
 
 def _step_length(slope: float, curv: float, gamma_max: float) -> float:
@@ -203,8 +201,7 @@ def bessel_riesz_capacity(disc: SetDiscretization, s: float, tol: float = 1e-8,
     return solve_equilibrium(mat, tol=tol, max_iter=max_iter)
 
 
-def point_capacity_test(psi: ExponentVector,
-                        quad: Optional[QuadratureSpec] = None) -> bool:
+def point_capacity_test(psi: ExponentVector) -> bool:
     """True iff the additive field hits points: the product kernel is integrable.
 
     The only probability measure on a singleton is the point mass, whose
@@ -220,7 +217,7 @@ def point_capacity_test(psi: ExponentVector,
     if d > 4:
         raise InconclusiveError("no analytic tail rule and dimension too high to probe")
     verdict = numeric_convergence_probe(
-        lambda pts: psi.kernel_values(pts), total_dim=d, quad=quad)
+        lambda pts: psi.kernel_values(pts), total_dim=d)
     if verdict.kind == "Convergent":
         return True
     if verdict.kind == "Divergent":

@@ -33,7 +33,7 @@ def _as_points(xi, dim: int) -> tuple[np.ndarray, tuple]:
         return arr, ()
     if arr.shape[-1] != dim:
         raise DimensionMismatchError(
-            f"points of dimension {arr.shape[-1]} fed to an exponent of dimension {dim}"
+            f"points of dimension {arr.shape[-1]} where dimension {dim} is expected"
         )
     lead = arr.shape[:-1]
     return arr.reshape(-1, dim), lead

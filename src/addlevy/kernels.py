@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
-from addlevy.exponents import ExponentVector
+from addlevy.exponents import ExponentVector, _as_points
 from addlevy.quadrature import (
     QuadratureError,
     QuadratureSpec,
@@ -48,37 +46,20 @@ class Kernel:
 
 
 def _radius(x: np.ndarray, dim: int) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if dim == 1 and (arr.ndim <= 1 or arr.shape[-1] != 1):
-        arr = arr.reshape(arr.shape + (1,))
-    return np.linalg.norm(arr, axis=-1)
+    pts, lead = _as_points(x, dim)
+    return np.linalg.norm(pts, axis=-1).reshape(lead)
 
 
-def _sphere_area(d: int) -> float:
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
-@lru_cache(maxsize=None)
 def riesz_constant(d: int, alpha: float) -> float:
-    """Constant c with kappa_alpha_hat = c * ||xi||^-alpha, by calibration.
+    """Constant c with kappa_alpha_hat = c * ||xi||^-alpha, in closed form.
 
-    Calibrated so the Riesz energy identity holds for the standard Gaussian
-    reference measure: both the real-side double integral (reduced to a
-    radial integral of the Gaussian difference law) and the Fourier-side
-    integral are evaluated by quadrature and their ratio is the constant.
+    c = pi^(d/2) 2^alpha Gamma(alpha/2) / Gamma((d-alpha)/2), the Fourier
+    transform of ||x||^(alpha-d) in R^d.
     """
     if not 0.0 < alpha < d:
         raise ValueError(f"alpha must lie in (0, {d}), got {alpha}")
-    s_d = _sphere_area(d)
-    # real side: E ||X - Y||^{alpha-d} with X, Y iid N(0, I_d), X-Y ~ N(0, 2 I_d)
-    real_side = (s_d / (4.0 * math.pi) ** (d / 2.0)) * integrate.quad(
-        lambda r: r ** (alpha - 1.0) * math.exp(-r * r / 4.0), 0.0, np.inf
-    )[0]
-    # Fourier side without the constant: (2 pi)^-d int e^{-||xi||^2} ||xi||^-alpha
-    fourier_side = (s_d / (2.0 * math.pi) ** d) * integrate.quad(
-        lambda r: r ** (d - alpha - 1.0) * math.exp(-r * r), 0.0, np.inf
-    )[0]
-    return real_side / fourier_side
+    return (math.pi ** (d / 2.0) * 2.0 ** alpha
+            * (math.gamma(alpha / 2.0) / math.gamma((d - alpha) / 2.0)))
 
 
 def riesz_kernel(d: int, alpha: float) -> Kernel:
@@ -136,17 +117,19 @@ def cauchy_kernel(scale: float = 1.0) -> Kernel:
 # the Lambda kernel
 # ---------------------------------------------------------------------------
 
-def lambda_closed(z: complex) -> float:
+def lambda_closed(z):
     """Closed form of the double-exponential sojourn kernel.
 
     Lambda(z) = 2 Re(1/(1+z)) + 2 ((1+Re z)^2 - (Im z)^2) / |1+z|^4,
-    valid for Re z >= 0.
+    valid for Re z >= 0.  Elementwise on arrays; a scalar gives a float.
     """
-    z = complex(z)
-    if z.real < 0.0:
-        raise ValueError(f"Re z must be >= 0, got {z!r}")
+    z = np.asarray(z, dtype=complex)
+    if np.any(z.real < 0.0):
+        raise ValueError(f"Re z must be >= 0, got {(z.item() if z.ndim == 0 else z)!r}")
     w = 1.0 + z
-    return 2.0 * (w.real / abs(w) ** 2) + 2.0 * ((1.0 + z.real) ** 2 - z.imag ** 2) / abs(w) ** 4
+    aw = np.abs(w)
+    out = 2.0 * (w.real / aw ** 2) + 2.0 * ((1.0 + z.real) ** 2 - z.imag ** 2) / aw ** 4
+    return float(out) if out.ndim == 0 else out
 
 
 def lambda_bruteforce(z: complex, quad: Optional[QuadratureSpec] = None) -> float:
@@ -156,11 +139,13 @@ def lambda_bruteforce(z: complex, quad: Optional[QuadratureSpec] = None) -> floa
     sigma is z for t >= s and conj(z) otherwise; the square is split along
     the diagonal so each piece is smooth.
     """
+    from scipy import integrate
+
     z = complex(z)
     if z.real < 0.0:
         raise ValueError(f"Re z must be >= 0, got {z!r}")
     if quad is None:
-        quad = QuadratureSpec(scheme="TimePlane2D", r_max=40.0, n_nodes=64, rel_tol=1e-9)
+        quad = QuadratureSpec(r_max=40.0, rel_tol=1e-9)
     bigt = min(quad.r_max, 45.0)
 
     def re_lower(s, t):  # s <= t, sigma = z
@@ -203,7 +188,7 @@ def potential_density_v(psi: ExponentVector, x, quad: Optional[QuadratureSpec] =
     """
     _check_isotropic_1d(psi)
     if quad is None:
-        quad = QuadratureSpec(r_max=400.0, n_nodes=2048, rel_tol=1e-8)
+        quad = QuadratureSpec(r_max=400.0, rel_tol=1e-8)
     d = psi.dim
     r = float(np.asarray(_radius(np.asarray(x, dtype=float), d)).reshape(()))
     decay = psi.kernel_decay_exponent()
@@ -266,8 +251,7 @@ class PotentialDensity:
 
     source: ExponentVector
     quadrature: QuadratureSpec = field(default_factory=lambda: QuadratureSpec(
-        r_max=400.0, n_nodes=2048, rel_tol=1e-8))
-    parity_symmetrized: bool = True
+        r_max=400.0, rel_tol=1e-8))
 
     def __post_init__(self):
         _check_isotropic_1d(self.source)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from addlevy.exponents import DimensionMismatchError
+from addlevy.exponents import _as_points
 
 _WEIGHT_TOL = 1e-12
 
@@ -52,18 +52,11 @@ class AtomicMeasure:
 
     def fourier(self, xi) -> np.ndarray:
         """mu_hat(xi) = sum_k w_k exp(i xi . x_k), vectorized over xi."""
-        arr = np.asarray(xi, dtype=float)
-        if self.dim == 1 and (arr.ndim <= 1 or arr.shape[-1] != 1):
-            arr = arr.reshape(arr.shape + (1,))
-        if arr.ndim == 1 and arr.shape == (self.dim,):
-            phases = arr @ self.points.T
+        pts, lead = _as_points(xi, self.dim)
+        if lead == ():
+            phases = pts[0] @ self.points.T
             return complex(np.sum(self.weights * np.exp(1j * phases)))
-        if arr.shape[-1] != self.dim:
-            raise DimensionMismatchError(
-                f"xi of dimension {arr.shape[-1]} against a measure in dimension {self.dim}"
-            )
-        lead = arr.shape[:-1]
-        phases = arr.reshape(-1, self.dim) @ self.points.T  # (m, n)
+        phases = pts @ self.points.T  # (m, n)
         vals = np.exp(1j * phases) @ self.weights
         return vals.reshape(lead)
 

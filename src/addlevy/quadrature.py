@@ -10,6 +10,7 @@ convergent oscillatory half-line integrals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -22,42 +23,48 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """A deterministic quadrature plan.
+    """A deterministic quadrature plan: truncation radius and tolerance."""
 
-    scheme: "Radial1D" (even integrands over the line, reduced to [0, inf)),
-    "Tensor" (full tensor grid over a box) or "TimePlane2D" (the (t, s)
-    double integral of the Lambda kernel).
-    """
-
-    scheme: str = "Radial1D"
     r_max: float = 200.0
-    n_nodes: int = 2048
-    tail_policy: str = "PowerLawExtrapolate"  # or "Truncate"
     rel_tol: float = 1e-8
 
     def __post_init__(self):
         if self.r_max <= 0.0:
             raise ValueError("r_max must be positive")
-        if self.n_nodes < 16:
-            raise ValueError("n_nodes must be at least 16")
-        if self.scheme not in ("Radial1D", "Tensor", "TimePlane2D"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.tail_policy not in ("PowerLawExtrapolate", "Truncate"):
-            raise ValueError(f"unknown tail policy {self.tail_policy!r}")
 
-    def to_json(self):
-        return {"scheme": self.scheme, "r_max": self.r_max, "n_nodes": self.n_nodes,
-                "tail_policy": self.tail_policy, "rel_tol": self.rel_tol}
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], computed once per order.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    x, w = leggauss(n_nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def panel_nodes(edges: np.ndarray, n_nodes: int = 12) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on each panel [edges[i], edges[i+1]]."""
-    x, w = leggauss(n_nodes)
+    x, w = _gauss_legendre(n_nodes)
     mids = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = mids[:, None] + half[:, None] * x[None, :]
     weights = half[:, None] * w[None, :]
     return nodes.ravel(), weights.ravel()
+
+
+def tensor_nodes(rules) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor product of 1-D (nodes, weights) rules, one rule per axis.
+
+    Returns points of shape (m, d), first axis slowest, and their weights.
+    """
+    node_grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
+    pts = np.stack([g.ravel() for g in node_grids], axis=-1)
+    w_grids = np.meshgrid(*[r[1] for r in rules], indexing="ij")
+    wts = np.prod(np.stack([g.ravel() for g in w_grids], axis=-1), axis=-1)
+    return pts, wts
 
 
 def halfline_edges(r_max: float, max_freq: float = 0.0, min_scale: float = 1e-9) -> np.ndarray:
@@ -107,7 +114,7 @@ def averaged_oscillatory_tail(f: Callable[[np.ndarray], np.ndarray], start: floa
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     h = np.pi / omega
-    x, w = leggauss(n_nodes)
+    x, w = _gauss_legendre(n_nodes)
     partial = []
     total = 0.0
     a = start

@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.stats import norm
 
 from addlevy.classify import StableSystem
 from addlevy.measures import AtomicMeasure, SetDiscretization, discretize
@@ -229,8 +228,10 @@ class GaussianDensitySpec:
         return self.mass * np.exp(1j * xi * self.center - 0.5 * (self.sigma * xi) ** 2)
 
     def tail_mass_beyond(self, x: float) -> float:
-        return self.mass * float(norm.sf((x - self.center) / self.sigma)
-                                 + norm.cdf((-x - self.center) / self.sigma))
+        """Mass outside [-x, x]."""
+        scale = self.sigma * math.sqrt(2.0)
+        return self.mass * 0.5 * (math.erfc((x - self.center) / scale)
+                                  + math.erfc((x + self.center) / scale))
 
 
 def sojourn_mc(alpha: float, f: GaussianDensitySpec, cfg: MCConfig,

@@ -1,8 +1,13 @@
 """End-to-end CLI: subcommands, JSON/CSV reports, error codes, replay."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import addlevy
 from addlevy.cli import main
 
 STABLE_PSI = '{"family":"IsotropicStable","dim":1,"params":{"alpha":1.5}}'
@@ -13,6 +18,17 @@ def run_cli(argv, capsys):
     code = main(argv, _exit=False)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.stats and scipy.integrate double the start-up time of every
+    # subcommand; nothing on the import path may need them
+    probe = ("import sys, addlevy.cli; "
+             "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(addlevy.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 class TestClassify:

@@ -39,6 +39,16 @@ class TestLambdaClosed:
     def test_negative_real_part_rejected(self):
         with pytest.raises(ValueError):
             lambda_closed(-0.5)
+        with pytest.raises(ValueError):
+            lambda_closed(np.array([1.0, -0.5 + 1j]))
+
+    def test_array_is_elementwise(self):
+        zs = np.array([[0.0, 1.0], [1j, 2.0 - 3.0j]])
+        vals = lambda_closed(zs)
+        assert vals.shape == (2, 2)
+        assert vals.ravel() == pytest.approx([lambda_closed(z) for z in zs.ravel()],
+                                             rel=1e-15)
+        assert isinstance(lambda_closed(1.0), float)
 
     @given(st.floats(min_value=0.0, max_value=5.0),
            st.floats(min_value=-5.0, max_value=5.0))
@@ -82,6 +92,21 @@ class TestLambdaBruteforce:
             assert lambda_closed(z) >= 2.0 * (2.0 - c * c) * r * r - 1e-12
 
 
+def calibrated_riesz_constant(d: int, alpha: float) -> float:
+    """Riesz constant by Gaussian calibration: the ratio of the real-side and
+    Fourier-side energies of the standard Gaussian, each a radial quadrature."""
+    from scipy import integrate
+
+    s_d = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    # real side: E ||X - Y||^{alpha-d} with X, Y iid N(0, I_d), X-Y ~ N(0, 2 I_d)
+    real_side = (s_d / (4.0 * math.pi) ** (d / 2.0)) * integrate.quad(
+        lambda r: r ** (alpha - 1.0) * math.exp(-r * r / 4.0), 0.0, np.inf)[0]
+    # Fourier side without the constant: (2 pi)^-d int e^{-||xi||^2} ||xi||^-alpha
+    fourier_side = (s_d / (2.0 * math.pi) ** d) * integrate.quad(
+        lambda r: r ** (d - alpha - 1.0) * math.exp(-r * r), 0.0, np.inf)[0]
+    return real_side / fourier_side
+
+
 class TestRieszConstant:
     def test_half_integral_on_line(self):
         # [DERIVED] c_{1,1/2} = sqrt(2 pi) (classical Riesz normalization)
@@ -91,8 +116,22 @@ class TestRieszConstant:
         # [DERIVED] c_{3,2} = 4 pi (Newtonian potential normalization)
         assert riesz_constant(3, 2.0) == pytest.approx(4.0 * math.pi, rel=1e-8)
 
+    def test_planar_exact(self):
+        # [DERIVED] c_{2,1} = pi 2 Gamma(1/2) / Gamma(1/2) = 2 pi, exactly
+        assert riesz_constant(2, 1.0) == 2.0 * math.pi
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("frac", [0.35, 0.5, 0.65, 0.8])
+    def test_matches_gaussian_calibration(self, d, frac):
+        # [DERIVED] the closed form satisfies the Riesz energy identity for
+        # the standard Gaussian (the quadrature loses accuracy as alpha nears
+        # 0 or d, where its integrands turn singular)
+        alpha = frac * d
+        assert riesz_constant(d, alpha) == pytest.approx(
+            calibrated_riesz_constant(d, alpha), rel=1e-10)
+
     def test_positive(self):
-        # [TRIVIAL] both sides of the calibration identity are positive
+        # [TRIVIAL] a positive kernel of positive type has a positive transform
         for d, a in ((1, 0.3), (2, 1.0), (3, 1.5)):
             assert riesz_constant(d, a) > 0.0
 
