@@ -3,8 +3,8 @@
 Every subcommand emits a single JSON report on stdout (and optionally to a
 file) that embeds the fully resolved parameters and the seed, so a run can
 be reproduced from its own report.  Exit codes: 0 success, 1 invalid input
-(with a machine-readable error object on stdout), 2 a solver or quadrature
-failed to converge.
+(with a machine-readable error object on stdout) or a stdout closed by its
+reader, 2 a solver or quadrature failed to converge.
 
 A saved report or hand-written config can be replayed with
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -47,6 +48,7 @@ from addlevy.kernels import PotentialDensity, lambda_bruteforce, lambda_closed, 
 from addlevy.measures import SetDiscretization, discretize
 from addlevy.quadrature import QuadratureError, QuadratureSpec
 from addlevy.simulate import (
+    BudgetError,
     GaussianDensitySpec,
     MCConfig,
     box_dimension_estimate,
@@ -108,7 +110,6 @@ def _set_arg(text: str) -> SetDiscretization:
 
 def _write_report(report: dict, output_path, csv_rows=None, csv_path=None):
     text = json.dumps(report, indent=2, sort_keys=True, default=float)
-    print(text)
     if output_path:
         with open(output_path, "w") as fh:
             fh.write(text + "\n")
@@ -116,6 +117,8 @@ def _write_report(report: dict, output_path, csv_rows=None, csv_path=None):
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerows(csv_rows)
+    # last, so the files are written even when the reader closes stdout early
+    print(text, flush=True)
 
 
 # ---------------------------------------------------------------------------
@@ -475,14 +478,18 @@ def main(argv=None, _exit=True) -> int:
         _write_report(report, getattr(args, "out", None), rows,
                       getattr(args, "csv", None))
         code = 0
-    except (CliError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): nothing more can reach it, and
+        # pointing the descriptor at devnull keeps the flush at exit quiet.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        code = 1
+    except (CliError, ValueError, OSError, json.JSONDecodeError, BudgetError) as exc:
         print(json.dumps({"error": str(exc), "kind": "invalid-input"}))
         code = 1
     except (NotConverged, QuadratureError) as exc:
         print(json.dumps({"error": str(exc), "kind": "not-converged"}))
         code = 2
-    if _exit and argv is None:
-        return code
     return code
 
 

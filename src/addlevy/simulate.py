@@ -5,25 +5,26 @@ One-dimensional stable variates come from the Chambers-Mallows-Stuck
 transform; isotropic stable vectors in d >= 2 from Brownian subordination
 by a positive (alpha/2)-stable variate.  Both are exact in distribution, so
 the only discretization is the time grid.  All estimators are deterministic
-functions of (config, seed): per-trial streams are spawned from the master
-seed, so trial order and parallelism cannot change results.
+functions of (config, seed): each trial draws from its own stream, spawned
+from the master seed, so the size of the blocks in which trials are sampled
+and tested cannot change results.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from addlevy.classify import StableSystem
-from addlevy.measures import AtomicMeasure, SetDiscretization, discretize
+from addlevy.measures import SetDiscretization, discretize
 
 
 class BudgetError(RuntimeError):
-    """Requested grid size x trials exceeds the configured budget."""
+    """Requested work (query points over all trials) exceeds the budget."""
 
 
 @dataclass(frozen=True)
@@ -64,13 +65,41 @@ def _estimate(samples: np.ndarray) -> MCEstimate:
                       trials=n)
 
 
-def _trial_rngs(seed: int, trials: int):
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trials)]
+# Path values (trials x paths x steps x d) sampled and tested per block: big
+# enough to amortise numpy's per-call cost, small enough to keep peak memory
+# near that of one trial at a time.
+_BLOCK_VALUES = 2 ** 14
+
+
+def _block_trials(n_paths: int, n_steps: int, d: int) -> int:
+    return max(1, _BLOCK_VALUES // max(1, n_paths * n_steps * d))
+
+
+def _blocks(seed: int, trials: int, n_paths: int, n_steps: int, d: int):
+    """Yield (first trial, generators) per block of trials; trial i always
+    draws from the i-th stream spawned from seed."""
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trials)]
+    size = _block_trials(n_paths, n_steps, d)
+    for start in range(0, trials, size):
+        yield start, rngs[start:start + size]
 
 
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
+
+def _cms(alpha: float, beta: float, v, w):
+    """Chambers-Mallows-Stuck transform of v uniform on (-pi/2, pi/2) and w
+    standard exponential into unit stable variates."""
+    if beta == 0.0:
+        return (np.sin(alpha * v) / np.cos(v) ** (1.0 / alpha)
+                * (np.cos(v - alpha * v) / w) ** ((1.0 - alpha) / alpha))
+    tan_half = math.tan(math.pi * alpha / 2.0)
+    b = math.atan(beta * tan_half) / alpha
+    s = (1.0 + beta ** 2 * tan_half ** 2) ** (1.0 / (2.0 * alpha))
+    return (s * np.sin(alpha * (v + b)) / np.cos(v) ** (1.0 / alpha)
+            * (np.cos(v - alpha * (v + b)) / w) ** ((1.0 - alpha) / alpha))
+
 
 def sample_stable_increment(alpha: float, beta: float = 0.0, scale: float = 1.0,
                             dt: float = 1.0, rng: Optional[np.random.Generator] = None,
@@ -95,24 +124,66 @@ def sample_stable_increment(alpha: float, beta: float = 0.0, scale: float = 1.0,
         return scale * dt * rng.standard_cauchy(size=size)
     v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
     w = rng.exponential(1.0, size=size)
-    if beta == 0.0:
-        x = (np.sin(alpha * v) / np.cos(v) ** (1.0 / alpha)
-             * (np.cos(v - alpha * v) / w) ** ((1.0 - alpha) / alpha))
-    else:
-        tan_half = math.tan(math.pi * alpha / 2.0)
-        b = math.atan(beta * tan_half) / alpha
-        s = (1.0 + beta ** 2 * tan_half ** 2) ** (1.0 / (2.0 * alpha))
-        x = (s * np.sin(alpha * (v + b)) / np.cos(v) ** (1.0 / alpha)
-             * (np.cos(v - alpha * (v + b)) / w) ** ((1.0 - alpha) / alpha))
-    return scale * dt ** (1.0 / alpha) * x
+    return scale * dt ** (1.0 / alpha) * _cms(alpha, beta, v, w)
 
 
-def _positive_stable(alpha_half: float, dt: float, rng: np.random.Generator, size):
-    """Subordinator increment tau with E exp(-l tau) = exp(-dt (2l)^{a/2}) scaling
-    chosen so the subordinated Brownian increment is isotropic alpha-stable."""
-    s = sample_stable_increment(alpha_half, beta=1.0, scale=1.0, dt=1.0, rng=rng, size=size)
+def _raw_variates(alpha: float, d: int, dt: float, n_steps: int, rng) -> tuple:
+    """The variates one path draws from rng, in order: the normal steps
+    (alpha = 2), the Cauchy steps (alpha = 1, d = 1), or the CMS pair (v, w),
+    followed in d >= 2 by the normals that the stable clock subordinates."""
+    if alpha == 2.0:
+        return (rng.normal(0.0, math.sqrt(2.0 * dt), size=(n_steps, d)),)
+    if d == 1 and alpha == 1.0:
+        return (rng.standard_cauchy(size=(n_steps, 1)),)
+    shape = (n_steps, 1) if d == 1 else n_steps
+    v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=shape)
+    w = rng.exponential(1.0, size=shape)
+    if d == 1:
+        return v, w
+    return v, w, rng.normal(0.0, 1.0, size=(n_steps, d))
+
+
+def _increments(alpha: float, d: int, dt: float, raw: tuple) -> np.ndarray:
+    """Increments of a block of paths from their stacked raw variates.
+
+    For alpha < 2 in d >= 2 the clock tau has E exp(-l tau) =
+    exp(-dt (2l)^{alpha/2}), so sqrt(tau) times a standard normal vector is
+    an isotropic alpha-stable increment.
+    """
+    if alpha == 2.0:
+        return raw[0]
+    if d == 1 and alpha == 1.0:
+        return dt * raw[0]
+    if d == 1:
+        return dt ** (1.0 / alpha) * _cms(alpha, 0.0, *raw)
+    v, w, z = raw
+    alpha_half = alpha / 2.0
     k = 2.0 * (dt * math.cos(math.pi * alpha_half / 2.0)) ** (1.0 / alpha_half)
-    return k * s
+    tau = k * _cms(alpha_half, 1.0, v, w)
+    return z * np.sqrt(tau)[..., None]
+
+
+def _sample_paths(alphas, d: int, T: float, n_steps: int, rngs) -> list:
+    """Independent isotropic stable paths from 0, one per alpha, for a block
+    of trials: arrays of shape (len(rngs), n_steps + 1, d).
+
+    Trial t draws its variates from rngs[t] path by path, in the order of
+    alphas; the stable transforms and cumulative sums run once per block.
+    """
+    for alpha in alphas:
+        if not 0.0 < alpha <= 2.0:
+            raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    if d < 1 or n_steps < 1:
+        raise ValueError("need d >= 1 and n_steps >= 1")
+    dt = T / n_steps
+    draws = [[_raw_variates(a, d, dt, n_steps, rng) for a in alphas] for rng in rngs]
+    paths = []
+    for j, alpha in enumerate(alphas):
+        raw = tuple(np.stack(parts) for parts in zip(*(trial[j] for trial in draws)))
+        path = np.zeros((len(rngs), n_steps + 1, d))
+        path[:, 1:] = np.cumsum(_increments(alpha, d, dt, raw), axis=1)
+        paths.append(path)
+    return paths
 
 
 def sample_isotropic_stable_path(alpha: float, d: int, T: float, n_steps: int,
@@ -123,70 +194,76 @@ def sample_isotropic_stable_path(alpha: float, d: int, T: float, n_steps: int,
     [0, T].  alpha = 2 is Brownian motion; alpha < 2 in d >= 2 is Brownian
     motion subordinated by a positive (alpha/2)-stable clock.
     """
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    if d < 1 or n_steps < 1:
-        raise ValueError("need d >= 1 and n_steps >= 1")
     if rng is None:
         rng = np.random.default_rng()
-    dt = T / n_steps
-    if alpha == 2.0:
-        steps = rng.normal(0.0, math.sqrt(2.0 * dt), size=(n_steps, d))
-    elif d == 1:
-        steps = sample_stable_increment(alpha, 0.0, 1.0, dt, rng,
-                                        size=(n_steps, 1))
-    else:
-        tau = _positive_stable(alpha / 2.0, dt, rng, size=n_steps)
-        steps = rng.normal(0.0, 1.0, size=(n_steps, d)) * np.sqrt(tau)[:, None]
-    path = np.zeros((n_steps + 1, d))
-    path[1:] = np.cumsum(steps, axis=0)
-    return path
+    return _sample_paths((alpha,), d, T, n_steps, [rng])[0][0]
 
 
 # ---------------------------------------------------------------------------
 # frequency estimators
 # ---------------------------------------------------------------------------
 
-_GRID_BUDGET = 5e8
+_QUERY_BUDGET = 500_000_000
+
+
+def _check_budget(query_points: int) -> None:
+    if query_points > _QUERY_BUDGET:
+        raise BudgetError(f"{query_points:,} nearest-neighbour queries over all trials "
+                          f"exceed the budget of {_QUERY_BUDGET:,}")
 
 
 def hitting_frequency(sys: StableSystem, target: SetDiscretization,
                       cfg: MCConfig) -> MCEstimate:
     """Fraction of trials where the additive field enters the epsilon
-    neighborhood of the target cloud over the [0, T]^N time grid."""
+    neighborhood of the target cloud over the [0, T]^N time grid.
+
+    For N = 2 the n^2 field values X1(i) + X2(j) are never formed: since
+    |X1(i) + X2(j) - y| = |X2(j) - (y - X1(i))|, a tree on X2's n points
+    answers the m n queries y_k - X1(i), for m target atoms.
+    """
     if sys.n > 2:
         raise ValueError("time grids beyond N=2 are out of scope in v1")
-    target_mu = discretize(target)
-    grid_size = cfg.n_steps ** sys.n
-    if grid_size * cfg.trials * max(1, target_mu.n_atoms // 100) > _GRID_BUDGET:
-        raise BudgetError("grid size x trials exceeds the budget")
-    tree = cKDTree(target_mu.points)
+    target_pts = discretize(target).points
+    if target_pts.shape[1] != sys.d:
+        raise ValueError(f"target points lie in R^{target_pts.shape[1]}, "
+                         f"the field in R^{sys.d}")
+    n = cfg.n_steps
+    _check_budget(cfg.trials * n * (target_pts.shape[0] if sys.n == 2 else 1))
+    tree = cKDTree(target_pts)
     hits = np.empty(cfg.trials)
-    for i, rng in enumerate(_trial_rngs(cfg.seed, cfg.trials)):
-        paths = [sample_isotropic_stable_path(a, sys.d, cfg.time_horizon,
-                                              cfg.n_steps, rng)[1:]
-                 for a in sys.alphas]
+    for start, rngs in _blocks(cfg.seed, cfg.trials, sys.n, n, sys.d):
+        paths = [p[:, 1:] for p in _sample_paths(sys.alphas, sys.d, cfg.time_horizon,
+                                                 n, rngs)]
         if sys.n == 1:
-            pts = paths[0]
+            dist = tree.query(paths[0].reshape(-1, sys.d), k=1)[0]
+            dmin = dist.reshape(len(rngs), n).min(axis=1)
         else:
-            pts = (paths[0][:, None, :] + paths[1][None, :, :]).reshape(-1, sys.d)
-        dmin = tree.query(pts, k=1)[0].min()
-        hits[i] = 1.0 if dmin < cfg.epsilon else 0.0
+            dmin = [cKDTree(x2).query((target_pts[:, None, :] - x1).reshape(-1, sys.d),
+                                      k=1)[0].min()
+                    for x1, x2 in zip(*paths)]
+        hits[start:start + len(rngs)] = np.less(dmin, cfg.epsilon)
     return _estimate(hits)
 
 
 def intersection_frequency(alpha1: float, alpha2: float, d: int,
                            cfg: MCConfig) -> MCEstimate:
     """Fraction of trials where two independent paths pass within epsilon."""
-    if cfg.n_steps ** 2 * cfg.trials > _GRID_BUDGET:
-        raise BudgetError("grid size x trials exceeds the budget")
+    _check_budget(cfg.trials * cfg.n_steps)
     hits = np.empty(cfg.trials)
-    for i, rng in enumerate(_trial_rngs(cfg.seed, cfg.trials)):
-        p1 = sample_isotropic_stable_path(alpha1, d, cfg.time_horizon, cfg.n_steps, rng)[1:]
-        p2 = sample_isotropic_stable_path(alpha2, d, cfg.time_horizon, cfg.n_steps, rng)[1:]
-        dmin = cKDTree(p1).query(p2, k=1)[0].min()
-        hits[i] = 1.0 if dmin < cfg.epsilon else 0.0
+    for start, rngs in _blocks(cfg.seed, cfg.trials, 2, cfg.n_steps, d):
+        p1, p2 = _sample_paths((alpha1, alpha2), d, cfg.time_horizon, cfg.n_steps, rngs)
+        dmin = [cKDTree(x1[1:]).query(x2[1:], k=1)[0].min() for x1, x2 in zip(p1, p2)]
+        hits[start:start + len(rngs)] = np.less(dmin, cfg.epsilon)
     return _estimate(hits)
+
+
+def _distinct_rows(cells: np.ndarray) -> int:
+    """Number of distinct rows of a 2-D integer array: one lexsort, then a
+    comparison of neighbouring rows."""
+    if cells.shape[0] == 0:
+        return 0
+    ordered = cells[np.lexsort(cells.T)]
+    return 1 + int(np.count_nonzero(np.any(ordered[1:] != ordered[:-1], axis=1)))
 
 
 def box_dimension_estimate(points: np.ndarray, scales) -> float:
@@ -197,10 +274,7 @@ def box_dimension_estimate(points: np.ndarray, scales) -> float:
         return 0.0
     if len(scales) < 4:
         raise ValueError("need at least 4 scales")
-    counts = []
-    for s in scales:
-        cells = np.floor(pts / s).astype(np.int64)
-        counts.append(np.unique(cells, axis=0).shape[0])
+    counts = [_distinct_rows(np.floor(pts / s).astype(np.int64)) for s in scales]
     x = np.log(1.0 / np.array(scales))
     y = np.log(np.array(counts, dtype=float))
     return float(np.polyfit(x, y, 1)[0])
@@ -256,12 +330,11 @@ def sojourn_mc(alpha: float, f: GaussianDensitySpec, cfg: MCConfig,
     wts[-1] *= 0.5
     first = np.empty(cfg.trials)
     second = np.empty(cfg.trials)
-    for i, rng in enumerate(_trial_rngs(cfg.seed, cfg.trials)):
-        x0 = rng.uniform(-half_width, half_width)
-        pos_path = sample_isotropic_stable_path(alpha, 1, time_span, n, rng)[:, 0]
-        neg_path = -sample_isotropic_stable_path(alpha, 1, time_span, n, rng)[:, 0]
-        sf = 0.5 * (np.sum(f(x0 + pos_path) * wts)
-                    + np.sum(f(x0 + neg_path) * wts))
-        first[i] = 2.0 * half_width * sf
-        second[i] = 2.0 * half_width * sf * sf
+    for start, rngs in _blocks(cfg.seed, cfg.trials, 2, n, 1):
+        x0 = np.array([rng.uniform(-half_width, half_width) for rng in rngs])[:, None]
+        pos, neg = _sample_paths((alpha, alpha), 1, time_span, n, rngs)
+        sf = 0.5 * (np.sum(f(x0 + pos[:, :, 0]) * wts, axis=1)
+                    + np.sum(f(x0 - neg[:, :, 0]) * wts, axis=1))
+        first[start:start + len(rngs)] = 2.0 * half_width * sf
+        second[start:start + len(rngs)] = 2.0 * half_width * sf * sf
     return _estimate(first), _estimate(second)

@@ -31,6 +31,24 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
     assert out.strip() == "[]"
 
 
+def test_closed_stdout_exits_quietly(tmp_path):
+    # a reader that stops early (`addlevy ... | head -c 20`) must not make the
+    # CLI print tracebacks or lose the --out file; the report (~640 kB)
+    # overfills the pipe, so the write is still blocked when the reader goes away
+    env = {**os.environ, "PYTHONPATH": str(Path(addlevy.__file__).parents[1])}
+    out = tmp_path / "report.json"
+    proc = subprocess.Popen([sys.executable, "-m", "addlevy.cli", "lambda", "--n-grid", "120",
+                             "--out", str(out)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(20).startswith(b"{")
+    proc.stdout.close()
+    proc.wait(timeout=120)
+    err = proc.stderr.read().decode()
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert proc.returncode == 1
+    assert json.loads(out.read_text())["command"] == "lambda"
+
+
 class TestClassify:
     def test_stable_pair_plane(self, capsys):
         # [DERIVED] 1.5 + 1.5 > 2 with dimension 3 - 2 = 1
@@ -137,6 +155,14 @@ class TestSimulateAndRun:
         code, rep = run_cli(argv, capsys)
         assert code == 0
         assert 0.3 < rep["box_dimension"] < 1.1
+
+    def test_oversize_job_is_invalid_input(self, capsys):
+        # [TRIVIAL] a budget refusal is an error report, not a traceback
+        code, rep = run_cli(["simulate", "--mode", "intersection", "--stable", "1.5,1.5",
+                             "--trials", "1000", "--n-steps", "1000000"], capsys)
+        assert code == 1
+        assert rep["kind"] == "invalid-input"
+        assert "1,000,000,000" in rep["error"] and "500,000,000" in rep["error"]
 
     def test_run_replay_bitwise(self, capsys, tmp_path):
         cfg = tmp_path / "job.json"

@@ -1,9 +1,12 @@
 """Monte Carlo: stable samplers, paths, hitting, box counting, sojourns."""
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
+from scipy.spatial import cKDTree
 
 from addlevy import (
     MCConfig,
@@ -15,8 +18,91 @@ from addlevy import (
     sample_stable_increment,
     sojourn_mc,
 )
-from addlevy.simulate import GaussianDensitySpec
-from addlevy.measures import cube_grid, two_point
+from addlevy import simulate
+from addlevy.simulate import BudgetError, GaussianDensitySpec
+from addlevy.measures import discretize, two_point
+
+
+# ---------------------------------------------------------------------------
+# references: one path and one trial at a time, as the estimators once ran
+# ---------------------------------------------------------------------------
+
+def trial_rngs(seed, trials):
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trials)]
+
+
+def reference_path(alpha, d, T, n_steps, rng):
+    """Per-path sampler: draws and transforms one path per call."""
+    dt = T / n_steps
+    if alpha == 2.0:
+        steps = rng.normal(0.0, math.sqrt(2.0 * dt), size=(n_steps, d))
+    elif d == 1:
+        steps = sample_stable_increment(alpha, 0.0, 1.0, dt, rng, size=(n_steps, 1))
+    else:
+        alpha_half = alpha / 2.0
+        s = sample_stable_increment(alpha_half, beta=1.0, scale=1.0, dt=1.0, rng=rng,
+                                    size=n_steps)
+        tau = 2.0 * (dt * math.cos(math.pi * alpha_half / 2.0)) ** (1.0 / alpha_half) * s
+        steps = rng.normal(0.0, 1.0, size=(n_steps, d)) * np.sqrt(tau)[:, None]
+    path = np.zeros((n_steps + 1, d))
+    path[1:] = np.cumsum(steps, axis=0)
+    return path
+
+
+def reference_hitting(sys_, target, cfg):
+    """All n^N field values of each trial against a tree on the target."""
+    tree = cKDTree(discretize(target).points)
+    hits = np.empty(cfg.trials)
+    for i, rng in enumerate(trial_rngs(cfg.seed, cfg.trials)):
+        paths = [reference_path(a, sys_.d, cfg.time_horizon, cfg.n_steps, rng)[1:]
+                 for a in sys_.alphas]
+        if sys_.n == 1:
+            pts = paths[0]
+        else:
+            pts = (paths[0][:, None, :] + paths[1][None, :, :]).reshape(-1, sys_.d)
+        hits[i] = 1.0 if tree.query(pts, k=1)[0].min() < cfg.epsilon else 0.0
+    return simulate._estimate(hits)
+
+
+def reference_intersection(alpha1, alpha2, d, cfg):
+    hits = np.empty(cfg.trials)
+    for i, rng in enumerate(trial_rngs(cfg.seed, cfg.trials)):
+        p1 = reference_path(alpha1, d, cfg.time_horizon, cfg.n_steps, rng)[1:]
+        p2 = reference_path(alpha2, d, cfg.time_horizon, cfg.n_steps, rng)[1:]
+        hits[i] = 1.0 if cKDTree(p1).query(p2, k=1)[0].min() < cfg.epsilon else 0.0
+    return simulate._estimate(hits)
+
+
+def reference_sojourn(alpha, f, cfg, half_width=10.0, time_span=10.0):
+    n = cfg.n_steps
+    dt = time_span / n
+    wts = np.exp(-dt * np.arange(n + 1)) * dt
+    wts[0] *= 0.5
+    wts[-1] *= 0.5
+    first = np.empty(cfg.trials)
+    second = np.empty(cfg.trials)
+    for i, rng in enumerate(trial_rngs(cfg.seed, cfg.trials)):
+        x0 = rng.uniform(-half_width, half_width)
+        pos_path = reference_path(alpha, 1, time_span, n, rng)[:, 0]
+        neg_path = -reference_path(alpha, 1, time_span, n, rng)[:, 0]
+        sf = 0.5 * (np.sum(f(x0 + pos_path) * wts) + np.sum(f(x0 + neg_path) * wts))
+        first[i] = 2.0 * half_width * sf
+        second[i] = 2.0 * half_width * sf * sf
+    return simulate._estimate(first), simulate._estimate(second)
+
+
+def reference_box_dimension(points, scales):
+    """Distinct cells by np.unique over rows."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    scales = sorted(float(s) for s in scales)
+    counts = [np.unique(np.floor(pts / s).astype(np.int64), axis=0).shape[0]
+              for s in scales]
+    return float(np.polyfit(np.log(1.0 / np.array(scales)),
+                            np.log(np.array(counts, dtype=float)), 1)[0])
+
+
+# named indices plus drawn ones; below 0.4 the heavy tails overflow to inf
+ALPHA = st.one_of(st.sampled_from((0.5, 1.0, 1.5, 2.0)), st.floats(0.4, 2.0))
 
 
 class TestStableSampler:
@@ -156,3 +242,128 @@ class TestMCConfig:
         cfg = MCConfig(trials=500, seed=3)
         j = cfg.to_json()
         assert j["trials"] == 500 and j["seed"] == 3
+
+
+class TestBlockSampler:
+    @settings(max_examples=40, deadline=None)
+    @given(alphas=st.lists(ALPHA, min_size=1, max_size=2), d=st.sampled_from((1, 2, 3)),
+           n_steps=st.integers(1, 60), trials=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_block_paths_equal_per_path_sampler(self, alphas, d, n_steps, trials, seed):
+        # [DERIVED] same streams, same draws in the same order: the block's
+        # paths are bitwise those of one path at a time
+        paths = simulate._sample_paths(alphas, d, 1.3, n_steps, trial_rngs(seed, trials))
+        rngs = trial_rngs(seed, trials)
+        for t in range(trials):
+            for a, block in zip(alphas, paths):
+                assert block[t].tobytes() == reference_path(a, d, 1.3, n_steps, rngs[t]).tobytes()
+
+    def test_single_path_is_the_one_generator_block(self):
+        # [TRIVIAL]
+        for alpha, d in ((0.7, 1), (1.0, 1), (1.0, 2), (2.0, 3)):
+            path = sample_isotropic_stable_path(alpha, d, 1.0, 500, np.random.default_rng(4))
+            ref = reference_path(alpha, d, 1.0, 500, np.random.default_rng(4))
+            assert path.tobytes() == ref.tobytes()
+
+
+def _steps_for_block(n_paths, d, draw_steps):
+    """n_steps giving blocks of 101..595 trials, so that block - 1, block and
+    block + 1 are all valid trial counts of at most a few hundred trials."""
+    lo = -(-simulate._BLOCK_VALUES // (596 * n_paths * d))
+    hi = simulate._BLOCK_VALUES // (101 * n_paths * d)
+    return draw_steps(st.integers(lo, hi))
+
+
+class TestBlockEstimators:
+    # [DERIVED] every estimator equals its one-trial-at-a-time reference
+    # exactly, across a block boundary
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data(), alphas=st.lists(ALPHA, min_size=1, max_size=2),
+           d=st.sampled_from((1, 2, 3)), offset=st.sampled_from((-1, 0, 1)),
+           seed=st.integers(0, 2 ** 31))
+    def test_hitting(self, data, alphas, d, offset, seed):
+        n_steps = _steps_for_block(len(alphas), d, data.draw)
+        trials = simulate._block_trials(len(alphas), n_steps, d) + offset
+        cfg = MCConfig(trials=trials, n_steps=n_steps, epsilon=0.15, seed=seed)
+        sys_ = StableSystem(alphas=tuple(alphas), d=d)
+        target = two_point(1.0, d)
+        assert hitting_frequency(sys_, target, cfg) == reference_hitting(sys_, target, cfg)
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data(), alpha1=ALPHA, alpha2=ALPHA, d=st.sampled_from((1, 2, 3)),
+           offset=st.sampled_from((-1, 0, 1)), seed=st.integers(0, 2 ** 31))
+    def test_intersection(self, data, alpha1, alpha2, d, offset, seed):
+        n_steps = _steps_for_block(2, d, data.draw)
+        trials = simulate._block_trials(2, n_steps, d) + offset
+        cfg = MCConfig(trials=trials, n_steps=n_steps, epsilon=0.1, seed=seed)
+        assert (intersection_frequency(alpha1, alpha2, d, cfg)
+                == reference_intersection(alpha1, alpha2, d, cfg))
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data(), alpha=ALPHA, offset=st.sampled_from((-1, 0, 1)),
+           seed=st.integers(0, 2 ** 31))
+    def test_sojourn(self, data, alpha, offset, seed):
+        n_steps = _steps_for_block(2, 1, data.draw)
+        trials = simulate._block_trials(2, n_steps, 1) + offset
+        cfg = MCConfig(trials=trials, n_steps=n_steps, seed=seed)
+        f = GaussianDensitySpec(sigma=0.8, mass=1.3)
+        assert sojourn_mc(alpha, f, cfg) == reference_sojourn(alpha, f, cfg)
+
+    def test_workload_sized_hitting_pair(self):
+        # the benchmark's N = 2 shape: one tree on X2 per trial instead of n^2 points
+        cfg = MCConfig(trials=150, n_steps=200, epsilon=0.1, seed=17)
+        sys_ = StableSystem(alphas=(1.5, 1.5), d=1)
+        est = hitting_frequency(sys_, two_point(4.0), cfg)
+        assert 0.0 < est.value < 1.0
+        assert est == reference_hitting(sys_, two_point(4.0), cfg)
+
+
+class TestBudget:
+    def test_pair_grid_once_refused_now_runs(self):
+        # n_steps^2 x trials = 6e8 tripped the old budget; the m n queries
+        # per trial are 6e5 in all
+        cfg = MCConfig(trials=150, n_steps=2000, epsilon=0.1, seed=2)
+        t0 = time.perf_counter()
+        est = hitting_frequency(StableSystem(alphas=(1.5, 1.5), d=1), two_point(4.0), cfg)
+        assert time.perf_counter() - t0 < 5.0
+        assert est.trials == 150 and 0.0 <= est.value <= 1.0
+
+    @pytest.mark.parametrize("alphas, queries", [((1.5,), "1,000,000,000"),
+                                                 ((1.5, 1.5), "2,000,000,000")])
+    def test_oversize_refused_before_sampling(self, monkeypatch, alphas, queries):
+        # trials x n_steps, times the 2 target atoms for N = 2
+        def no_sampling(*args):
+            raise AssertionError("sampled paths before checking the budget")
+        monkeypatch.setattr(simulate, "_sample_paths", no_sampling)
+        cfg = MCConfig(trials=1000, n_steps=1_000_000, seed=0)
+        with pytest.raises(BudgetError, match=queries + r" .* 500,000,000"):
+            hitting_frequency(StableSystem(alphas=alphas, d=1), two_point(1.0), cfg)
+        with pytest.raises(BudgetError, match=r"1,000,000,000 .* 500,000,000"):
+            intersection_frequency(1.5, 1.5, 1, cfg)
+
+    def test_target_dimension_must_match(self):
+        cfg = MCConfig(trials=100, n_steps=10, seed=0)
+        with pytest.raises(ValueError, match="R\\^1"):
+            hitting_frequency(StableSystem(alphas=(1.5,), d=2), two_point(1.0, 1), cfg)
+
+
+class TestBoxCount:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(("random", "duplicated", "constant")),
+           d=st.sampled_from((1, 2, 3)), n=st.integers(1, 300), span=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_distinct_rows_match_unique(self, kind, d, n, span, seed):
+        rng = np.random.default_rng(seed)
+        cells = rng.integers(-span, span + 1, size=(n, d))
+        if kind == "duplicated":
+            cells = cells[rng.integers(0, max(1, n // 4), size=n)]
+        elif kind == "constant":
+            cells = np.broadcast_to(cells[:1], (n, d)).copy()
+        assert simulate._distinct_rows(cells) == np.unique(cells, axis=0).shape[0]
+
+    def test_seeded_path_dimension_unchanged(self):
+        # [DERIVED] integer counts, so the slope is the same float
+        path = sample_isotropic_stable_path(0.7, 1, 1.0, 10_000, np.random.default_rng(5))
+        scales = MCConfig().box_scales
+        assert box_dimension_estimate(path, scales) == reference_box_dimension(path, scales)
