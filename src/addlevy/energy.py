@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from addlevy.exponents import DimensionMismatchError, ExponentVector
-from addlevy.kernels import Kernel, lambda_closed, riesz_constant, riesz_kernel
+from addlevy.kernels import Kernel, _axis_points, lambda_closed, riesz_constant, riesz_kernel
 from addlevy.measures import AtomicMeasure
 from addlevy.quadrature import (
     QuadratureSpec,
@@ -162,17 +162,11 @@ def _tensor_energy(psi: ExponentVector, mu: AtomicMeasure, quad: QuadratureSpec,
     if decay is None or decay <= d:
         return EnergyReport(norm * main, np.inf, False)
     s_d = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    k_end = float(psi.kernel_values(_axis_point(quad.r_max, d))[0])
+    k_end = float(psi.kernel_values(_axis_points(quad.r_max, d))[0])
     tail = amp * s_d * k_end * quad.r_max ** d / (decay - d)
     value = norm * (main + tail)
     return EnergyReport(value, norm * tail * 0.5,
                         converged=tail <= 0.05 * max(main, 1e-300))
-
-
-def _axis_point(r: float, d: int) -> np.ndarray:
-    p = np.zeros((1, d))
-    p[0, 0] = r
-    return p
 
 
 def energy_identity_check(k: Kernel, nu: AtomicMeasure, mu: AtomicMeasure,

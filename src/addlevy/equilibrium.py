@@ -17,7 +17,7 @@ import numpy as np
 
 from addlevy.classify import numeric_convergence_probe
 from addlevy.exponents import ExponentVector
-from addlevy.kernels import Kernel, PotentialDensity, riesz_kernel
+from addlevy.kernels import Kernel, PotentialDensity, _axis_points, riesz_kernel
 from addlevy.measures import AtomicMeasure, SetDiscretization, cell_width, discretize
 from addlevy.quadrature import halfline_edges, integrate_panels
 
@@ -60,31 +60,32 @@ class EquilibriumResult:
 
 
 def _cell_average(k: Kernel, h: float) -> float:
-    """Average of the gauge over a cell of linear size h around the origin."""
+    """Average of the gauge over the ball of diameter h around the origin.
+
+    Closed form d (h/2)^-s / (d - s) for the Riesz gauge ||x||^-s; a radial
+    quadrature along the first axis otherwise.
+    """
     meta = k.meta.get("riesz")
     d = k.dim
-    if meta is not None and d == 1:
-        s = d - meta["alpha"]
-        return (h / 2.0) ** (-s) / (1.0 - s)
     half = h / 2.0
+    if meta is not None:
+        s = d - meta["alpha"]
+        return d * half ** (-s) / (d - s)
     edges = halfline_edges(half, min_scale=1e-12)
 
     def radial(r):
-        pts = np.zeros((r.size, d))
-        pts[:, 0] = r
-        return np.nan_to_num(k.eval(pts), posinf=0.0) * r ** (d - 1)
+        return np.nan_to_num(k.eval(_axis_points(r, d)), posinf=0.0) * r ** (d - 1)
 
     integral = integrate_panels(radial, edges)
     return float(d * integral / half ** d)
 
 
 def assemble_matrix(gauge: Union[Kernel, ExponentVector, PotentialDensity],
-                    disc: SetDiscretization,
-                    policy: str = "Regularized") -> EnergyMatrix:
+                    disc: SetDiscretization) -> EnergyMatrix:
     """Pairwise symmetrized gauge values at atom differences.
 
-    The diagonal is either the cell-averaged gauge (Regularized) or left at
-    the gauge's origin value (Infinite, typically +inf).
+    Entry (i, j) is the mean of the gauge at x_i - x_j and at x_j - x_i; the
+    diagonal is the gauge averaged over one cell.
     """
     if isinstance(gauge, ExponentVector):
         gauge = PotentialDensity(gauge)
@@ -93,14 +94,12 @@ def assemble_matrix(gauge: Union[Kernel, ExponentVector, PotentialDensity],
     mu = discretize(disc)
     h = cell_width(disc)
     diffs = mu.points[:, None, :] - mu.points[None, :, :]
-    vals = 0.5 * (gauge.eval(diffs) + gauge.eval(-diffs))
-    if policy == "Regularized":
-        np.fill_diagonal(vals, _cell_average(gauge, h))
-    elif policy != "Infinite":
-        raise ValueError(f"unknown diagonal policy {policy!r}")
-    vals = 0.5 * (vals + vals.T)  # enforce exact symmetry against roundoff
+    vals = gauge.eval(diffs)
+    np.fill_diagonal(vals, _cell_average(gauge, h))
+    # x_j - x_i is exactly -(x_i - x_j), so the transpose holds the gauge at -diffs
+    vals = 0.5 * (vals + vals.T)
     return EnergyMatrix(entries=vals, source=gauge.meta.get("name", repr(gauge.meta)),
-                        diagonal_policy=policy)
+                        diagonal_policy="Regularized")
 
 
 def _step_length(slope: float, curv: float, gamma_max: float) -> float:
@@ -197,7 +196,7 @@ def bessel_riesz_capacity(disc: SetDiscretization, s: float, tol: float = 1e-8,
     d = mu.dim
     if not 0.0 < s < d:
         raise ValueError(f"s must lie in (0, {d}), got {s}")
-    mat = assemble_matrix(riesz_kernel(d, d - s), disc, policy="Regularized")
+    mat = assemble_matrix(riesz_kernel(d, d - s), disc)
     return solve_equilibrium(mat, tol=tol, max_iter=max_iter)
 
 

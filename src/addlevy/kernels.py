@@ -173,109 +173,87 @@ def lambda_bruteforce(z: complex, quad: Optional[QuadratureSpec] = None) -> floa
 # one-potential densities by radial Fourier inversion
 # ---------------------------------------------------------------------------
 
-def _check_isotropic_1d(psi: ExponentVector):
-    if psi.dim not in (1, 3):
-        raise ValueError("numeric inversion supports d in {1, 3} only")
-
-
-def potential_density_v(psi: ExponentVector, x, quad: Optional[QuadratureSpec] = None) -> float:
-    """Symmetrized one-potential density v(x) of the additive field.
-
-    v is the inverse Fourier transform of the product kernel K:
-    v(x) = (2 pi)^-d int cos(xi.x) K(xi) dxi (d=1) and its radial
-    sine-transform analogue in d=3.  Returns np.inf at the origin when the
-    analytic tail test certifies that K is not integrable.
-    """
-    _check_isotropic_1d(psi)
-    if quad is None:
-        quad = QuadratureSpec(r_max=400.0, rel_tol=1e-8)
-    d = psi.dim
-    r = float(np.asarray(_radius(np.asarray(x, dtype=float), d)).reshape(()))
-    decay = psi.kernel_decay_exponent()
-
-    def kern(s):
-        return psi.kernel_values(s.reshape(-1, 1) if d == 1 else _radial_points(s, d))
-
-    if d == 1:
-        if r == 0.0:
-            if decay is None or decay <= 1.0:
-                return np.inf
-            edges = halfline_edges(quad.r_max)
-            main = integrate_panels(kern, edges)
-            tail = powerlaw_tail(float(kern(np.array([quad.r_max]))[0]), quad.r_max, decay)
-            return (main + tail) / math.pi
-
-        def f(s):
-            return np.cos(s * r) * kern(s)
-
-        edges = halfline_edges(quad.r_max, max_freq=r)
-        main = integrate_panels(f, edges)
-        tail = averaged_oscillatory_tail(f, quad.r_max, r, rel_tol=quad.rel_tol,
-                                         scale=max(abs(main), 1.0))
-        return (main + tail) / math.pi
-
-    # d == 3, isotropic components only: v(r) = (2 pi^2 r)^-1 int xi sin(xi r) K dxi
-    if r == 0.0:
-        if decay is None or decay <= 3.0:
-            return np.inf
-
-        def f0(s):
-            return s * s * kern(s)
-
-        edges = halfline_edges(quad.r_max)
-        main = integrate_panels(f0, edges)
-        tail = powerlaw_tail(float(f0(np.array([quad.r_max]))[0]), quad.r_max, decay - 2.0)
-        return (main + tail) / (2.0 * math.pi ** 2)
-
-    def f3(s):
-        return s * np.sin(s * r) * kern(s)
-
-    if decay is None or decay <= 1.0:
-        raise QuadratureError("sine-transform envelope does not decay; inversion unsupported")
-    edges = halfline_edges(quad.r_max, max_freq=r)
-    main = integrate_panels(f3, edges)
-    tail = averaged_oscillatory_tail(f3, quad.r_max, r, rel_tol=quad.rel_tol,
-                                     scale=max(abs(main), 1.0))
-    return (main + tail) / (2.0 * math.pi ** 2 * r)
-
-
-def _radial_points(s: np.ndarray, d: int) -> np.ndarray:
+def _axis_points(s, d: int) -> np.ndarray:
+    """The points (s_k, 0, ..., 0) of R^d, one row per value s_k."""
+    s = np.ravel(np.asarray(s, dtype=float))
     pts = np.zeros((s.size, d))
     pts[:, 0] = s
     return pts
 
 
+def _radial_inverse(psi: ExponentVector, r: float, quad: QuadratureSpec,
+                    decay: Optional[float]) -> float:
+    """v at one radius r >= 0: the radial transform int_0^inf w(s) K(s) ds / c.
+
+    w(s) = cos(s r) and c = pi in d=1; w(s) = s sin(s r) and c = 2 pi^2 r in
+    d=3; at r=0, w(s) = s^(d-1) and c = pi or 2 pi^2.  Beyond r_max the tail
+    is a power law at r=0 and the averaged oscillatory tail elsewhere.
+    """
+    d = psi.dim
+    if r == 0.0:
+        if decay is None or decay <= d:
+            return np.inf
+
+        def weight(s):
+            return s ** (d - 1)
+    else:
+        if d == 3 and (decay is None or decay <= 1.0):
+            raise QuadratureError("sine-transform envelope does not decay; inversion unsupported")
+
+        def weight(s):
+            return np.cos(s * r) if d == 1 else s * np.sin(s * r)
+
+    def f(s):
+        return weight(s) * psi.kernel_values(_axis_points(s, d))
+
+    main = integrate_panels(f, halfline_edges(quad.r_max, max_freq=r))
+    if r == 0.0:
+        tail = powerlaw_tail(float(f(np.array([quad.r_max]))[0]), quad.r_max, decay - (d - 1))
+    else:
+        tail = averaged_oscillatory_tail(f, quad.r_max, r, rel_tol=quad.rel_tol,
+                                         scale=max(abs(main), 1.0))
+    norm = math.pi if d == 1 else 2.0 * math.pi ** 2 * (r if r > 0.0 else 1.0)
+    return (main + tail) / norm
+
+
+def potential_density_v(psi: ExponentVector, x, quad: Optional[QuadratureSpec] = None):
+    """Symmetrized one-potential density v(x) of the additive field, d in {1, 3}.
+
+    v is the inverse Fourier transform of the product kernel K:
+    v(x) = (2 pi)^-d int cos(xi.x) K(xi) dxi (d=1) and its radial
+    sine-transform analogue in d=3.  v is np.inf at the origin when the
+    analytic tail test certifies that K is not integrable.
+
+    x is one point or an array of points (..., d).  Radii are rounded to 14
+    decimals and v is computed once per distinct rounded radius, at that
+    radius, so a value does not depend on the other points of the call.  A
+    single point gives a float, an array of points an array of their shape.
+    """
+    if psi.dim not in (1, 3):
+        raise ValueError("numeric inversion supports d in {1, 3} only")
+    if quad is None:
+        quad = QuadratureSpec(r_max=400.0, rel_tol=1e-8)
+    r = np.round(_radius(x, psi.dim), 14)
+    radii, inverse = np.unique(r, return_inverse=True)
+    decay = psi.kernel_decay_exponent()
+    vals = np.array([_radial_inverse(psi, float(ri), quad, decay) for ri in radii])
+    out = vals[inverse].reshape(r.shape)
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass
 class PotentialDensity:
-    """Cached radial evaluator of the symmetrized one-potential density."""
+    """The symmetrized one-potential density of ``source`` as a callable gauge."""
 
     source: ExponentVector
-    quadrature: QuadratureSpec = field(default_factory=lambda: QuadratureSpec(
-        r_max=400.0, rel_tol=1e-8))
 
-    def __post_init__(self):
-        _check_isotropic_1d(self.source)
-        self._cache: dict[float, float] = {}
-
-    def __call__(self, x) -> float:
-        r = float(np.asarray(_radius(np.asarray(x, dtype=float), self.source.dim)).reshape(()))
-        key = round(r, 14)
-        if key not in self._cache:
-            self._cache[key] = potential_density_v(self.source, _radial_points(
-                np.array([r]), self.source.dim)[0], self.quadrature)
-        return self._cache[key]
+    def __call__(self, x):
+        return potential_density_v(self.source, x)
 
     def as_kernel(self) -> Kernel:
         """Expose v as a gauge with fourier = K (the defining transform)."""
-        d = self.source.dim
-
-        def ev(x):
-            rr = np.atleast_1d(_radius(x, d))
-            flat = np.array([self(_radial_points(np.array([ri]), d)[0])
-                             for ri in rr.ravel()])
-            return flat.reshape(rr.shape)
-
-        return Kernel(eval=ev, dim=d, fourier=lambda xi: self.source.kernel_values(xi),
+        return Kernel(eval=self, dim=self.source.dim,
+                      fourier=lambda xi: self.source.kernel_values(xi),
                       meta={"potential_density": True})
 
 

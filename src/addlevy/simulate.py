@@ -41,6 +41,10 @@ class MCConfig:
             raise ValueError("at least 100 trials are required for any estimate")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
+        if not self.time_horizon > 0.0:
+            raise ValueError("time_horizon must be positive")
+        if self.n_steps < 1:
+            raise ValueError("n_steps must be at least 1")
 
     def to_json(self):
         return {"trials": self.trials, "time_horizon": self.time_horizon,

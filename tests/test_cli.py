@@ -156,6 +156,14 @@ class TestSimulateAndRun:
         assert code == 0
         assert 0.3 < rep["box_dimension"] < 1.1
 
+    def test_negative_time_horizon_is_invalid_input(self, capsys):
+        code, rep = run_cli(["simulate", "--mode", "hitting", "--stable", "1.5", "--dim", "1",
+                             "--set", '{"kind":"TwoPoint","separation":1.0,"d":1}',
+                             "--trials", "100", "--n-steps", "50", "--time-horizon", "-1"],
+                            capsys)
+        assert code == 1
+        assert rep == {"error": "time_horizon must be positive", "kind": "invalid-input"}
+
     def test_oversize_job_is_invalid_input(self, capsys):
         # [TRIVIAL] a budget refusal is an error report, not a traceback
         code, rep = run_cli(["simulate", "--mode", "intersection", "--stable", "1.5,1.5",

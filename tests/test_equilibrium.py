@@ -16,8 +16,9 @@ from addlevy import (
     riesz_kernel,
     solve_equilibrium,
 )
-from addlevy.equilibrium import InconclusiveError
-from addlevy.measures import cantor_product, circle, cube_grid, discretize, two_point
+from addlevy.equilibrium import InconclusiveError, _cell_average
+from addlevy.kernels import Kernel, PotentialDensity
+from addlevy.measures import cantor_product, cell_width, circle, cube_grid, discretize, two_point
 
 
 class TestAssembleMatrix:
@@ -52,6 +53,53 @@ class TestAssembleMatrix:
         m = assemble_matrix(psi, cube_grid([(0.0, 1.0)], 8))
         assert np.all(np.isfinite(m.entries))
         assert np.array_equal(m.entries, m.entries.T)
+
+    @pytest.mark.parametrize("gauge, disc", [
+        (lambda: tilted_kernel(1), lambda: cube_grid([(0.0, 1.0)], 17)),
+        (lambda: tilted_kernel(1), lambda: cantor_product(0.3, 3, 1)),
+        (lambda: tilted_kernel(2), lambda: cube_grid([(0.0, 1.0), (-1.0, 0.5)], 6)),
+        (lambda: tilted_kernel(2), lambda: circle(1.5, 24)),
+        (lambda: riesz_kernel(2, 0.8), lambda: cube_grid([(0.0, 1.0), (0.0, 1.0)], 5)),
+        (lambda: ExponentVector((IsotropicStable(alpha=1.5, dim=1),)),
+         lambda: cube_grid([(0.0, 1.0)], 8)),
+    ], ids=["tilted-grid", "tilted-cantor", "tilted-grid2d", "tilted-circle", "riesz-grid2d",
+            "potential-grid"])
+    def test_one_evaluation_equals_double_evaluation(self, gauge, disc):
+        # the transpose of kappa(x_i - x_j) is kappa(x_j - x_i), so averaging
+        # with it is the same as evaluating the gauge again at -diffs
+        m = assemble_matrix(gauge(), disc())
+        assert np.array_equal(m.entries, double_evaluation_matrix(gauge(), disc()))
+
+    @pytest.mark.parametrize("d, s", [(1, 0.3), (1, 0.5), (2, 0.5), (2, 1.5), (3, 1.0),
+                                      (3, 2.5)])
+    def test_riesz_cell_average_closed_form(self, d, s):
+        # [DERIVED] the mean of ||x||^-s over the ball of radius h/2 is
+        # d (h/2)^-s / (d - s); the radial quadrature of the same gauge agrees
+        # while d - s >= 1/2 (it loses the mass below its finest panel)
+        k = riesz_kernel(d, d - s)
+        h = 0.05
+        quadrature = Kernel(eval=k.eval, dim=d)
+        assert _cell_average(k, h) == pytest.approx(_cell_average(quadrature, h), rel=1e-7)
+        if d == 1:  # bitwise the earlier d = 1 formula
+            s = 1.0 - k.meta["riesz"]["alpha"]
+            assert _cell_average(k, h) == (h / 2.0) ** (-s) / (1.0 - s)
+
+
+def tilted_kernel(d):
+    """A gauge that is not even: kappa(x) != kappa(-x)."""
+    return Kernel(eval=lambda x: np.exp(-np.linalg.norm(x, axis=-1)) * (1.5 + np.tanh(x[..., 0])),
+                  dim=d, meta={"name": "tilted"})
+
+
+def double_evaluation_matrix(gauge, disc):
+    """Reference assembly: the gauge evaluated at diffs and again at -diffs."""
+    if isinstance(gauge, ExponentVector):
+        gauge = PotentialDensity(gauge).as_kernel()
+    mu = discretize(disc)
+    diffs = mu.points[:, None, :] - mu.points[None, :, :]
+    vals = 0.5 * (gauge.eval(diffs) + gauge.eval(-diffs))
+    np.fill_diagonal(vals, _cell_average(gauge, cell_width(disc)))
+    return 0.5 * (vals + vals.T)
 
 
 # A branch decision that cleared its threshold by less than this, relative to

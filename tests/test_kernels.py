@@ -19,6 +19,7 @@ from addlevy import (
     riesz_kernel,
     sector_constant,
 )
+from addlevy import kernels
 from addlevy.kernels import Kernel, cauchy_kernel, exponential_kernel, gaussian_kernel
 
 
@@ -169,6 +170,56 @@ class TestPotentialDensity:
         k = PotentialDensity(self.PSI).as_kernel()
         out = k.eval(np.zeros((2, 2, 1)))
         assert out.shape == (2, 2)
+
+    @pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 2.5])
+    def test_one_brownian_3d(self, r):
+        # [DERIVED] K = 2/(2 + |xi|^2) inverts to the Yukawa potential
+        # e^{-sqrt2 r}/(2 pi r), which is not integrable at 0
+        psi = ExponentVector((BrownianIsotropic(dim=3),))
+        assert potential_density_v(psi, np.zeros(3)) == np.inf
+        expected = math.exp(-math.sqrt(2.0) * r) / (2.0 * math.pi * r)
+        assert potential_density_v(psi, np.array([0.0, r, 0.0])) == pytest.approx(
+            expected, rel=1e-8)
+
+    @pytest.mark.parametrize("r", [0.0, 0.1, 0.5, 1.0, 2.5])
+    def test_two_brownians_3d(self, r):
+        # [DERIVED] K = 4/(2 + |xi|^2)^2 inverts to e^{-sqrt2 r}/(2 sqrt2 pi)
+        psi = ExponentVector((BrownianIsotropic(dim=3), BrownianIsotropic(dim=3)))
+        expected = math.exp(-math.sqrt(2.0) * r) / (2.0 * math.sqrt(2.0) * math.pi)
+        assert potential_density_v(psi, np.array([r, 0.0, 0.0])) == pytest.approx(
+            expected, rel=2e-7 if r == 0.0 else 1e-8)
+
+    @pytest.mark.parametrize("psi", [
+        ExponentVector((IsotropicStable(alpha=1.2, dim=1),)),
+        ExponentVector((IsotropicStable(alpha=1.5, dim=3), BrownianIsotropic(dim=3))),
+    ], ids=["d1", "d3"])
+    def test_array_call_equals_scalar_calls(self, psi, monkeypatch):
+        # one inversion per distinct rounded radius, and the value of a
+        # radius does not depend on the other points of the call or their order
+        d = psi.dim
+        near = np.nextafter(0.3, 1.0)  # a different radius with the same 14-decimal key
+        radii = np.array([0.3, -0.75, 0.0, near, 1.25, 0.75, -0.3, 0.0, 2.0])
+        rng = np.random.default_rng(3)
+        if d == 1:
+            pts = radii[:, None]
+            scalar = np.array([potential_density_v(psi, r) for r in radii])
+        else:
+            dirs = rng.normal(size=(radii.size, d))
+            pts = radii[:, None] * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+            scalar = np.array([potential_density_v(psi, p) for p in pts])
+        inversions = []
+        real_inverse = kernels._radial_inverse
+        monkeypatch.setattr(kernels, "_radial_inverse",
+                            lambda *a: inversions.append(a[1]) or real_inverse(*a))
+        for perm in (np.arange(radii.size), rng.permutation(radii.size),
+                     rng.permutation(radii.size)):
+            inversions.clear()
+            batch = potential_density_v(psi, pts[perm].reshape(3, 3, d))
+            assert batch.shape == (3, 3)
+            assert np.array_equal(batch.ravel(), scalar[perm])
+            assert len(inversions) == len(np.unique(np.round(np.abs(radii), 14)))
+        assert scalar[0] == scalar[3]
+        assert np.array_equal(PotentialDensity(psi).as_kernel().eval(pts), scalar)
 
 
 class TestKernelSupCheck:

@@ -238,6 +238,14 @@ class TestMCConfig:
         with pytest.raises(ValueError):
             MCConfig(epsilon=0.0)
 
+    @pytest.mark.parametrize("kwargs", [{"time_horizon": -1.0}, {"time_horizon": 0.0},
+                                        {"time_horizon": float("nan")}, {"n_steps": 0},
+                                        {"n_steps": -5}])
+    def test_empty_time_grid_rejected(self, kwargs):
+        # a negative horizon made dt ** (1/alpha) complex and kept its real part
+        with pytest.raises(ValueError):
+            MCConfig(trials=100, **kwargs)
+
     def test_json_round_trip_shape(self):
         cfg = MCConfig(trials=500, seed=3)
         j = cfg.to_json()
