@@ -1,22 +1,35 @@
 """Hitting, intersection, and dimension classifiers.
 
-Stable families admit closed-form answers via tail-exponent arithmetic;
-everything else goes through a numeric convergence probe of the defining
-integral test (partial integrals over dyadic shells and a log-log slope
-fit of the increments).  Boundary (equality) cases follow the strict
-inequalities of the theory: equality means a negative verdict, and
-logarithmically divergent criterion integrals are classified Divergent.
+Stable families admit closed-form answers via tail-exponent arithmetic.
+The numeric probes decide the defining integral tests from partial
+integrals over dyadic shells and the log-log slope of their increments:
+the intersection-dimension test on the real side, through the
+one-potential densities of the stable components (d <= 3), and general
+kernel integrals on the Fourier side by a tensor rule.  Boundary
+(equality) cases follow the strict inequalities of the theory: equality
+means a negative verdict, and logarithmically divergent criterion
+integrals are classified Divergent.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from addlevy.quadrature import panel_nodes, tensor_nodes
+from addlevy.exponents import ExponentVector, IsotropicStable
+from addlevy.kernels import _axis_points, potential_density_v
+from addlevy.quadrature import QuadratureSpec, panel_nodes, tensor_nodes
+
+# Dyadic shells [2^-k-1, 2^-k], k < _PROBE_SHELLS, of the real-side
+# dimension probe: the slope transients are series in r^(d - alpha) and
+# r^alpha, which shrink slowly when alpha is near 0 or near d.
+_PROBE_SHELLS = 36
+_SLOPE_SPAN = 4  # shells per block slope, and the offset of the second depth
+_SLOPE_BAND = 0.03  # half-width of the slope region left Inconclusive
 
 
 @dataclass(frozen=True)
@@ -40,6 +53,28 @@ class StableSystem:
     @property
     def n(self) -> int:
         return len(self.alphas)
+
+    @cached_property
+    def _potential_shells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes, weights and prod_j u_j(x) on the dyadic shells, one row each.
+
+        Row k holds an 8-node Gauss-Legendre rule on [2^-k-1, 2^-k] and the
+        product of the one-potential densities u_j of the components at its
+        nodes, inverted with r_max = 400 * 2^k so that every shell sees the
+        same number of oscillations.  It does not depend on the test order
+        s, so it is built once per system and once per distinct alpha, and
+        lives as long as the system.
+        """
+        edges = 2.0 ** -np.arange(_PROBE_SHELLS, -1.0, -1.0)
+        x, w = (a.reshape(_PROBE_SHELLS, -1)[::-1] for a in panel_nodes(edges, 8))
+        density = np.ones_like(x)
+        for k in range(_PROBE_SHELLS):
+            quad = QuadratureSpec(r_max=400.0 * 2.0 ** k)
+            for alpha in sorted(set(self.alphas)):
+                psi = ExponentVector((IsotropicStable(alpha=alpha, dim=self.d),))
+                u = potential_density_v(psi, _axis_points(x[k], self.d), quad)
+                density[k] *= u ** self.alphas.count(alpha)
+        return x, w, density
 
 
 @dataclass(frozen=True)
@@ -84,8 +119,9 @@ def intersections_exist(sys: StableSystem) -> bool:
 
 
 def intersection_dimension(sys: StableSystem) -> float:
-    """dim of the mutual intersection set: max(0, sum(alpha) - (N-1) d)."""
-    return max(0.0, sum(sys.alphas) - (sys.n - 1) * sys.d)
+    """dim of the mutual intersection set: max(0, sum(alpha) - (N-1) d),
+    capped at d because the set lies in R^d."""
+    return min(float(sys.d), max(0.0, sum(sys.alphas) - (sys.n - 1) * sys.d))
 
 
 def multiple_points_allowed(alpha: float, d: int, N: int) -> bool:
@@ -129,48 +165,22 @@ def _box_integral(f, box: list[tuple[float, float]], nodes_per_axis: int) -> flo
     return float(np.sum(wts * np.asarray(f(pts))))
 
 
-def _extrapolated_slope(log_radii: np.ndarray, inc: np.ndarray) -> float:
-    """Limit of the local log-log increment slope.
+def _extrapolated_slope(log_radii: np.ndarray, log_inc: np.ndarray, span: int = 1) -> float:
+    """Limit of the log-log slope of increments against their radii.
 
-    The local slopes approach their limit with a geometrically shrinking
-    transient, so a final Aitken delta-squared step removes most of it.
+    Slopes are taken over blocks of ``span`` increments.  They approach
+    their limit with a geometrically shrinking transient, so a final Aitken
+    delta-squared step on the last three blocks removes most of it; wider
+    blocks damp the quadrature noise that the step amplifies.
     """
-    local = np.diff(np.log(inc)) / np.diff(log_radii[1:])
-    if local.size < 3:
+    local = (log_inc[span:] - log_inc[:-span]) / (log_radii[span:] - log_radii[:-span])
+    if local.size < 2 * span + 1:
         return float(local[-1]) if local.size else 0.0
-    a, b, c = local[-3], local[-2], local[-1]
+    a, b, c = local[-1 - 2 * span], local[-1 - span], local[-1]
     denom = (c - b) - (b - a)
     if abs(denom) < 1e-12 or abs((c - b) ** 2 / denom) > 0.5:
         return float(c)
     return float(c - (c - b) ** 2 / denom)
-
-
-def _verdict_from_increments(radii, increments, partials, growth_bound: float,
-                             band: float = 0.1) -> ConvergenceVerdict:
-    """Slope rule shared by all probes; see numeric_convergence_probe.
-
-    ``band`` is the half-width of the ambiguous slope region; the pair
-    probe narrows it because its extrapolated slopes are accurate to ~0.01.
-    Inside the band the log-divergence rule applies: non-decaying
-    increments (or totals past growth_bound) mean Divergent, anything else
-    Inconclusive.
-    """
-    inc = np.array(increments)
-    partials = tuple(partials)
-    if np.any(inc <= 0.0):
-        # increments already at roundoff: the tail is gone
-        return ConvergenceVerdict(kind="Convergent", slope=None,
-                                  radii=tuple(radii), partials=partials)
-    slope = _extrapolated_slope(np.log(np.array(radii)), inc)
-    if slope < -band:
-        return ConvergenceVerdict(kind="Convergent", slope=slope,
-                                  radii=tuple(radii), partials=partials)
-    if (slope > band or partials[-1] > growth_bound
-            or inc[-1] >= 0.999 * inc[-2]):
-        return ConvergenceVerdict(kind="Divergent", slope=slope,
-                                  radii=tuple(radii), partials=partials)
-    return ConvergenceVerdict(kind="Inconclusive", slope=slope,
-                              radii=tuple(radii), partials=partials)
 
 
 def numeric_convergence_probe(integrand: Callable[[np.ndarray], np.ndarray],
@@ -205,13 +215,25 @@ def numeric_convergence_probe(integrand: Callable[[np.ndarray], np.ndarray],
             partials.append(total)
     except (ValueError, FloatingPointError):
         return ConvergenceVerdict(kind="Inconclusive", radii=tuple(radii))
-    return _verdict_from_increments(radii, increments, partials, growth_bound)
+    inc = np.array(increments)
+    evidence = {"radii": tuple(radii), "partials": tuple(partials)}
+    if np.any(inc <= 0.0):
+        # increments already at roundoff: the tail is gone
+        return ConvergenceVerdict(kind="Convergent", **evidence)
+    slope = _extrapolated_slope(np.log(np.array(radii[1:])), np.log(inc))
+    if slope < -0.1:
+        return ConvergenceVerdict(kind="Convergent", slope=slope, **evidence)
+    if slope > 0.1 or partials[-1] > growth_bound or inc[-1] >= 0.999 * inc[-2]:
+        return ConvergenceVerdict(kind="Divergent", slope=slope, **evidence)
+    return ConvergenceVerdict(kind="Inconclusive", slope=slope, **evidence)
 
 
 def stable_intersection_integrand(sys: StableSystem, s: float) -> Callable[[np.ndarray], np.ndarray]:
     """The global Fourier integrand whose finiteness marks dimension >= s.
 
     Over (R^d)^N:  prod_j (1 + ||xi_j||^alpha_j)^-1 / (1 + ||sum xi_j||^(d-s)).
+    The tensor probe integrates it for d >= 4, where no radial inversion of
+    the one-potential densities is available.
     """
     d, alphas = sys.d, sys.alphas
 
@@ -227,127 +249,38 @@ def stable_intersection_integrand(sys: StableSystem, s: float) -> Callable[[np.n
     return f
 
 
-def _graded_panels(lo: float, hi: float, scale: float) -> np.ndarray:
-    """Panel edges on [lo, hi] geometrically refined toward lo at `scale`."""
-    edges = [lo]
-    w = min(scale, hi - lo)
-    while edges[-1] + w < hi:
-        edges.append(edges[-1] + w)
-        w *= 2.0
-    edges.append(hi)
-    return np.array(edges)
-
-
-def _graded_rule(lo: float, hi: float, scale: float, n_nodes: int = 5,
-                 side: str = "lo"):
-    edges = _graded_panels(lo, hi, scale)
-    if side == "hi":
-        edges = (lo + hi) - edges[::-1]
-    return panel_nodes(edges, n_nodes)
-
-
-def _multi_graded_rule(points, scale: float, n_nodes: int = 5):
-    """Composite rule over [points[0], points[-1]] refined toward each
-    listed point from both sides."""
-    nodes, wts = [], []
-    for lo, hi in zip(points[:-1], points[1:]):
-        mid = 0.5 * (lo + hi)
-        for a, b, side in ((lo, mid, "lo"), (mid, hi, "hi")):
-            x, w = _graded_rule(a, b, scale, n_nodes, side)
-            nodes.append(x)
-            wts.append(w)
-    return np.concatenate(nodes), np.concatenate(wts)
-
-
-def _stable_pair_partials(alphas, d: int, s: float, radii) -> list:
-    """Partial integrals of the two-process dimension test at dyadic radii.
-
-    After substituting the total frequency eta = xi_1 + xi_2 the integrand is
-    f1(||xi||) f2(||eta - xi||) g(||eta||) with g(r) = (1 + r^(d-s))^-1.  It
-    reduces exactly to radii (r1, r2) and the angle phi between the blocks,
-    and a further rotation p = (r1 + r2)/2, r1 = p(1+t), r2 = p(1-t) makes
-    the sharp features axis-aligned: f2 concentrates at (t, phi) near 0 and
-    the one-scale structure of f1 and g sits at t = -/+1, all of width
-    O(1/p), handled by geometrically graded panels.  The truncation domain
-    is {r1 + r2 <= 2 r_max}, an exhausting family, and every partial is a
-    running sum over disjoint p-panels, so increments carry no cancellation
-    error.
-    """
-    a1, a2 = alphas
-
-    def f1(r):
-        return 1.0 / (1.0 + r ** a1)
-
-    def f2(r):
-        return 1.0 / (1.0 + r ** a2)
-
-    def g(r):
-        return 1.0 / (1.0 + r ** (d - s))
-
-    radii = sorted(float(r) for r in radii)
-    total = 0.0
-    out = []
-    # dyadic panel edges aligned with the requested radii
-    p_edges = [0.0]
-    v = 1.0
-    while v < radii[-1]:
-        p_edges.append(v)
-        v *= 2.0
-    p_edges.append(radii[-1])
-    p_edges = np.array(p_edges)
-    p_nodes, p_weights = panel_nodes(p_edges, 6)
-    next_r = 0
-    for p_hi, p, wp in zip(p_edges[1:], p_nodes.reshape(-1, 6), p_weights.reshape(-1, 6)):
-        feature = min(1.0, 1.0 / max(p_hi, 1e-12))
-        t, wt = _multi_graded_rule((-1.0, 0.0, 1.0), feature)
-        if d == 1:
-            phi = np.array([0.0, math.pi])
-            wphi = np.array([1.0, 1.0])
-            const = 2.0
-        else:
-            phi, wphi = _graded_rule(0.0, math.pi, feature)
-            const = 4.0 * math.pi if d == 2 else 8.0 * math.pi ** 2
-        pp, tt, ff = np.meshgrid(p, t, phi, indexing="ij")
-        ww = (wp[:, None, None] * wt[None, :, None] * wphi[None, None, :])
-        r1 = pp * (1.0 + tt)
-        r2 = pp * (1.0 - tt)
-        w12 = np.sqrt(np.maximum(r1 ** 2 + r2 ** 2 - 2.0 * r1 * r2 * np.cos(ff), 0.0))
-        vals = f1(r1) * f2(w12) * g(r2)
-        if d >= 2:
-            vals = vals * (r1 * r2) ** (d - 1)
-            if d == 3:
-                vals = vals * np.sin(ff)
-        # jacobian dq = 2p dt
-        total += const * float(np.sum(ww * vals * 2.0 * pp))
-        while next_r < len(radii) and p_hi >= radii[next_r]:
-            out.append(total)
-            next_r += 1
-    while len(out) < len(radii):
-        out.append(total)
-    return out
-
-
-def probe_intersection_dimension_test(sys: StableSystem, s: float,
-                                      growth_bound: float = 1e3) -> ConvergenceVerdict:
+def probe_intersection_dimension_test(sys: StableSystem, s: float) -> ConvergenceVerdict:
     """Numeric convergence verdict of the intersection-dimension test at s.
 
-    Pairs (N = 2) run the exact radial reduction of the test integral (any
-    d <= 3); larger systems fall back to the tensor probe in the original
-    coordinates, limited to N*d <= 4.
+    By Parseval the Fourier test integral is finite exactly when
+    r^(d-1-s) prod_j u_j(r) is integrable at 0, with u_j the one-potential
+    density of the alpha_j-stable process.  Its integrals over the dyadic
+    shells [2^-k-1, 2^-k] grow like 2^(k (s - s*)), so the extrapolated
+    log-log slope against 2^k estimates s - s*.  The slope is extrapolated at
+    two depths, the last shell and four shells before it; their difference
+    is its error, and the verdict is Convergent (slope < 0) or Divergent only
+    when |slope| - error clears the band.  In d >= 4 the tensor probe
+    integrates the Fourier side, limited to N*d <= 4.
     """
     if not 0.0 <= s < sys.d:
         raise ValueError(f"test order s must lie in [0, d), got {s}")
-    if sys.n == 2 and sys.d <= 3:
-        radii = [4.0 ** m for m in range(13)]
-        partials = _stable_pair_partials(sys.alphas, sys.d, s, radii)
-        increments = [b - a for a, b in zip(partials, partials[1:])]
-        return _verdict_from_increments(radii, increments, partials,
-                                        growth_bound, band=0.03)
-    if sys.n * sys.d > 4:
-        raise ValueError("probe limited to N*d <= 4; use the analytic route")
-    return numeric_convergence_probe(stable_intersection_integrand(sys, s),
-                                     total_dim=sys.n * sys.d,
-                                     growth_bound=growth_bound)
+    if sys.d > 3:
+        if sys.n * sys.d > 4:
+            raise ValueError("probe limited to N*d <= 4 in d >= 4; use the analytic route")
+        return numeric_convergence_probe(stable_intersection_integrand(sys, s),
+                                         total_dim=sys.n * sys.d)
+    x, w, density = sys._potential_shells
+    increments = np.sum(w * x ** (sys.d - 1 - s) * density, axis=1)
+    radii = 2.0 ** np.arange(1.0, len(increments) + 1.0)  # 1 / inner radius of each shell
+    log_r, log_inc = np.log(radii), np.log(increments)
+    slope = _extrapolated_slope(log_r, log_inc, _SLOPE_SPAN)
+    error = abs(slope - _extrapolated_slope(log_r[:-_SLOPE_SPAN], log_inc[:-_SLOPE_SPAN],
+                                            _SLOPE_SPAN))
+    kind = "Inconclusive"
+    if abs(slope) - error > _SLOPE_BAND:  # False for a NaN slope
+        kind = "Convergent" if slope < 0.0 else "Divergent"
+    return ConvergenceVerdict(kind=kind, slope=slope, radii=tuple(radii.tolist()),
+                              partials=tuple(np.cumsum(increments).tolist()))
 
 
 def probe_intersections_exist(sys: StableSystem) -> ConvergenceVerdict:

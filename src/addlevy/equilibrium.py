@@ -32,7 +32,6 @@ class EnergyMatrix:
 
     entries: np.ndarray
     source: str
-    diagonal_policy: str  # "Regularized" or "Infinite"
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -98,8 +97,7 @@ def assemble_matrix(gauge: Union[Kernel, ExponentVector, PotentialDensity],
     np.fill_diagonal(vals, _cell_average(gauge, h))
     # x_j - x_i is exactly -(x_i - x_j), so the transpose holds the gauge at -diffs
     vals = 0.5 * (vals + vals.T)
-    return EnergyMatrix(entries=vals, source=gauge.meta.get("name", repr(gauge.meta)),
-                        diagonal_policy="Regularized")
+    return EnergyMatrix(entries=vals, source=gauge.meta.get("name", repr(gauge.meta)))
 
 
 def _step_length(slope: float, curv: float, gamma_max: float) -> float:

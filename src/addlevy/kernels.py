@@ -4,7 +4,7 @@ A kernel is a nonnegative gauge on R^d, finite off the origin and possibly
 infinite at 0, optionally carrying a closed-form Fourier transform.  The
 symmetrized one-potential density v of an additive Levy process is computed
 by radial Fourier inversion of the product kernel (v_hat = K), supported in
-d = 1 and d = 3.
+d = 1, 2 and 3.
 """
 
 from __future__ import annotations
@@ -185,9 +185,11 @@ def _radial_inverse(psi: ExponentVector, r: float, quad: QuadratureSpec,
                     decay: Optional[float]) -> float:
     """v at one radius r >= 0: the radial transform int_0^inf w(s) K(s) ds / c.
 
-    w(s) = cos(s r) and c = pi in d=1; w(s) = s sin(s r) and c = 2 pi^2 r in
-    d=3; at r=0, w(s) = s^(d-1) and c = pi or 2 pi^2.  Beyond r_max the tail
-    is a power law at r=0 and the averaged oscillatory tail elsewhere.
+    w(s) = cos(s r) and c = pi in d=1; w(s) = s J0(s r) and c = 2 pi in d=2;
+    w(s) = s sin(s r) and c = 2 pi^2 r in d=3; at r=0, w(s) = s^(d-1) and
+    c = pi, 2 pi or 2 pi^2.  Beyond r_max the tail is a power law at r=0 and
+    the averaged oscillatory tail elsewhere, which also sums the growing
+    envelopes of d=2 and d=3 when K decays slowly.
     """
     d = psi.dim
     if r == 0.0:
@@ -196,41 +198,52 @@ def _radial_inverse(psi: ExponentVector, r: float, quad: QuadratureSpec,
 
         def weight(s):
             return s ** (d - 1)
-    else:
-        if d == 3 and (decay is None or decay <= 1.0):
-            raise QuadratureError("sine-transform envelope does not decay; inversion unsupported")
+    elif d == 1:
+        def weight(s):
+            return np.cos(s * r)
+    elif d == 2:
+        from scipy.special import j0
 
         def weight(s):
-            return np.cos(s * r) if d == 1 else s * np.sin(s * r)
+            return s * j0(s * r)
+    else:
+        def weight(s):
+            return s * np.sin(s * r)
 
     def f(s):
         return weight(s) * psi.kernel_values(_axis_points(s, d))
 
-    main = integrate_panels(f, halfline_edges(quad.r_max, max_freq=r))
+    # K bends near 0 on its own scale, not on r_max's: beyond r_max = 400 the
+    # cascade toward 0 still stops at the 4e-7 it reaches at r_max = 400.
+    min_scale = 1e-9 * min(1.0, 400.0 / quad.r_max)
+    main = integrate_panels(f, halfline_edges(quad.r_max, max_freq=r, min_scale=min_scale))
     if r == 0.0:
         tail = powerlaw_tail(float(f(np.array([quad.r_max]))[0]), quad.r_max, decay - (d - 1))
     else:
         tail = averaged_oscillatory_tail(f, quad.r_max, r, rel_tol=quad.rel_tol,
                                          scale=max(abs(main), 1.0))
-    norm = math.pi if d == 1 else 2.0 * math.pi ** 2 * (r if r > 0.0 else 1.0)
+    if d == 3:
+        norm = 2.0 * math.pi ** 2 * (r if r > 0.0 else 1.0)
+    else:
+        norm = d * math.pi
     return (main + tail) / norm
 
 
 def potential_density_v(psi: ExponentVector, x, quad: Optional[QuadratureSpec] = None):
-    """Symmetrized one-potential density v(x) of the additive field, d in {1, 3}.
+    """Symmetrized one-potential density v(x) of the additive field, d <= 3.
 
     v is the inverse Fourier transform of the product kernel K:
-    v(x) = (2 pi)^-d int cos(xi.x) K(xi) dxi (d=1) and its radial
-    sine-transform analogue in d=3.  v is np.inf at the origin when the
-    analytic tail test certifies that K is not integrable.
+    v(x) = (2 pi)^-d int cos(xi.x) K(xi) dxi, reduced to a radial transform
+    (see _radial_inverse).  v is np.inf at the origin when the analytic tail
+    test certifies that K is not integrable.
 
     x is one point or an array of points (..., d).  Radii are rounded to 14
     decimals and v is computed once per distinct rounded radius, at that
     radius, so a value does not depend on the other points of the call.  A
     single point gives a float, an array of points an array of their shape.
     """
-    if psi.dim not in (1, 3):
-        raise ValueError("numeric inversion supports d in {1, 3} only")
+    if psi.dim not in (1, 2, 3):
+        raise ValueError("numeric inversion supports d in {1, 2, 3} only")
     if quad is None:
         quad = QuadratureSpec(r_max=400.0, rel_tol=1e-8)
     r = np.round(_radius(x, psi.dim), 14)

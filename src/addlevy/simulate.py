@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from addlevy.classify import StableSystem
 from addlevy.measures import SetDiscretization, discretize
@@ -233,6 +232,8 @@ def hitting_frequency(sys: StableSystem, target: SetDiscretization,
                          f"the field in R^{sys.d}")
     n = cfg.n_steps
     _check_budget(cfg.trials * n * (target_pts.shape[0] if sys.n == 2 else 1))
+    from scipy.spatial import cKDTree  # here, not at import: most subcommands build no tree
+
     tree = cKDTree(target_pts)
     hits = np.empty(cfg.trials)
     for start, rngs in _blocks(cfg.seed, cfg.trials, sys.n, n, sys.d):
@@ -253,6 +254,8 @@ def intersection_frequency(alpha1: float, alpha2: float, d: int,
                            cfg: MCConfig) -> MCEstimate:
     """Fraction of trials where two independent paths pass within epsilon."""
     _check_budget(cfg.trials * cfg.n_steps)
+    from scipy.spatial import cKDTree
+
     hits = np.empty(cfg.trials)
     for start, rngs in _blocks(cfg.seed, cfg.trials, 2, cfg.n_steps, d):
         p1, p2 = _sample_paths((alpha1, alpha2), d, cfg.time_horizon, cfg.n_steps, rngs)

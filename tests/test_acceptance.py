@@ -101,7 +101,7 @@ def test_criterion_04_equilibrium_solver():
     """Two-atom symmetric (0.5, 0.5) to 1e-8; circle uniform to 1e-6;
     monotone energy; final gap below tolerance."""
     toy = EnergyMatrix(entries=np.array([[2.0, 1.0], [1.0, 2.0]]),
-                       source="toy", diagonal_policy="Regularized")
+                       source="toy")
     res = solve_equilibrium(toy, tol=1e-10)
     assert res.converged and res.fw_gap < 1e-10
     assert res.weights == pytest.approx([0.5, 0.5], abs=1e-8)
@@ -141,7 +141,8 @@ def test_criterion_05_classifier_concordance():
         sys_ = StableSystem(alphas=(a1, a2), d=d)
         expect = a1 + a2 > d
         assert intersections_exist(sys_) == expect, (a1, a2, d)
-        expect_dim = max(a1 + a2 - d, 0.0) if expect else 0.0
+        # the intersection lies in R^d, so its dimension is at most d
+        expect_dim = min(float(d), a1 + a2 - d) if expect else 0.0
         assert intersection_dimension(sys_) == pytest.approx(expect_dim), (a1, a2, d)
 
     # numeric probe on pair systems the quadrature supports (d <= 3),

@@ -1,6 +1,7 @@
 """Hitting/intersection/dimension classifiers and the convergence probe."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from addlevy import (
     ConvergenceVerdict,
@@ -79,6 +80,12 @@ class TestIntersectionDimension:
         # [TRIVIAL] sup over the empty set is 0
         assert intersection_dimension(StableSystem(alphas=(0.5, 0.5), d=1)) == 0.0
 
+    def test_capped_at_d(self):
+        # [TRIVIAL] the intersection lies in R^d: sum(alpha) - (N-1) d = 2
+        # for two alpha = 1.5 paths on the line, but the dimension is 1
+        assert intersection_dimension(StableSystem(alphas=(1.5, 1.5), d=1)) == 1.0
+        assert intersection_dimension(StableSystem(alphas=(2.0,), d=1)) == 1.0
+
 
 class TestMultiplePoints:
     def test_brownian_space(self):
@@ -132,6 +139,12 @@ class TestNumericProbe:
         assert probe_intersection_dimension_test(sys_, 0.9).kind == "Convergent"
         assert probe_intersection_dimension_test(sys_, 1.1).kind == "Divergent"
 
+    def test_triple_probe_brackets_analytic_dimension(self):
+        # [DERIVED] three alpha = 1.8 paths in the plane: 5.4 - 2*2 = 1.4
+        sys_ = StableSystem(alphas=(1.8, 1.8, 1.8), d=2)
+        assert probe_intersection_dimension_test(sys_, 1.3).kind == "Convergent"
+        assert probe_intersection_dimension_test(sys_, 1.5).kind == "Divergent"
+
     def test_probe_existence_matches_analytic(self):
         yes = probe_intersections_exist(StableSystem(alphas=(1.5, 1.5), d=2))
         no = probe_intersections_exist(StableSystem(alphas=(0.7, 0.7), d=2))
@@ -143,6 +156,36 @@ class TestNumericProbe:
         f = stable_intersection_integrand(sys_, 0.5)
         pts = np.random.default_rng(0).normal(size=(16, 2))
         assert np.all(f(pts) > 0.0)
+
+
+@st.composite
+def stable_systems(draw):
+    """A system with s* = sum(alpha) - (N-1) d in [0.16, d - 0.16], so that
+    s* -/+ 0.15 lie in [0, d) despite rounding.
+
+    Every alpha is at most d: a larger alpha (d = 1) gives a bounded
+    one-potential density, so the test integral then counts it as d.  N = 3
+    in d = 3 has no such system, since s* <= 6 - 6.
+    """
+    n, d = draw(st.sampled_from([(n, d) for n in (1, 2, 3) for d in (1, 2, 3)
+                                 if (n, d) != (3, 3)]))
+    cap = min(2.0, float(d))
+    rest = draw(st.floats(0.16 + (n - 1) * d, min(d - 0.16 + (n - 1) * d, n * cap)))
+    alphas = []
+    for left in range(n - 1, 0, -1):
+        alphas.append(draw(st.floats(max(0.1, rest - cap * left), min(cap, rest - 0.1 * left))))
+        rest -= alphas[-1]
+    alphas.append(min(rest, cap))
+    return StableSystem(alphas=tuple(alphas), d=d)
+
+
+@settings(max_examples=8, deadline=None)
+@given(stable_systems())
+def test_probe_never_contradicts_the_analytic_dimension(sys_):
+    # Inconclusive is allowed within 0.15 of s*, a flat contradiction is not
+    s_star = sum(sys_.alphas) - (sys_.n - 1) * sys_.d
+    assert probe_intersection_dimension_test(sys_, s_star - 0.15).kind != "Divergent"
+    assert probe_intersection_dimension_test(sys_, s_star + 0.15).kind != "Convergent"
 
 
 class TestBisection:

@@ -21,10 +21,11 @@ def run_cli(argv, capsys):
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy.stats and scipy.integrate double the start-up time of every
-    # subcommand; nothing on the import path may need them
+    # each of these scipy modules adds to the start-up time of every subcommand;
+    # nothing on the import path may need them
+    heavy = ("scipy.stats", "scipy.integrate", "scipy.spatial", "scipy.special")
     probe = ("import sys, addlevy.cli; "
-             "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+             f"print([m for m in {heavy!r} if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(addlevy.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True, timeout=120).stdout

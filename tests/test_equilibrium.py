@@ -185,15 +185,14 @@ def exact_rel_gap(mat, w):
 
 
 def toy(entries):
-    return EnergyMatrix(entries=np.array(entries, dtype=float), source="toy",
-                        diagonal_policy="Regularized")
+    return EnergyMatrix(entries=np.array(entries, dtype=float), source="toy")
 
 
 class TestSolveEquilibrium:
     def test_two_atom_symmetric(self):
         # [TRIVIAL] symmetry + uniqueness pin the split at (1/2, 1/2)
         mat = EnergyMatrix(entries=np.array([[2.0, 1.0], [1.0, 2.0]]),
-                          source="toy", diagonal_policy="Regularized")
+                          source="toy")
         res = solve_equilibrium(mat)
         assert res.converged
         assert res.weights == pytest.approx([0.5, 0.5], abs=1e-8)
@@ -305,7 +304,7 @@ class TestSolveEquilibrium:
 
     def test_infinite_entries_zero_capacity(self):
         mat = EnergyMatrix(entries=np.array([[np.inf, 1.0], [1.0, np.inf]]),
-                          source="toy", diagonal_policy="Infinite")
+                          source="toy")
         res = solve_equilibrium(mat)
         assert res.capacity == 0.0
 

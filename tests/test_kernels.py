@@ -21,6 +21,7 @@ from addlevy import (
 )
 from addlevy import kernels
 from addlevy.kernels import Kernel, cauchy_kernel, exponential_kernel, gaussian_kernel
+from addlevy.quadrature import QuadratureSpec
 
 
 class TestLambdaClosed:
@@ -188,6 +189,42 @@ class TestPotentialDensity:
         expected = math.exp(-math.sqrt(2.0) * r) / (2.0 * math.sqrt(2.0) * math.pi)
         assert potential_density_v(psi, np.array([r, 0.0, 0.0])) == pytest.approx(
             expected, rel=2e-7 if r == 0.0 else 1e-8)
+
+    @pytest.mark.parametrize("r", [0.01, 0.5, 1.0, 2.5])
+    def test_one_brownian_2d(self, r):
+        # [DERIVED] K = 2/(2 + |xi|^2) inverts to K0(sqrt2 r)/pi, infinite at 0
+        from scipy.special import k0
+        psi = ExponentVector((BrownianIsotropic(dim=2),))
+        assert potential_density_v(psi, np.zeros(2)) == np.inf
+        expected = k0(math.sqrt(2.0) * r) / math.pi
+        assert potential_density_v(psi, np.array([0.0, r])) == pytest.approx(
+            expected, rel=1e-8)
+
+    @pytest.mark.parametrize("r", [2.0 ** -10, 0.1, 1.0])
+    def test_cauchy_3d(self, r):
+        # [DERIVED] K = 1/(1 + |xi|) inverts to
+        # (1/r - Ci(r) sin r - (pi/2 - Si(r)) cos r) / (2 pi^2 r); the
+        # envelope s sin(s r) K(s) of the sine transform does not decay
+        from scipy.special import sici
+        psi = ExponentVector((IsotropicStable(alpha=1.0, dim=3),))
+        si, ci = sici(r)
+        expected = (1.0 / r - ci * math.sin(r) - (math.pi / 2.0 - si) * math.cos(r)) / (
+            2.0 * math.pi ** 2 * r)
+        assert potential_density_v(psi, np.array([0.0, 0.0, r])) == pytest.approx(
+            expected, rel=1e-8)
+
+    def test_cauchy_1d_near_origin(self):
+        # [DERIVED] K = 1/(1 + |xi|) inverts to
+        # (-Ci(r) cos r + (pi/2 - Si(r)) sin r) / pi.  At r = 2^-30 the
+        # transform needs r_max ~ 1/r, and the panels toward 0 must still
+        # reach the scale on which K bends
+        from scipy.special import sici
+        psi = ExponentVector((IsotropicStable(alpha=1.0, dim=1),))
+        r = 2.0 ** -30
+        si, ci = sici(r)
+        expected = (-ci * math.cos(r) + (math.pi / 2.0 - si) * math.sin(r)) / math.pi
+        quad = QuadratureSpec(r_max=400.0 * 2.0 ** 30)
+        assert potential_density_v(psi, r, quad) == pytest.approx(expected, rel=1e-6)
 
     @pytest.mark.parametrize("psi", [
         ExponentVector((IsotropicStable(alpha=1.2, dim=1),)),
