@@ -299,16 +299,21 @@ def dimension_by_bisection(test: Callable[[float], ConvergenceVerdict],
     The test must be monotone (Convergent below the threshold, Divergent
     above); a Convergent verdict above a Divergent one raises.  Inconclusive
     verdicts shrink the bracket conservatively toward the midpoint and are
-    tolerated as long as a conclusive verdict eventually lands.
+    tolerated as long as a conclusive verdict eventually lands.  Each s is
+    probed once: a shrink can leave the midpoint where it was, and the
+    verdict there is remembered.
     """
     if hi <= lo:
         raise ValueError("need lo < hi")
     max_convergent = -math.inf
     min_divergent = math.inf
     inconclusive = 0
+    verdicts = {}
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        verdict = test(mid)
+        if mid not in verdicts:
+            verdicts[mid] = test(mid)
+        verdict = verdicts[mid]
         if verdict.kind == "Convergent":
             max_convergent = max(max_convergent, mid)
             lo = mid

@@ -187,7 +187,6 @@ def cmd_equilibrium(args) -> dict:
     result = solve_equilibrium(matrix, tol=args.tol, max_iter=args.max_iter)
     if not result.converged:
         raise NotConverged("energy minimizer did not reach the gap tolerance")
-    mu = discretize(disc)
     report = {"command": "equilibrium", **result.to_json(),
               "params": {"set": _load_json_arg(args.set), "gauge": args.gauge,
                          "s": args.s, "psi": args.psi, "tol": args.tol,

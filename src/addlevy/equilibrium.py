@@ -1,10 +1,14 @@
 """Energy minimization over probability measures on a discretized set.
 
 Assembles the pairwise energy matrix of a gauge on a point cloud and
-minimizes the quadratic form over the simplex with Frank-Wolfe (away-step
-variant, exact line search on the quadratic).  The reciprocal of the
-minimal energy is the capacity estimate; the minimizer is the discrete
-equilibrium measure.
+minimizes the quadratic form over the simplex.  The minimizer, the
+discrete equilibrium measure, has constant potential M w on its support
+and no lower potential off it, so it solves M_S w_S = lambda 1 on its
+support S: a direct solve on an active support gives the starting
+weights, and away-step Frank-Wolfe (exact line search on the quadratic)
+certifies them with its duality gap, or polishes them, or starts over
+from uniform weights when the direct solve fails.  The reciprocal of the
+minimal energy is the capacity estimate.
 """
 
 from __future__ import annotations
@@ -120,20 +124,55 @@ def _result(w, energy, iterations, rel_gap, tol, trace) -> EquilibriumResult:
                              converged=bool(rel_gap < tol), energy_trace=tuple(trace))
 
 
+def _kkt_start(mat: np.ndarray) -> np.ndarray:
+    """Starting weights from the KKT system M_S x = 1 on an active support S.
+
+    Starts from every atom.  Each round solves on S; the atoms with x <= 0
+    leave S and the next round solves again.  Once x > 0 on all of S, the
+    weights are w = x / sum(x).  When some atom off S has a potential
+    (M w)_i below the energy w'M w, the lowest one joins S and the next
+    round solves again; otherwise w is returned.  After 2n rounds, or on a
+    singular or non-finite solve, the uniform weights are returned instead.
+    """
+    n = mat.shape[0]
+    support = np.ones(n, dtype=bool)
+    for _ in range(2 * n):
+        idx = np.flatnonzero(support)
+        sub = mat if idx.size == n else mat[np.ix_(idx, idx)]
+        try:
+            x = np.linalg.solve(sub, np.ones(idx.size))
+        except np.linalg.LinAlgError:
+            break
+        keep = x > 0.0
+        if not (np.isfinite(x).all() and keep.any()):
+            break
+        if not keep.all():
+            support[idx[~keep]] = False
+            continue
+        w = np.zeros(n)
+        w[idx] = x / x.sum()
+        g = mat @ w
+        i = int(np.where(support, np.inf, g).argmin())
+        if support[i] or g[i] >= w.dot(g):
+            return w
+        support[i] = True
+    return np.full(n, 1.0 / n)
+
+
 def solve_equilibrium(m: EnergyMatrix, tol: float = 1e-8,
                       max_iter: int = 50000) -> EquilibriumResult:
-    """Minimize w' M w over the probability simplex by away-step Frank-Wolfe.
+    """Minimize w' M w over the probability simplex.
 
-    Exact line search on the quadratic; stops when the Frank-Wolfe duality
-    gap falls below ``tol`` relative to the current energy.  The energy is
-    monotone nonincreasing across iterations.
-
-    Each step moves toward or away from one vertex e_i, so g = M w is
-    carried along with row i of M (equal to column i, M being exactly
-    symmetric) and a step costs O(n).  At every exit, and before a
-    converged verdict is accepted, g is recomputed exactly: the reported
-    ``fw_gap``, ``energy`` and ``capacity`` are those of the returned
-    weights, and ``converged`` means that gap is below ``tol``.
+    A direct solve of the KKT system on an active support (``_kkt_start``)
+    gives the starting weights, and away-step Frank-Wolfe runs from them:
+    it stops when the duality gap falls below ``tol`` relative to the
+    energy, which it checks on an exact M w before its first step, so a
+    right direct solve returns with ``iterations == 0``.  ``iterations``
+    counts the Frank-Wolfe steps after the direct start; when the direct
+    solve fails, the start is uniform and the loop runs as a plain
+    Frank-Wolfe solve.  The reported ``fw_gap``, ``energy`` and
+    ``capacity`` are those of the returned weights, and ``converged``
+    means that gap is below ``tol``.
     """
     mat = m.entries
     n = mat.shape[0]
@@ -141,8 +180,21 @@ def solve_equilibrium(m: EnergyMatrix, tol: float = 1e-8,
         # any probability vector puts weight on an infinite entry pair
         return EquilibriumResult(weights=np.full(n, 1.0 / n), energy=np.inf,
                                  capacity=0.0, iterations=0, fw_gap=0.0, converged=True)
+    return _frank_wolfe(mat, _kkt_start(mat), tol, max_iter)
+
+
+def _frank_wolfe(mat: np.ndarray, w: np.ndarray, tol: float,
+                 max_iter: int) -> EquilibriumResult:
+    """Away-step Frank-Wolfe from the probability vector w, updated in place.
+
+    Exact line search on the quadratic; the energy is monotone
+    nonincreasing across iterations.  Each step moves toward or away from
+    one vertex e_i, so g = M w is carried along with row i of M (equal to
+    column i, M being exactly symmetric) and a step costs O(n).  At every
+    exit, and before a converged verdict is accepted, g is recomputed
+    exactly.
+    """
     diag = np.diagonal(mat)
-    w = np.full(n, 1.0 / n)
     g = mat @ w
     energy, i_fw, rel_gap = _fw_state(w, g)
     trace = [energy]

@@ -246,6 +246,12 @@ def test_criterion_09_flat_equilibrium_experiment(capsys, tmp_path):
     ["simulate", "--mode", "intersection", "--stable", "2.0,2.0", "--dim", "2",
      "--trials", "200", "--seed", "3"],
     ["classify", "--stable", "1.5,1.5", "--dim", "2"],
+    # n = 576: the direct equilibrium solve runs multithreaded in BLAS
+    ["capacity", "--set", '{"kind":"CubeGrid","bounds":[[0.0,1.0]],"n_per_axis":576}',
+     "--s", "0.5"],
+    ["equilibrium", "--set", '{"kind":"CubeGrid","bounds":[[0.0,1.0]],"n_per_axis":100}',
+     "--gauge", "potential",
+     "--psi", '{"family":"IsotropicStable","dim":1,"params":{"alpha":1.8}}'],
 ])
 def test_criterion_10_determinism(argv, capsys):
     """Repeating any seeded run reproduces the JSON output bitwise."""

@@ -205,6 +205,19 @@ class TestBisection:
         always_conv = lambda s: ConvergenceVerdict(kind="Convergent")
         assert dimension_by_bisection(always_conv, 0.0, 2.0) == pytest.approx(2.0, abs=0.06)
 
+    def test_each_s_probed_once(self):
+        # [DERIVED] an Inconclusive verdict shrinks [0, 2] symmetrically, so the
+        # midpoint stays at 1 while the bracket narrows to the tolerance
+        probed = []
+
+        def inconclusive(s):
+            probed.append(s)
+            return ConvergenceVerdict(kind="Inconclusive")
+
+        val = dimension_by_bisection(inconclusive, 0.0, 2.0)
+        assert probed == [1.0]
+        assert 1.0 - 0.05 <= val < 1.0
+
 
 class TestValidation:
     def test_bad_alpha(self):

@@ -23,7 +23,8 @@ def run_cli(argv, capsys):
 def test_import_leaves_heavy_scipy_modules_unloaded():
     # each of these scipy modules adds to the start-up time of every subcommand;
     # nothing on the import path may need them
-    heavy = ("scipy.stats", "scipy.integrate", "scipy.spatial", "scipy.special")
+    heavy = ("scipy.stats", "scipy.integrate", "scipy.spatial", "scipy.special",
+             "scipy.linalg", "scipy.optimize")
     probe = ("import sys, addlevy.cli; "
              f"print([m for m in {heavy!r} if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(addlevy.__file__).parents[1])}

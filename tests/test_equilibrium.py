@@ -16,7 +16,7 @@ from addlevy import (
     riesz_kernel,
     solve_equilibrium,
 )
-from addlevy.equilibrium import InconclusiveError, _cell_average
+from addlevy.equilibrium import InconclusiveError, _cell_average, _frank_wolfe, _kkt_start
 from addlevy.kernels import Kernel, PotentialDensity
 from addlevy.measures import cantor_product, cell_width, circle, cube_grid, discretize, two_point
 
@@ -188,6 +188,20 @@ def toy(entries):
     return EnergyMatrix(entries=np.array(entries, dtype=float), source="toy")
 
 
+def random_spd(n, seed, positive, shift):
+    """A symmetric positive definite matrix, entrywise positive when ``positive``."""
+    rng = np.random.default_rng(seed)
+    a = rng.random((n, n)) if positive else rng.standard_normal((n, n))
+    mat = a @ a.T / n + shift * np.eye(n)
+    return 0.5 * (mat + mat.T)
+
+
+def fw_from_uniform(m, tol=1e-8, max_iter=50000):
+    """The Frank-Wolfe loop of ``solve_equilibrium`` started from uniform weights."""
+    n = m.entries.shape[0]
+    return _frank_wolfe(m.entries, np.full(n, 1.0 / n), tol, max_iter)
+
+
 class TestSolveEquilibrium:
     def test_two_atom_symmetric(self):
         # [TRIVIAL] symmetry + uniqueness pin the split at (1/2, 1/2)
@@ -211,6 +225,11 @@ class TestSolveEquilibrium:
         assert res.fw_gap < 1e-8
         trace = np.asarray(res.energy_trace)
         assert np.all(np.diff(trace) <= 1e-12)
+        # the direct start leaves Frank-Wolfe no step to take here; from the
+        # uniform start the loop takes many, and each lowers the energy
+        plain = fw_from_uniform(assemble_matrix(riesz_kernel(1, 0.5), cube_grid([(0.0, 1.0)], 32)))
+        assert plain.converged and len(plain.energy_trace) > 100
+        assert np.all(np.diff(plain.energy_trace) <= 1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1),
@@ -220,11 +239,8 @@ class TestSolveEquilibrium:
         # [DERIVED] the O(n) steps take the dense loop's branches: same
         # iterations, weights and energy up to roundoff, wherever no branch
         # decision of the reference was within roundoff of its threshold
-        rng = np.random.default_rng(seed)
-        a = rng.random((n, n)) if positive else rng.standard_normal((n, n))
-        mat = a @ a.T / n + shift * np.eye(n)
-        mat = 0.5 * (mat + mat.T)
-        res = solve_equilibrium(toy(mat), max_iter=max_iter)
+        mat = random_spd(n, seed, positive, shift)
+        res = fw_from_uniform(toy(mat), max_iter=max_iter)
         w, energy, iterations, converged, margin = dense_equilibrium(mat, max_iter=max_iter)
         assert res.fw_gap == pytest.approx(exact_rel_gap(mat, res.weights), rel=1e-9, abs=1e-14)
         assert res.energy == pytest.approx(res.weights @ mat @ res.weights, rel=1e-14)
@@ -246,7 +262,7 @@ class TestSolveEquilibrium:
         # g = (1/3, 1/3, 2/3) and w'g = 4/9, so the away gap 2/9 beats the FW
         # gap 1/9; the line search gives gamma = 1/5 < gamma_max = 1/2 and
         # lands on the minimizer in one step.  A FW step toward e_0 could not.
-        res = solve_equilibrium(toy([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
+        res = fw_from_uniform(toy([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
         assert res.converged and res.iterations == 1
         assert res.weights == pytest.approx([0.4, 0.4, 0.2], abs=1e-15)
         assert res.energy == pytest.approx(0.4, rel=1e-15)
@@ -257,7 +273,7 @@ class TestSolveEquilibrium:
         # (KKT).  The uniform start prefers the away step from atom 2, whose
         # line search is clipped at gamma_max = 1/2: a drop step.
         mat = [[1, 0.5, 2], [0.5, 1, 2], [2, 2, 5]]
-        res = solve_equilibrium(toy(mat))
+        res = fw_from_uniform(toy(mat))
         assert res.converged and res.iterations == 1
         assert res.weights[2] == 0.0
         assert res.weights == pytest.approx([0.5, 0.5, 0.0], abs=1e-15)
@@ -268,7 +284,7 @@ class TestSolveEquilibrium:
         # (g = (1, 2)), reached by one full FW step.  With tol = 0 the gap 0
         # never counts as converged, so the next step is blocked both ways
         # and the loop stops at the minimizer with its exact gap.
-        res = solve_equilibrium(toy([[1, 2], [2, 5]]), tol=0.0)
+        res = fw_from_uniform(toy([[1, 2], [2, 5]]), tol=0.0)
         assert res.iterations == 2 and not res.converged
         assert res.weights.tolist() == [1.0, 0.0]
         assert res.energy == 1.0 and res.fw_gap == 0.0
@@ -277,7 +293,7 @@ class TestSolveEquilibrium:
         # [DERIVED] one drop step reaches the minimizer of the matrix above;
         # the gap, energy and capacity are those of the returned weights,
         # not of the uniform start (whose relative gap is 11/16)
-        res = solve_equilibrium(toy([[1, 0.5, 2], [0.5, 1, 2], [2, 2, 5]]), max_iter=1)
+        res = fw_from_uniform(toy([[1, 0.5, 2], [0.5, 1, 2], [2, 2, 5]]), max_iter=1)
         assert res.iterations == 1
         assert res.fw_gap == 0.0 and res.converged
         assert res.energy == pytest.approx(0.75, rel=1e-15)
@@ -286,7 +302,7 @@ class TestSolveEquilibrium:
         # FW gap 4/9) has gamma = 5/19 and stops at w = (8, 8, 3)/19, where
         # g = (8, 16, 12)/19, w'g = 12/19 and the relative gap is 2/3; the
         # uniform start's is 8/7
-        res = solve_equilibrium(toy(np.diag([1.0, 2.0, 4.0])), max_iter=1)
+        res = fw_from_uniform(toy(np.diag([1.0, 2.0, 4.0])), max_iter=1)
         assert res.iterations == 1 and not res.converged
         assert res.weights == pytest.approx(np.array([8, 8, 3]) / 19, abs=1e-15)
         assert res.energy == pytest.approx(12 / 19, rel=1e-15)
@@ -295,12 +311,69 @@ class TestSolveEquilibrium:
     def test_riesz_grid_matches_dense_reference(self):
         # [DERIVED] a kernel matrix of the kind the CLI solves
         m = assemble_matrix(riesz_kernel(1, 0.5), cube_grid([(0.0, 1.0)], 64))
-        res = solve_equilibrium(m)
+        res = fw_from_uniform(m)
         w, energy, iterations, converged, margin = dense_equilibrium(m.entries)
         assert converged and res.converged
         assert res.iterations == iterations
         assert res.energy == pytest.approx(energy, rel=1e-12)
         assert np.max(np.abs(res.weights - w)) <= 1e-10
+
+    def test_direct_start_is_certified_at_iteration_zero(self):
+        # [DERIVED] M = diag(1, 1, 2): M x = 1 on full support gives x = (1, 1, 1/2),
+        # so w = (2/5, 2/5, 1/5) with equal potentials g = 2/5; the first
+        # exact check certifies it before any Frank-Wolfe step
+        mat = np.diag([1.0, 1.0, 2.0])
+        res = solve_equilibrium(toy(mat))
+        assert res.converged and res.iterations == 0
+        assert res.weights == pytest.approx([0.4, 0.4, 0.2], abs=1e-15)
+        assert res.energy == pytest.approx(0.4, rel=1e-15)
+        assert res.fw_gap == pytest.approx(exact_rel_gap(mat, res.weights), abs=1e-15)
+
+    def test_direct_start_drops_an_atom_exactly(self):
+        # [DERIVED] the minimizer is (1/2, 1/2, 0).  M x = 1 gives x = (-6, -6, 5)
+        # on {0, 1, 2}, then e_2, where g_0 = 2 < 5 adds atom 0; x = (3, -1) on
+        # {0, 2} leaves e_0, where g_1 = 1/2 < 1 adds atom 1; on {0, 1} the
+        # potentials g = (3/4, 3/4, 2) are lowest on the support (KKT)
+        mat = [[1, 0.5, 2], [0.5, 1, 2], [2, 2, 5]]
+        w0 = _kkt_start(np.array(mat, dtype=float))
+        assert w0[2] == 0.0 and w0 == pytest.approx([0.5, 0.5, 0.0], abs=1e-15)
+        res = solve_equilibrium(toy(mat))
+        assert res.converged and res.iterations == 0
+        assert res.weights[2] == 0.0
+        assert res.weights == pytest.approx([0.5, 0.5, 0.0], abs=1e-15)
+        assert res.energy == pytest.approx(0.75, rel=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1),
+           positive=st.booleans(), shift=st.floats(0.05, 1.0))
+    def test_direct_start_certified_and_no_worse_than_uniform_start(self, n, seed, positive,
+                                                                   shift):
+        # [DERIVED] the direct start changes where Frank-Wolfe begins, not what
+        # it certifies: the gap is exact on the returned weights, and the
+        # energy is within the tolerance of the uniform start's minimum
+        mat = random_spd(n, seed, positive, shift)
+        res = solve_equilibrium(toy(mat))
+        assert res.converged
+        assert res.fw_gap == pytest.approx(exact_rel_gap(mat, res.weights), rel=1e-9, abs=1e-14)
+        assert res.energy <= fw_from_uniform(toy(mat)).energy * (1.0 + 2e-8)
+
+    @pytest.mark.parametrize("entries", [
+        [[1, 1, 2], [1, 1, 2], [2, 2, 1]],  # singular: the solve raises
+        [[1, -2], [-2, 1]],  # M x = 1 gives x = (-1, -1): no atom to keep
+    ], ids=["singular", "no-positive-atom"])
+    def test_indefinite_matrix_falls_back_to_uniform_start(self, entries):
+        # [DERIVED] symmetric, indefinite, positive diagonal: the direct start
+        # gives up and Frank-Wolfe runs from uniform weights, still reporting
+        # the exact gap of the weights it returns
+        mat = np.array(entries, dtype=float)
+        n = mat.shape[0]
+        assert np.linalg.eigvalsh(mat).min() < 0.0 < np.diagonal(mat).min()
+        assert np.array_equal(_kkt_start(mat), np.full(n, 1.0 / n))
+        res = solve_equilibrium(toy(mat))
+        plain = fw_from_uniform(toy(mat))
+        assert res.iterations == plain.iterations
+        assert np.array_equal(res.weights, plain.weights)
+        assert res.fw_gap == pytest.approx(exact_rel_gap(mat, res.weights), abs=1e-14)
 
     def test_infinite_entries_zero_capacity(self):
         mat = EnergyMatrix(entries=np.array([[np.inf, 1.0], [1.0, np.inf]]),
