@@ -2,7 +2,11 @@
 
 The Fourier-side energy of a measure mu against an exponent tuple is
 ``(2 pi)^-d int |mu_hat|^2 K dxi``; the real-side mutual energy of two
-measures in a gauge kappa is the symmetrized double sum over atoms.  The
+measures in a gauge kappa is the symmetrized double sum over atoms.  In
+d = 1 the Fourier-side integral is taken on the half-line.  In d = 2 and 3
+with a rotation-invariant K it is taken on the real side: by Parseval it
+equals ``sum_ij w_i w_j v(x_i - x_j)`` with v the one-potential density,
+one radial inversion per distinct pair distance and no phase matrix.  The
 module also carries the Parseval-type identity checks and the sojourn
 second-moment formula built from the Lambda kernel.
 """
@@ -16,15 +20,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from addlevy.exponents import DimensionMismatchError, ExponentVector
-from addlevy.kernels import Kernel, _axis_points, lambda_closed, riesz_constant, riesz_kernel
+from addlevy.kernels import Kernel, lambda_closed, potential_density_v, riesz_constant, riesz_kernel
 from addlevy.measures import AtomicMeasure
-from addlevy.quadrature import (
-    QuadratureSpec,
-    halfline_edges,
-    integrate_panels,
-    panel_nodes,
-    tensor_nodes,
-)
+from addlevy.quadrature import QuadratureSpec, halfline_edges, integrate_panels
 
 __all__ = [
     "QuadratureSpec",
@@ -87,15 +85,10 @@ def _max_frequency(*measures: AtomicMeasure) -> float:
     return max(spans + [0.0])
 
 
-def _default_quad() -> QuadratureSpec:
-    return QuadratureSpec(r_max=400.0, rel_tol=1e-6)
-
-
 def _halfline_value(f: Callable[[np.ndarray], np.ndarray], quad: QuadratureSpec,
-                    max_freq: float, decay: Optional[float], tail_amp: float,
-                    d: int = 1) -> EnergyReport:
+                    max_freq: float, decay: Optional[float], tail_amp: float) -> EnergyReport:
     """(2 pi)^-1 * 2 * int_0^inf f, with power-law tail handling (d=1)."""
-    norm = 2.0 / (2.0 * math.pi) ** d
+    norm = 1.0 / math.pi
 
     def upto(r):
         return integrate_panels(f, halfline_edges(r, max_freq=max_freq))
@@ -124,49 +117,39 @@ def energy_fourier(psi: ExponentVector, mu: AtomicMeasure,
     Atomic measures carry a persistent |mu_hat|^2 amplitude (sum of squared
     weights), so the energy is finite exactly when K is integrable; the
     analytic tail-exponent rule certifies divergence without quadrature.
+    The value is computed again at r_max / 2 and the difference, the
+    reported error, is held to ``quad.rel_tol``.  A direction-dependent K
+    in d >= 2 has no radial route and reports nan, unconverged.
     """
     if mu.dim != psi.dim:
         raise DimensionMismatchError("measure and exponent dims differ")
     if quad is None:
-        quad = _default_quad()
+        quad = QuadratureSpec(r_max=400.0, rel_tol=1e-6)
     d = psi.dim
     decay = psi.kernel_decay_exponent()
     if decay is not None and decay <= d:
         return EnergyReport(value=np.inf, tail_estimate=np.inf, converged=False)
-    amp = float(np.sum(mu.weights ** 2))  # mean |mu_hat|^2 at large xi
     if d == 1:
         def f(s):
             return np.abs(mu.fourier(s)) ** 2 * psi.kernel_values(s)
 
+        amp = float(np.sum(mu.weights ** 2))  # mean |mu_hat|^2 at large xi
         k_end = float(psi.kernel_values(np.array([quad.r_max]))[0])
-        return _halfline_value(f, quad, _max_frequency(mu), decay, amp * k_end, d=1)
-    return _tensor_energy(psi, mu, quad, decay, amp)
-
-
-def _tensor_energy(psi: ExponentVector, mu: AtomicMeasure, quad: QuadratureSpec,
-                   decay: Optional[float], amp: float) -> EnergyReport:
-    d = psi.dim
+        return _halfline_value(f, quad, _max_frequency(mu), decay, amp * k_end)
     if d > 3:
-        raise ValueError("tensor quadrature supports d <= 3")
-    width = quad.r_max / 8.0
-    freq = _max_frequency(mu)
-    if freq > 0.0:
-        width = min(width, math.pi / (2.0 * freq))
-    n_panels = int(math.ceil(2.0 * quad.r_max / width))
-    n_panels = min(n_panels, 64 if d == 3 else 512)
-    edges = np.linspace(-quad.r_max, quad.r_max, n_panels + 1)
-    pts, wts = tensor_nodes([panel_nodes(edges, 8)] * d)
-    vals = np.abs(mu.fourier(pts)) ** 2 * psi.kernel_values(pts)
-    main = float(np.sum(wts * vals))
-    norm = 1.0 / (2.0 * math.pi) ** d
-    if decay is None or decay <= d:
-        return EnergyReport(norm * main, np.inf, False)
-    s_d = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    k_end = float(psi.kernel_values(_axis_points(quad.r_max, d))[0])
-    tail = amp * s_d * k_end * quad.r_max ** d / (decay - d)
-    value = norm * (main + tail)
-    return EnergyReport(value, norm * tail * 0.5,
-                        converged=tail <= 0.05 * max(main, 1e-300))
+        raise ValueError("energy supports d <= 3")
+    if decay is None:
+        return EnergyReport(value=np.nan, tail_estimate=np.inf, converged=False)
+    diffs = mu.points[:, None, :] - mu.points[None, :, :]
+
+    def upto(r):
+        v = potential_density_v(psi, diffs, QuadratureSpec(r_max=r, rel_tol=quad.rel_tol))
+        return float(mu.weights @ v @ mu.weights)
+
+    value = upto(quad.r_max)
+    residual = abs(value - upto(quad.r_max / 2.0))
+    return EnergyReport(value=value, tail_estimate=residual,
+                        converged=residual <= quad.rel_tol * max(abs(value), 1e-300))
 
 
 def energy_identity_check(k: Kernel, nu: AtomicMeasure, mu: AtomicMeasure,
@@ -205,7 +188,7 @@ def energy_identity_check(k: Kernel, nu: AtomicMeasure, mu: AtomicMeasure,
         decay = math.log(k_mid / k_end) / math.log(2.0)
         decay = max(decay, 1.01)
         tail_amp = amp * k_end
-    rep = _halfline_value(f, quad, _max_frequency(mu, nu), decay, tail_amp, d=1)
+    rep = _halfline_value(f, quad, _max_frequency(mu, nu), decay, tail_amp)
     return real_side, rep.value
 
 

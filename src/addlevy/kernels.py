@@ -238,15 +238,18 @@ def potential_density_v(psi: ExponentVector, x, quad: Optional[QuadratureSpec] =
     test certifies that K is not integrable.
 
     x is one point or an array of points (..., d).  Radii are rounded to 14
-    decimals and v is computed once per distinct rounded radius, at that
-    radius, so a value does not depend on the other points of the call.  A
-    single point gives a float, an array of points an array of their shape.
+    significant digits and v is computed once per distinct rounded radius,
+    at that radius, so a value does not depend on the other points of the
+    call.  A single point gives a float, an array of points an array of
+    their shape.
     """
     if psi.dim not in (1, 2, 3):
         raise ValueError("numeric inversion supports d in {1, 2, 3} only")
     if quad is None:
         quad = QuadratureSpec(r_max=400.0, rel_tol=1e-8)
-    r = np.round(_radius(x, psi.dim), 14)
+    r = _radius(x, psi.dim)
+    unit = 10.0 ** (np.floor(np.log10(np.where(r > 0.0, r, 1.0))) - 13.0)
+    r = np.round(r / unit) * unit
     radii, inverse = np.unique(r, return_inverse=True)
     decay = psi.kernel_decay_exponent()
     vals = np.array([_radial_inverse(psi, float(ri), quad, decay) for ri in radii])

@@ -17,6 +17,7 @@ import numpy as np
 from addlevy.exponents import _as_points
 
 _WEIGHT_TOL = 1e-12
+_PHASE_BLOCK = 2 ** 18  # elements of one block of the phase matrix in fourier
 
 
 @dataclass(frozen=True)
@@ -51,13 +52,17 @@ class AtomicMeasure:
         return self.points.shape[0]
 
     def fourier(self, xi) -> np.ndarray:
-        """mu_hat(xi) = sum_k w_k exp(i xi . x_k), vectorized over xi."""
+        """mu_hat(xi) = sum_k w_k exp(i xi . x_k), vectorized over xi in row blocks."""
         pts, lead = _as_points(xi, self.dim)
         if lead == ():
             phases = pts[0] @ self.points.T
             return complex(np.sum(self.weights * np.exp(1j * phases)))
-        phases = pts @ self.points.T  # (m, n)
-        vals = np.exp(1j * phases) @ self.weights
+        # blocks of at least two rows: a one-row product takes another BLAS
+        # path, so its last bits would depend on where the blocks fall
+        n_blocks = max(1, pts.shape[0] // max(2, _PHASE_BLOCK // self.n_atoms))
+        vals = np.empty(pts.shape[0], dtype=complex)
+        for block, out in zip(np.array_split(pts, n_blocks), np.array_split(vals, n_blocks)):
+            out[:] = np.exp(1j * (block @ self.points.T)) @ self.weights
         return vals.reshape(lead)
 
     def translated(self, shift) -> "AtomicMeasure":

@@ -34,7 +34,8 @@ from addlevy import (
 from addlevy.classify import probe_intersections_exist
 from addlevy.cli import main as cli_main
 from addlevy.energy import riesz_identity_sides
-from addlevy.kernels import cauchy_kernel, exponential_kernel, gaussian_kernel
+from addlevy.equilibrium import _frank_wolfe, assemble_matrix
+from addlevy.kernels import cauchy_kernel, exponential_kernel, gaussian_kernel, riesz_kernel
 from addlevy.measures import (
     cell_width,
     circle,
@@ -114,6 +115,18 @@ def test_criterion_04_equilibrium_solver():
     assert interval.converged and interval.fw_gap < 1e-8
     for run in (res, ring, interval):
         trace = np.asarray(run.energy_trace)
+        assert np.all(np.diff(trace) <= 1e-12)
+    # the direct start certifies all three at iteration 0, so the monotone
+    # check also runs the Frank-Wolfe loop itself on the same matrices; it
+    # starts at the first atom, since uniform weights already minimize the
+    # two symmetric ones
+    mats = [toy.entries,
+            assemble_matrix(riesz_kernel(2, 1.5), circle(1.0, 64)).entries,
+            assemble_matrix(riesz_kernel(1, 0.5), cube_grid([(0.0, 1.0)], 64)).entries]
+    for mat in mats:
+        start = np.eye(mat.shape[0])[0]
+        trace = np.asarray(_frank_wolfe(mat, start, 1e-10, 50000).energy_trace)
+        assert len(trace) > 1
         assert np.all(np.diff(trace) <= 1e-12)
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ import addlevy
 from addlevy.cli import main
 
 STABLE_PSI = '{"family":"IsotropicStable","dim":1,"params":{"alpha":1.5}}'
+STABLE_2D = '{"family":"IsotropicStable","dim":2,"params":{"alpha":1.5}}'
+TWO_POINT_2D = '{"kind":"TwoPoint","separation":0.25,"d":2}'
 CUBE_64 = '{"kind":"CubeGrid","bounds":[[0.0,1.0]],"n_per_axis":64}'
 
 
@@ -99,6 +102,31 @@ class TestEnergy:
             "--set", '{"kind":"TwoPoint","separation":1.0,"d":1}'], capsys)
         assert code == 2
         assert rep["kind"] == "not-converged"
+
+    @pytest.mark.parametrize("rel_tol,code", [("0.5", 0), ("1e-12", 2)])
+    def test_rel_tol_certifies_planar_energy(self, capsys, rel_tol, code):
+        # the d = 2 error estimate is the change from r_max/2 to r_max, and
+        # --rel-tol decides whether it is small enough
+        got, rep = run_cli(["energy", "--psi", f"[{STABLE_2D},{STABLE_2D}]",
+                            "--set", TWO_POINT_2D, "--rel-tol", rel_tol], capsys)
+        assert got == code
+        if code == 0:
+            assert rep["converged"] is True
+            assert rep["tail_estimate"] <= 0.5 * rep["energy"]
+        else:
+            assert rep["kind"] == "not-converged"
+
+    def test_planar_drift_energy_exit_two_without_quadrature(self, capsys):
+        # a drift's kernel decays by direction: nothing certifies it, and
+        # nothing is integrated before saying so
+        drift = '{"family":"PureDrift","dim":2,"params":{"b":[1.0,0.0]}}'
+        t0 = time.perf_counter()
+        code, rep = run_cli(["energy", "--psi", f"[{drift},{STABLE_2D}]",
+                             "--set", TWO_POINT_2D], capsys)
+        assert time.perf_counter() - t0 < 0.1
+        assert code == 2
+        assert rep == {"error": "energy quadrature did not meet its tolerance",
+                       "kind": "not-converged"}
 
 
 class TestEquilibrium:

@@ -10,6 +10,7 @@ from addlevy import (
     BrownianIsotropic,
     ExponentVector,
     IsotropicStable,
+    PureDrift,
     energy_fourier,
     energy_identity_check,
     lambda_closed,
@@ -19,8 +20,17 @@ from addlevy import (
     sojourn_second_moment,
 )
 from addlevy.energy import riesz_identity_sides
-from addlevy.kernels import Kernel, cauchy_kernel, exponential_kernel
-from addlevy.measures import cell_width, cube_grid, delta, discretize, two_point
+from addlevy.kernels import Kernel, cauchy_kernel, exponential_kernel, potential_density_v
+from addlevy.measures import (
+    AtomicMeasure,
+    cell_width,
+    circle,
+    cube_grid,
+    delta,
+    discretize,
+    two_point,
+)
+from addlevy.quadrature import QuadratureSpec
 
 UNIFORM_HALF_ENERGY = 8.0 / 3.0  # int_0^1 int_0^1 |x-y|^{-1/2} dx dy
 
@@ -86,6 +96,80 @@ class TestEnergyFourier:
         psi = ExponentVector((IsotropicStable(alpha=1.5, dim=1),))
         mu = discretize(cube_grid([(0.0, 1.0)], 16))
         assert energy_fourier(psi, mu).value > 0.0
+
+
+def _two_brownian_v(r, d):
+    """[DERIVED] inverse transform of K = 4/(2 + |xi|^2)^2 in d = 2 and 3."""
+    from scipy.special import k1
+    if d == 3:
+        return np.exp(-math.sqrt(2.0) * r) / (2.0 * math.sqrt(2.0) * math.pi)
+    with np.errstate(invalid="ignore"):
+        v = r * k1(math.sqrt(2.0) * r) / (math.sqrt(2.0) * math.pi)
+    return np.where(r > 0.0, v, 1.0 / (2.0 * math.pi))
+
+
+def _stable_pair():
+    return ExponentVector((IsotropicStable(alpha=1.5, dim=2), IsotropicStable(alpha=1.5, dim=2)))
+
+
+class TestEnergyRadial:
+    """d >= 2 with a rotation-invariant K: sum_ij w_i w_j v(x_i - x_j)."""
+
+    @pytest.mark.parametrize("spec", [
+        two_point(0.5, d=2),
+        cube_grid([(0.0, 1.0), (0.0, 1.0)], 4),
+        cube_grid([(0.0, 1.0), (0.0, 1.0)], 16),
+        circle(1.0, 64),
+        cube_grid([(0.0, 1.0)] * 3, 3),
+    ], ids=["twopoint", "grid4x4", "grid16x16", "circle64", "grid3x3x3"])
+    def test_two_brownian_closed_form(self, spec):
+        # [DERIVED] d = 2: v(r) = r K1(sqrt2 r) / (sqrt2 pi), v(0) = 1/(2 pi);
+        # d = 3: v(r) = exp(-sqrt2 r) / (2 sqrt2 pi)
+        mu = discretize(spec)
+        d = mu.dim
+        psi = ExponentVector((BrownianIsotropic(dim=d), BrownianIsotropic(dim=d)))
+        r = np.linalg.norm(mu.points[:, None, :] - mu.points[None, :, :], axis=-1)
+        expected = float(mu.weights @ _two_brownian_v(r, d) @ mu.weights)
+        rep = energy_fourier(psi, mu)
+        assert rep.converged
+        assert rep.value == pytest.approx(expected, rel=1e-6)
+
+    def test_stable_pair_diagonal(self):
+        # [DERIVED] v(0) = (1/2pi) int_0^inf s / (1 + s^1.5)^2 ds = 2 / (9 sqrt3),
+        # and two equal atoms give the mean of the diagonal and off-diagonal terms
+        psi = _stable_pair()
+        diagonal = 2.0 / (9.0 * math.sqrt(3.0))
+        assert energy_fourier(psi, delta([0.0, 0.0])).value == pytest.approx(diagonal, rel=1e-6)
+        rep = energy_fourier(psi, discretize(two_point(0.25, d=2)))
+        off = potential_density_v(psi, np.array([0.25, 0.0]), QuadratureSpec(400.0, 1e-6))
+        assert rep.value == pytest.approx(0.5 * (diagonal + off), rel=1e-6)
+
+    @given(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(0.0, 2.0 * math.pi))
+    @settings(max_examples=10, deadline=None)
+    def test_translation_and_rotation_invariance(self, a, b, theta):
+        # [TRIVIAL] the energy depends on the atoms only through their distances
+        psi = _stable_pair()
+        base = discretize(cube_grid([(0.0, 0.5), (0.0, 0.5)], 2))
+        c, s = math.cos(theta), math.sin(theta)
+        moved = AtomicMeasure(base.points @ np.array([[c, s], [-s, c]]) + [a, b], base.weights)
+        v0 = energy_fourier(psi, base).value
+        assert energy_fourier(psi, moved).value == pytest.approx(v0, abs=1e-10)
+
+    def test_no_fourier_transform_of_the_measure(self, monkeypatch):
+        # the real-side route never forms mu_hat, let alone a phase matrix
+        def refuse(self, xi):
+            raise AssertionError("AtomicMeasure.fourier called")
+
+        monkeypatch.setattr(AtomicMeasure, "fourier", refuse)
+        rep = energy_fourier(_stable_pair(), discretize(cube_grid([(0.0, 1.0)] * 2, 4)))
+        assert rep.value > 0.0
+
+    def test_direction_dependent_kernel_is_not_certified(self):
+        # a drift has no radial tail rule in d = 2: nan, unconverged, no quadrature
+        psi = ExponentVector((PureDrift(b=(1.0, 0.0)), IsotropicStable(alpha=1.5, dim=2)))
+        rep = energy_fourier(psi, discretize(two_point(0.25, d=2)))
+        assert math.isnan(rep.value) and rep.tail_estimate == np.inf
+        assert not rep.converged
 
 
 class TestIdentityChecks:

@@ -215,16 +215,18 @@ class TestPotentialDensity:
 
     def test_cauchy_1d_near_origin(self):
         # [DERIVED] K = 1/(1 + |xi|) inverts to
-        # (-Ci(r) cos r + (pi/2 - Si(r)) sin r) / pi.  At r = 2^-30 the
-        # transform needs r_max ~ 1/r, and the panels toward 0 must still
-        # reach the scale on which K bends
+        # (-Ci(r) cos r + (pi/2 - Si(r)) sin r) / pi.  At r = 2^-k the
+        # transform needs r_max ~ 1/r, the panels toward 0 must still reach
+        # the scale on which K bends, and r must be inverted at its own
+        # value, not rounded to a fixed number of decimals
         from scipy.special import sici
         psi = ExponentVector((IsotropicStable(alpha=1.0, dim=1),))
-        r = 2.0 ** -30
-        si, ci = sici(r)
-        expected = (-ci * math.cos(r) + (math.pi / 2.0 - si) * math.sin(r)) / math.pi
-        quad = QuadratureSpec(r_max=400.0 * 2.0 ** 30)
-        assert potential_density_v(psi, r, quad) == pytest.approx(expected, rel=1e-6)
+        for k in (30, 36):
+            r = 2.0 ** -k
+            si, ci = sici(r)
+            expected = (-ci * math.cos(r) + (math.pi / 2.0 - si) * math.sin(r)) / math.pi
+            quad = QuadratureSpec(r_max=400.0 * 2.0 ** k)
+            assert potential_density_v(psi, r, quad) == pytest.approx(expected, rel=1e-6)
 
     @pytest.mark.parametrize("psi", [
         ExponentVector((IsotropicStable(alpha=1.2, dim=1),)),
@@ -234,7 +236,7 @@ class TestPotentialDensity:
         # one inversion per distinct rounded radius, and the value of a
         # radius does not depend on the other points of the call or their order
         d = psi.dim
-        near = np.nextafter(0.3, 1.0)  # a different radius with the same 14-decimal key
+        near = np.nextafter(0.3, 1.0)  # a different radius with the same 14-digit key
         radii = np.array([0.3, -0.75, 0.0, near, 1.25, 0.75, -0.3, 0.0, 2.0])
         rng = np.random.default_rng(3)
         if d == 1:
@@ -254,7 +256,7 @@ class TestPotentialDensity:
             batch = potential_density_v(psi, pts[perm].reshape(3, 3, d))
             assert batch.shape == (3, 3)
             assert np.array_equal(batch.ravel(), scalar[perm])
-            assert len(inversions) == len(np.unique(np.round(np.abs(radii), 14)))
+            assert len(inversions) == 5  # 0, 0.3 (and near), 0.75, 1.25, 2
         assert scalar[0] == scalar[3]
         assert np.array_equal(PotentialDensity(psi).as_kernel().eval(pts), scalar)
 

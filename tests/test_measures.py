@@ -86,6 +86,17 @@ class TestFourier:
         mu = discretize(cantor_product(1.0 / 3.0, 3))
         assert abs(fourier_measure(mu, np.array([xi]))) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("d,n_atoms,m", [(1, 64, 20011), (2, 4, 300007), (2, 2 ** 18 + 1, 5)])
+    def test_row_blocks_match_one_phase_matrix(self, d, n_atoms, m):
+        # the phase matrix is formed a block of rows at a time; every value
+        # is bit-for-bit the one a single (m, n) matrix gives
+        rng = np.random.default_rng(d * m)
+        mu = AtomicMeasure(points=rng.uniform(-1.0, 1.0, (n_atoms, d)),
+                           weights=np.full(n_atoms, 1.0 / n_atoms))
+        xi = rng.uniform(-400.0, 400.0, (m, d))
+        whole = np.exp(1j * (xi @ mu.points.T)) @ mu.weights
+        assert np.array_equal(mu.fourier(xi), whole)
+
 
 class TestValidation:
     def test_negative_weight_rejected(self):
