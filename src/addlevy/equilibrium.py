@@ -118,10 +118,16 @@ def _fw_state(w: np.ndarray, g: np.ndarray):
     return energy, i_fw, 2.0 * (energy - g[i_fw]) / max(abs(energy), 1e-300)
 
 
-def _result(w, energy, iterations, rel_gap, tol, trace) -> EquilibriumResult:
+def _result(w, energy, iterations, rel_gap, tol, trace, vertex) -> EquilibriumResult:
+    """The result at weights w; ``vertex`` is min_i M_ii, the least vertex energy.
+
+    Every minimizer over the simplex has energy at most ``vertex``, and one
+    certified by a gap below tol at most ``vertex + tol |energy|``.
+    """
+    converged = rel_gap < tol and energy - vertex <= tol * abs(energy)
     return EquilibriumResult(weights=w, energy=energy, capacity=1.0 / energy,
                              iterations=iterations, fw_gap=float(rel_gap),
-                             converged=bool(rel_gap < tol), energy_trace=tuple(trace))
+                             converged=bool(converged), energy_trace=tuple(trace))
 
 
 def _kkt_start(mat: np.ndarray) -> np.ndarray:
@@ -172,7 +178,11 @@ def solve_equilibrium(m: EnergyMatrix, tol: float = 1e-8,
     solve fails, the start is uniform and the loop runs as a plain
     Frank-Wolfe solve.  The reported ``fw_gap``, ``energy`` and
     ``capacity`` are those of the returned weights, and ``converged``
-    means that gap is below ``tol``.
+    means that gap is below ``tol`` and the energy is no higher than that of
+    the best vertex e_i, M_ii, by more than ``tol`` relative.  The gap
+    certifies a minimum only for positive semidefinite M, and the vertex
+    test is a necessary condition for a minimum, not a certificate that M
+    is PSD: it refuses the stationary point (1/2, 1/2) of [[1, 2], [2, 1]].
     """
     mat = m.entries
     n = mat.shape[0]
@@ -205,7 +215,7 @@ def _frank_wolfe(mat: np.ndarray, w: np.ndarray, tol: float,
             g = mat @ w
             energy, i_fw, rel_gap = _fw_state(w, g)
             if rel_gap < tol:
-                return _result(w, energy, it - 1, rel_gap, tol, trace)
+                return _result(w, energy, it - 1, rel_gap, tol, trace, diag.min())
         i_aw = int(np.where(w > 0.0, g, -np.inf).argmax())
         if energy - g[i_fw] >= g[i_aw] - energy:
             i, sign, gamma_max = i_fw, 1.0, 1.0
@@ -236,7 +246,7 @@ def _frank_wolfe(mat: np.ndarray, w: np.ndarray, tol: float,
         trace.append(energy)
     g = mat @ w
     energy, _, rel_gap = _fw_state(w, g)
-    return _result(w, energy, it, rel_gap, tol, trace)
+    return _result(w, energy, it, rel_gap, tol, trace, diag.min())
 
 
 def bessel_riesz_capacity(disc: SetDiscretization, s: float, tol: float = 1e-8,

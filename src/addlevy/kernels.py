@@ -21,8 +21,9 @@ from addlevy.quadrature import (
     QuadratureSpec,
     averaged_oscillatory_tail,
     halfline_edges,
-    integrate_panels,
+    panel_nodes,
     powerlaw_tail,
+    uniform_panel_count,
 )
 
 
@@ -136,37 +137,48 @@ def lambda_bruteforce(z: complex, quad: Optional[QuadratureSpec] = None) -> floa
     """The defining double integral of the Lambda kernel, by 2D quadrature.
 
     Integrates exp(-|t| - |s| - |t-s| sigma(z; t-s)) over [-T, T]^2, where
-    sigma is z for t >= s and conj(z) otherwise; the square is split along
-    the diagonal so each piece is smooth.
+    sigma is z for t >= s and conj(z) otherwise.  By s <-> t symmetry Lambda
+    is twice the real part of the integral over {s <= t}, whose three pieces
+    (split along the axes) are taken in (u, t), u = t - s >= 0.  There the
+    integrand is e^{-u(1+z)} times a factor of modulus at most 1 on the
+    section at u: e^{2t} on [u - T, 0] (s <= t <= 0), 1 on
+    [max(0, u - T), min(T, u)] (s <= 0 <= t), and e^{-2(t-u)} on [u, T]
+    (0 <= s <= t); the first and last both integrate to
+    int_0^{T-u} e^{-2r} dr.  In u the Gauss-Legendre panels are
+    period-matched to |Im z| and refined toward 0, where the decay of
+    e^{-u(1+z)} is fastest; the sections are panels between consecutive
+    section lengths, summed cumulatively.  The difference between 8 and 12
+    nodes per panel is held to ``quad.rel_tol``.
     """
-    from scipy import integrate
-
     z = complex(z)
     if z.real < 0.0:
         raise ValueError(f"Re z must be >= 0, got {z!r}")
     if quad is None:
         quad = QuadratureSpec(r_max=40.0, rel_tol=1e-9)
     bigt = min(quad.r_max, 45.0)
-
-    def re_lower(s, t):  # s <= t, sigma = z
-        u = t - s
-        val = np.exp(-abs(t) - abs(s) - u * z)
-        return val.real
-
-    # By s <-> t symmetry the integral over {s >= t} (with conj(z)) equals
-    # the one over {s <= t}, so only the lower triangle is computed.  It is
-    # split along the coordinate axes so every piece is smooth.
-    opts = {"epsabs": 1e-12, "epsrel": 1e-12}
-    neg, _ = integrate.dblquad(re_lower, -bigt, 0.0, -bigt, lambda t: t, **opts)
-    mixed, _ = integrate.dblquad(re_lower, 0.0, bigt, -bigt, 0.0, **opts)
-    pos, _ = integrate.dblquad(re_lower, 0.0, bigt, 0.0, lambda t: t, **opts)
+    edges = halfline_edges(bigt, max_freq=abs(z.imag))
+    estimates = []
+    for n_nodes in (8, 12):
+        u, wu = panel_nodes(edges, n_nodes)
+        # u increases, so the section lengths T - u decrease
+        lengths = (bigt - u)[::-1]
+        r, wr = panel_nodes(np.concatenate(([0.0], lengths)), n_nodes)
+        side = np.cumsum((wr * np.exp(-2.0 * r)).reshape(-1, n_nodes).sum(axis=1))[::-1]
+        # the mixed piece at u <= T has a section of length u, at u + T one of T - u
+        lower = (np.sum(wu * np.exp(-u * (1.0 + z)) * (2.0 * side + u))
+                 + np.sum(wu * np.exp(-(u + bigt) * (1.0 + z)) * (bigt - u)))
+        estimates.append(2.0 * lower.real)
+    coarse, value = estimates
+    bound = quad.rel_tol * max(abs(value), 1e-12)
+    if abs(value - coarse) > bound:
+        raise QuadratureError(
+            f"quadrature error {abs(value - coarse):.3e} above tolerance at z={z}")
     tail_bound = 8.0 * math.exp(-bigt)
-    value = 2.0 * (neg + mixed + pos)
-    if tail_bound > quad.rel_tol * max(abs(value), 1e-12):
+    if tail_bound > bound:
         raise QuadratureError(
             f"truncation tail {tail_bound:.3e} above tolerance at T={bigt}"
         )
-    return value
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -181,52 +193,65 @@ def _axis_points(s, d: int) -> np.ndarray:
     return pts
 
 
-def _radial_inverse(psi: ExponentVector, r: float, quad: QuadratureSpec,
-                    decay: Optional[float]) -> float:
-    """v at one radius r >= 0: the radial transform int_0^inf w(s) K(s) ds / c.
+def _radial_inverse(psi: ExponentVector, radii: np.ndarray, quad: QuadratureSpec,
+                    decay: Optional[float]) -> np.ndarray:
+    """v at each radius r >= 0: the radial transform int_0^inf w(s) K(s) ds / c.
 
     w(s) = cos(s r) and c = pi in d=1; w(s) = s J0(s r) and c = 2 pi in d=2;
     w(s) = s sin(s r) and c = 2 pi^2 r in d=3; at r=0, w(s) = s^(d-1) and
     c = pi, 2 pi or 2 pi^2.  Beyond r_max the tail is a power law at r=0 and
     the averaged oscillatory tail elsewhere, which also sums the growing
     envelopes of d=2 and d=3 when K decays slowly.
+
+    The panels up to r_max depend on r only through their uniform panel
+    count, so the radii that share it share one node set and one evaluation
+    of K; the tails of all r > 0 run together, one evaluation of K per
+    half period.  Each radius sums the same terms in the same order as it
+    would alone.
     """
     d = psi.dim
-    if r == 0.0:
-        if decay is None or decay <= d:
-            return np.inf
-
-        def weight(s):
-            return s ** (d - 1)
-    elif d == 1:
-        def weight(s):
-            return np.cos(s * r)
-    elif d == 2:
+    if d == 2:
         from scipy.special import j0
 
-        def weight(s):
+    def weight(s, r):
+        if d == 1:
+            return np.cos(s * r)
+        if d == 2:
             return s * j0(s * r)
-    else:
-        def weight(s):
-            return s * np.sin(s * r)
+        return s * np.sin(s * r)
 
-    def f(s):
-        return weight(s) * psi.kernel_values(_axis_points(s, d))
+    def k_values(s):
+        return psi.kernel_values(_axis_points(s, d)).reshape(np.shape(s))
 
+    pos = radii > 0.0
+    # v(0) is finite only when the analytic tail rule makes K integrable
+    finite = pos | (decay is not None and decay > d)
     # K bends near 0 on its own scale, not on r_max's: beyond r_max = 400 the
     # cascade toward 0 still stops at the 4e-7 it reaches at r_max = 400.
     min_scale = 1e-9 * min(1.0, 400.0 / quad.r_max)
-    main = integrate_panels(f, halfline_edges(quad.r_max, max_freq=r, min_scale=min_scale))
-    if r == 0.0:
-        tail = powerlaw_tail(float(f(np.array([quad.r_max]))[0]), quad.r_max, decay - (d - 1))
-    else:
-        tail = averaged_oscillatory_tail(f, quad.r_max, r, rel_tol=quad.rel_tol,
-                                         scale=max(abs(main), 1.0))
+    counts = uniform_panel_count(quad.r_max, radii)
+    main = np.zeros(radii.size)
+    for count in np.unique(counts[finite]):
+        group = np.flatnonzero(finite & (counts == count))
+        nodes, weights = panel_nodes(
+            halfline_edges(quad.r_max, max_freq=radii[group[0]], min_scale=min_scale))
+        kv = k_values(nodes)
+        for i in group:
+            w_r = weight(nodes, radii[i]) if radii[i] > 0.0 else nodes ** (d - 1)
+            main[i] = np.sum(weights * (w_r * kv))
+    tail = np.zeros(radii.size)
+    tail[pos] = averaged_oscillatory_tail(
+        lambda s, r: weight(s, r) * k_values(s), quad.r_max, radii[pos],
+        rel_tol=quad.rel_tol, scale=np.maximum(np.abs(main[pos]), 1.0))
+    if finite[~pos].any():
+        end = np.array([quad.r_max])
+        tail[~pos] = powerlaw_tail(float((end ** (d - 1) * k_values(end))[0]), quad.r_max,
+                                   decay - (d - 1))
     if d == 3:
-        norm = 2.0 * math.pi ** 2 * (r if r > 0.0 else 1.0)
+        norm = 2.0 * math.pi ** 2 * np.where(pos, radii, 1.0)
     else:
         norm = d * math.pi
-    return (main + tail) / norm
+    return np.where(finite, (main + tail) / norm, np.inf)
 
 
 def potential_density_v(psi: ExponentVector, x, quad: Optional[QuadratureSpec] = None):
@@ -251,9 +276,7 @@ def potential_density_v(psi: ExponentVector, x, quad: Optional[QuadratureSpec] =
     unit = 10.0 ** (np.floor(np.log10(np.where(r > 0.0, r, 1.0))) - 13.0)
     r = np.round(r / unit) * unit
     radii, inverse = np.unique(r, return_inverse=True)
-    decay = psi.kernel_decay_exponent()
-    vals = np.array([_radial_inverse(psi, float(ri), quad, decay) for ri in radii])
-    out = vals[inverse].reshape(r.shape)
+    out = _radial_inverse(psi, radii, quad, psi.kernel_decay_exponent())[inverse].reshape(r.shape)
     return float(out) if out.ndim == 0 else out
 
 

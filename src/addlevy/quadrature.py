@@ -67,6 +67,16 @@ def tensor_nodes(rules) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
+def uniform_panel_count(r_max: float, max_freq=0.0):
+    """Number of uniform panels of ``halfline_edges(r_max, max_freq)``.
+
+    Elementwise in max_freq; the edges depend on max_freq only through it.
+    """
+    with np.errstate(divide="ignore"):
+        width = np.minimum(r_max / 16.0, np.pi / (2.0 * np.asarray(max_freq, dtype=float)))
+    return np.ceil(r_max / width).astype(int)
+
+
 def halfline_edges(r_max: float, max_freq: float = 0.0, min_scale: float = 1e-9) -> np.ndarray:
     """Panel edges on [0, r_max], period-matched and refined toward 0.
 
@@ -74,10 +84,7 @@ def halfline_edges(r_max: float, max_freq: float = 0.0, min_scale: float = 1e-9)
     geometric cascade toward 0 keeps integrable endpoint singularities
     (e.g. |xi|^-s) resolved.
     """
-    width = r_max / 16.0
-    if max_freq > 0.0:
-        width = min(width, np.pi / (2.0 * max_freq))
-    n_uniform = int(np.ceil(r_max / width))
+    n_uniform = int(uniform_panel_count(r_max, max_freq))
     edges = set(np.linspace(0.0, r_max, n_uniform + 1).tolist())
     # geometric cascade below the first uniform edge
     lo = r_max / n_uniform
@@ -100,37 +107,57 @@ def powerlaw_tail(f_at_rmax: float, r_max: float, decay: float) -> float:
     return abs(f_at_rmax) * r_max / (decay - 1.0)
 
 
-def averaged_oscillatory_tail(f: Callable[[np.ndarray], np.ndarray], start: float,
-                              omega: float, rel_tol: float = 1e-8,
+def averaged_oscillatory_tail(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                              start: float, omega, rel_tol: float = 1e-8,
                               max_half_periods: int = 4000, n_nodes: int = 8,
-                              scale: float = 1.0) -> float:
-    """Sum int_{start}^inf f by half-period panels with repeated averaging.
+                              scale=1.0) -> np.ndarray:
+    """Sum int_{start}^inf f(s, omega_i) ds for every frequency omega_i.
 
-    f must oscillate with angular frequency omega (> 0); successive panel
-    contributions then alternate in sign and iterated averaging of the
-    partial sums accelerates the conditionally convergent series.  `scale`
-    sets the magnitude against which the tolerance is judged.
+    Each integrand must oscillate with its angular frequency omega_i (> 0);
+    its half-period panels then alternate in sign, and iterated averaging of
+    the partial sums accelerates the conditionally convergent series.  Round
+    k integrates the k-th half period of every row still running with one
+    call f(s, omega), s of shape (rows, n_nodes) and omega of shape
+    (rows, 1).  A row stops when its averaged sum changes by at most
+    rel_tol * scale_i in one round, so its value does not depend on the
+    other rows.  Returns an array of omega's shape.
     """
-    if omega <= 0.0:
+    omega = np.asarray(omega, dtype=float)
+    shape = omega.shape
+    omega = omega.ravel()
+    if np.any(omega <= 0.0):
         raise ValueError("omega must be positive")
-    h = np.pi / omega
+    out = np.empty(omega.size)
+    if not omega.size:
+        return out.reshape(shape)
+    bound = rel_tol * np.maximum(np.abs(np.broadcast_to(scale, shape).ravel()), 1e-300)
     x, w = _gauss_legendre(n_nodes)
-    partial = []
-    total = 0.0
-    a = start
-    for _ in range(max_half_periods):
-        mid, half = a + h / 2.0, h / 2.0
-        total += float(np.sum(half * w * f(mid + half * x)))
-        partial.append(total)
+    # the state of the rows still running; row i of them is row rows[i] of out
+    rows = np.arange(omega.size)
+    h = np.pi / omega
+    a = np.full(omega.size, float(start))
+    total = np.zeros(omega.size)
+    # the last 8 partial sums: 6 averagings of the last 7 give the newest
+    # estimate, of the 7 before them the previous one
+    partial = np.zeros((omega.size, 8))
+    for k in range(1, max_half_periods + 1):
+        half = h / 2.0
+        s = (a + half)[:, None] + half[:, None] * x
+        total += np.sum(half[:, None] * w * f(s, omega[rows, None]), axis=1)
+        partial[:, :-1] = partial[:, 1:]
+        partial[:, -1] = total
         a += h
-        if len(partial) >= 6:
-            row = np.array(partial[-12:])
-            for _ in range(min(6, len(row) - 1)):
-                row = 0.5 * (row[1:] + row[:-1])
-            if len(partial) >= 8:
-                prev = np.array(partial[-13:-1]) if len(partial) > 12 else np.array(partial[:-1])
-                for _ in range(min(6, len(prev) - 1)):
-                    prev = 0.5 * (prev[1:] + prev[:-1])
-                if abs(row[-1] - prev[-1]) <= rel_tol * max(abs(scale), 1e-300):
-                    return float(row[-1])
-    raise QuadratureError("oscillatory tail did not converge")
+        if k < 8:
+            continue
+        new, prev = partial[:, 1:], partial[:, :-1]
+        for _ in range(6):
+            new = 0.5 * (new[:, 1:] + new[:, :-1])
+            prev = 0.5 * (prev[:, 1:] + prev[:, :-1])
+        done = np.abs(new[:, -1] - prev[:, -1]) <= bound[rows]
+        out[rows[done]] = new[done, -1]
+        if done.all():
+            return out.reshape(shape)
+        keep = ~done
+        rows, h, a, total, partial = rows[keep], h[keep], a[keep], total[keep], partial[keep]
+    raise QuadratureError(f"oscillatory tail did not converge at {rows.size} of "
+                          f"{omega.size} frequencies")

@@ -36,6 +36,24 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
     assert out.strip() == "[]"
 
 
+def test_lambda_check_and_potential_gauge_leave_scipy_integrate_unloaded():
+    # the brute-force Lambda and the d = 1 potential gauge are Gauss-Legendre
+    # panels of their own; running them must not import scipy.integrate
+    psi = json.dumps({"family": "IsotropicStable", "dim": 1, "params": {"alpha": 1.5}})
+    grid = json.dumps({"kind": "CubeGrid", "bounds": [[0.0, 1.0]], "n_per_axis": 16})
+    jobs = [["lambda", "--check", "2"],
+            ["equilibrium", "--set", grid, "--gauge", "potential", "--psi", psi]]
+    probe = ("import contextlib, io, sys\n"
+             "from addlevy.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    codes = [main(argv, _exit=False) for argv in {jobs!r}]\n"
+             "print(codes, 'scipy.integrate' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(addlevy.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True, timeout=120).stdout
+    assert out.strip() == "[0, 0] False"
+
+
 def test_closed_stdout_exits_quietly(tmp_path):
     # a reader that stops early (`addlevy ... | head -c 20`) must not make the
     # CLI print tracebacks or lose the --out file; the report (~640 kB)

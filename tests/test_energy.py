@@ -98,6 +98,25 @@ class TestEnergyFourier:
         assert energy_fourier(psi, mu).value > 0.0
 
 
+class TestRealFourierAgreement:
+    @given(alpha=st.one_of(st.none(), st.floats(1.5, 1.95)), n=st.integers(1, 5),
+           start=st.floats(-2.0, 2.0), length=st.floats(0.25, 2.0))
+    @settings(max_examples=25, deadline=None)
+    def test_parseval_d1(self, alpha, n, start, length):
+        # [DERIVED] by Parseval sum_ij w_i w_j v(x_i - x_j) equals
+        # (2 pi)^-1 int |mu_hat|^2 K, for a stable (alpha) or Brownian (None)
+        # psi.  Both sides carry tail errors near 1e-5 at alpha = 1.5: the
+        # Fourier side from the oscillating |mu_hat|^2 beyond r_max, the
+        # real side from the power-law tail of v(0)
+        comp = BrownianIsotropic(dim=1) if alpha is None else IsotropicStable(alpha=alpha, dim=1)
+        psi = ExponentVector((comp,))
+        mu = discretize(cube_grid([(start, start + length)], n))
+        v = potential_density_v(psi, mu.points[:, None, :] - mu.points[None, :, :])
+        real = float(mu.weights @ v @ mu.weights)
+        fourier = energy_fourier(psi, mu, QuadratureSpec(r_max=3200.0, rel_tol=1e-6)).value
+        assert real == pytest.approx(fourier, rel=5e-5)
+
+
 def _two_brownian_v(r, d):
     """[DERIVED] inverse transform of K = 4/(2 + |xi|^2)^2 in d = 2 and 3."""
     from scipy.special import k1

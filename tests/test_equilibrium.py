@@ -375,6 +375,16 @@ class TestSolveEquilibrium:
         assert np.array_equal(res.weights, plain.weights)
         assert res.fw_gap == pytest.approx(exact_rel_gap(mat, res.weights), abs=1e-14)
 
+    def test_indefinite_stationary_point_not_converged(self):
+        # [DERIVED] M = [[1, 2], [2, 1]]: (1/2, 1/2) is stationary (g = (3/2,
+        # 3/2), gap 0) with energy 3/2, but each vertex has energy 1, so no
+        # minimizer sits there; a zero gap certifies a minimum only for PSD M
+        res = solve_equilibrium(toy([[1, 2], [2, 1]]))
+        assert res.weights == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert res.energy == pytest.approx(1.5, rel=1e-15)
+        assert res.fw_gap < 1e-8
+        assert not res.converged
+
     def test_infinite_entries_zero_capacity(self):
         mat = EnergyMatrix(entries=np.array([[np.inf, 1.0], [1.0, np.inf]]),
                           source="toy")

@@ -21,7 +21,7 @@ from addlevy import (
 )
 from addlevy import kernels
 from addlevy.kernels import Kernel, cauchy_kernel, exponential_kernel, gaussian_kernel
-from addlevy.quadrature import QuadratureSpec
+from addlevy.quadrature import QuadratureError, QuadratureSpec
 
 
 class TestLambdaClosed:
@@ -80,6 +80,17 @@ class TestLambdaBruteforce:
     def test_matches_closed_form(self, z):
         # [DERIVED] the double integral and the closed form must agree
         assert lambda_bruteforce(z) == pytest.approx(lambda_closed(z), abs=1e-6)
+
+    @pytest.mark.parametrize("z", [50.0, 40.0j, 5.0 + 5.0j])
+    def test_matches_closed_form_far_out(self, z):
+        # [DERIVED] fast decay (Re z = 50), fast oscillation (Im z = 40) and
+        # both: no factor overflows, and the panels resolve both
+        assert lambda_bruteforce(z) == pytest.approx(lambda_closed(z), abs=1e-9)
+
+    def test_truncation_refused(self):
+        # [DERIVED] at T = 5 the square misses mass of order e^-5
+        with pytest.raises(QuadratureError, match="truncation"):
+            lambda_bruteforce(1.0, QuadratureSpec(r_max=5.0, rel_tol=1e-9))
 
     def test_sector_lower_bound(self):
         # With c = |Im z| / (1 + Re z) and R = Re(1/(1+z)) in [0, 1], the
@@ -230,11 +241,13 @@ class TestPotentialDensity:
 
     @pytest.mark.parametrize("psi", [
         ExponentVector((IsotropicStable(alpha=1.2, dim=1),)),
+        ExponentVector((IsotropicStable(alpha=1.5, dim=2), IsotropicStable(alpha=1.5, dim=2))),
         ExponentVector((IsotropicStable(alpha=1.5, dim=3), BrownianIsotropic(dim=3))),
-    ], ids=["d1", "d3"])
+    ], ids=["d1", "d2", "d3"])
     def test_array_call_equals_scalar_calls(self, psi, monkeypatch):
-        # one inversion per distinct rounded radius, and the value of a
-        # radius does not depend on the other points of the call or their order
+        # one batched inversion per call, of the distinct rounded radii, and
+        # the value of a radius does not depend on the other points of the
+        # call or their order
         d = psi.dim
         near = np.nextafter(0.3, 1.0)  # a different radius with the same 14-digit key
         radii = np.array([0.3, -0.75, 0.0, near, 1.25, 0.75, -0.3, 0.0, 2.0])
@@ -246,19 +259,39 @@ class TestPotentialDensity:
             dirs = rng.normal(size=(radii.size, d))
             pts = radii[:, None] * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
             scalar = np.array([potential_density_v(psi, p) for p in pts])
-        inversions = []
+        calls = []
         real_inverse = kernels._radial_inverse
         monkeypatch.setattr(kernels, "_radial_inverse",
-                            lambda *a: inversions.append(a[1]) or real_inverse(*a))
+                            lambda *a: calls.append(a[1]) or real_inverse(*a))
         for perm in (np.arange(radii.size), rng.permutation(radii.size),
                      rng.permutation(radii.size)):
-            inversions.clear()
+            calls.clear()
             batch = potential_density_v(psi, pts[perm].reshape(3, 3, d))
             assert batch.shape == (3, 3)
             assert np.array_equal(batch.ravel(), scalar[perm])
+            assert len(calls) == 1
+            inversions = calls[0]
             assert len(inversions) == 5  # 0, 0.3 (and near), 0.75, 1.25, 2
         assert scalar[0] == scalar[3]
         assert np.array_equal(PotentialDensity(psi).as_kernel().eval(pts), scalar)
+
+
+    def test_unconverged_tail_raises_in_a_batch(self):
+        # [DERIVED] with K(s) = cos(s)/s the tail of r = 1 holds
+        # cos(s)^2/s, whose mean 1/(2s) is not integrable, while the tails of
+        # r = 0.5, 2 and 5 converge; batching r = 1 with them must still raise
+        class Resonant:
+            dim = 1
+
+            def kernel_values(self, xi):
+                s = np.asarray(xi)[:, 0]
+                return np.cos(s) / s
+
+        quad = QuadratureSpec(r_max=40.0)
+        converging = kernels._radial_inverse(Resonant(), np.array([0.5, 2.0, 5.0]), quad, None)
+        assert np.all(np.isfinite(converging))
+        with pytest.raises(QuadratureError, match="1 of 4"):
+            kernels._radial_inverse(Resonant(), np.array([0.5, 1.0, 2.0, 5.0]), quad, None)
 
 
 class TestKernelSupCheck:

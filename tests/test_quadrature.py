@@ -8,11 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from addlevy.quadrature import (
     QuadratureSpec,
+    QuadratureError,
     _gauss_legendre,
+    averaged_oscillatory_tail,
     halfline_edges,
     integrate_panels,
     panel_nodes,
     powerlaw_tail,
+    uniform_panel_count,
 )
 
 
@@ -79,6 +82,98 @@ class TestTail:
     def test_non_integrable_tail_is_infinite(self):
         # [TRIVIAL] decay <= 1 means the modeled tail diverges
         assert powerlaw_tail(1.0, 10.0, 0.5) == np.inf
+
+
+def scalar_tail_reference(f, start, omega, rel_tol, scale, max_half_periods=4000, n_nodes=8):
+    """One frequency at a time, as a plain loop over half periods: the
+    reference the batched averaged_oscillatory_tail must match bit for bit."""
+    h = np.pi / omega
+    x, w = _gauss_legendre(n_nodes)
+    partial = []
+    total = 0.0
+    a = start
+    for _ in range(max_half_periods):
+        mid, half = a + h / 2.0, h / 2.0
+        total += float(np.sum(half * w * f(mid + half * x)))
+        partial.append(total)
+        a += h
+        if len(partial) >= 8:
+            row, prev = np.array(partial[-12:]), np.array(partial[-13:-1])
+            for _ in range(6):
+                row = 0.5 * (row[1:] + row[:-1])
+                prev = 0.5 * (prev[1:] + prev[:-1])
+            if abs(row[-1] - prev[-1]) <= rel_tol * max(abs(scale), 1e-300):
+                return float(row[-1])
+    raise QuadratureError("oscillatory tail did not converge")
+
+
+class TestOscillatoryTail:
+    OMEGA = np.array([0.3, 1.0, 2.5, 7.0, 40.0])
+
+    @staticmethod
+    def f(s, omega):
+        return np.cos(omega * s) / s
+
+    def test_rows_match_closed_form(self):
+        # [DERIVED] int_a^inf cos(w s)/s ds = -Ci(w a), a = 40
+        from scipy.special import sici
+        tails = averaged_oscillatory_tail(self.f, 40.0, self.OMEGA, rel_tol=1e-12)
+        assert tails.shape == self.OMEGA.shape
+        assert tails == pytest.approx(-sici(self.OMEGA * 40.0)[1], abs=1e-10)
+
+    def test_each_row_equals_a_one_row_call(self):
+        # the rows stop at different rounds; each must carry the bits it
+        # would have alone, whatever the other rows and their scales
+        scale = np.array([1.0, 0.5, 3.0, 1e-3, 2.0])
+        tails = averaged_oscillatory_tail(self.f, 40.0, self.OMEGA, rel_tol=1e-10, scale=scale)
+        for i in range(self.OMEGA.size):
+            omega = self.OMEGA[i]
+            assert tails[i] == scalar_tail_reference(lambda s: self.f(s, omega), 40.0, omega,
+                                                     1e-10, scale[i])
+            one = averaged_oscillatory_tail(self.f, 40.0, self.OMEGA[i:i + 1], rel_tol=1e-10,
+                                            scale=scale[i:i + 1])
+            assert one.shape == (1,)
+            assert one[0] == tails[i]
+            assert averaged_oscillatory_tail(self.f, 40.0, self.OMEGA[i], rel_tol=1e-10,
+                                             scale=scale[i]) == tails[i]
+
+    def test_one_call_of_f_per_round(self):
+        # every row starts at `start`, so round k is the k-th half period of
+        # every row still running, and one call of f serves them all
+        def rounds_of(omega):
+            seen = []
+
+            def f(s, o):
+                seen.append(o.shape[0])
+                assert s.shape == (o.shape[0], 8) and o.shape[1] == 1
+                return self.f(s, o)
+
+            averaged_oscillatory_tail(f, 40.0, omega)
+            return seen
+
+        alone = [len(rounds_of(w)) for w in self.OMEGA]
+        assert rounds_of(self.OMEGA) == [sum(n > k for n in alone) for k in range(max(alone))]
+
+    def test_divergent_row_raises(self):
+        # [DERIVED] a non-oscillating integrand has no averaged sum
+        with pytest.raises(QuadratureError, match="1 of 2"):
+            averaged_oscillatory_tail(lambda s, o: np.where(o == 1.0, 1.0, np.cos(o * s) / s),
+                                      3.0, np.array([1.0, 2.0]), max_half_periods=50)
+
+    def test_omega_must_be_positive(self):
+        with pytest.raises(ValueError):
+            averaged_oscillatory_tail(self.f, 40.0, np.array([1.0, 0.0]))
+
+
+class TestUniformPanelCount:
+    @pytest.mark.parametrize("max_freq", [0.0, 1e-3, 0.3, 1.0, 7.5, 123.0])
+    def test_matches_halfline_edges(self, max_freq):
+        # halfline_edges depends on max_freq only through this count
+        n = int(uniform_panel_count(400.0, max_freq))
+        edges = halfline_edges(400.0, max_freq=max_freq)
+        assert np.sum(edges >= 400.0 / n * (1.0 - 1e-12)) == n  # the uniform edges but 0
+        assert np.array_equal(uniform_panel_count(400.0, np.array([max_freq, 0.0])),
+                              [n, 16])
 
 
 class TestSpec:
