@@ -284,53 +284,62 @@ def cmd_dimension(args) -> dict:
     return report, None
 
 
+# The flags each simulate mode reads besides --mode, --stable and --seed, with
+# their defaults.  A mode reports exactly these, so its report replays, and
+# refuses any other simulate flag given explicitly.
+_SIMULATE_FLAGS = {
+    "hitting": {"dim": 1, "set": None, "trials": 1000, "time_horizon": 1.0,
+                "n_steps": 200, "epsilon": 0.1},
+    "intersection": {"dim": 1, "trials": 1000, "time_horizon": 1.0, "n_steps": 200,
+                     "epsilon": 0.1},
+    "boxdim": {"dim": 1, "time_horizon": 1.0, "n_steps": 200},
+    "sojourn": {"trials": 1000, "n_steps": 200, "sigma": 1.0, "mass": 1.0,
+                "half_width": 10.0},
+}
+_MC_FIELDS = ("trials", "time_horizon", "n_steps", "epsilon")
+
+
 def cmd_simulate(args) -> dict:
-    # boxdim is a single-path estimate, so the trial-count floor is moot.
-    trials = max(args.trials, 100) if args.mode == "boxdim" else args.trials
+    used = _SIMULATE_FLAGS[args.mode]
+    for name in sorted(set().union(*_SIMULATE_FLAGS.values()) - set(used)):
+        if getattr(args, name) is not None:
+            flag = "--" + name.replace("_", "-")
+            raise CliError(f"simulate --mode {args.mode} does not use {flag}")
+    opts = {name: default if getattr(args, name) is None else getattr(args, name)
+            for name, default in used.items()}
     try:
-        cfg = MCConfig(trials=trials, time_horizon=args.time_horizon,
-                       n_steps=args.n_steps, epsilon=args.epsilon,
-                       seed=args.seed)
+        cfg = MCConfig(seed=args.seed, **{k: opts[k] for k in _MC_FIELDS if k in opts})
     except ValueError as exc:
         raise CliError(str(exc))
-    params = {"mode": args.mode, **cfg.to_json()}
+    alphas = _parse_floats(args.stable)
     if args.mode == "hitting":
-        if not args.set:
+        if opts["set"] is None:
             raise CliError("hitting mode needs --set")
-        sys_ = StableSystem(alphas=tuple(_parse_floats(args.stable)), d=args.dim)
-        est = hitting_frequency(sys_, _set_arg(args.set), cfg)
-        params.update({"stable": args.stable, "dim": args.dim,
-                       "set": _load_json_arg(args.set)})
+        sys_ = StableSystem(alphas=tuple(alphas), d=opts["dim"])
+        est = hitting_frequency(sys_, _set_arg(opts["set"]), cfg)
+        opts["set"] = _load_json_arg(opts["set"])
         body = {"hit_frequency": est.to_json()}
     elif args.mode == "intersection":
-        alphas = _parse_floats(args.stable)
         if len(alphas) != 2:
             raise CliError("intersection mode needs --stable alpha1,alpha2")
-        est = intersection_frequency(alphas[0], alphas[1], args.dim, cfg)
-        params.update({"stable": args.stable, "dim": args.dim})
+        est = intersection_frequency(alphas[0], alphas[1], opts["dim"], cfg)
         body = {"intersection_frequency": est.to_json()}
     elif args.mode == "boxdim":
-        alphas = _parse_floats(args.stable)
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-        path = sample_isotropic_stable_path(alphas[0], args.dim,
+        path = sample_isotropic_stable_path(alphas[0], opts["dim"],
                                             cfg.time_horizon, cfg.n_steps, rng)
         dim_est = box_dimension_estimate(path, cfg.box_scales)
-        params.update({"stable": args.stable, "dim": args.dim})
         body = {"box_dimension": dim_est, "scales": list(cfg.box_scales)}
-    elif args.mode == "sojourn":
-        alphas = _parse_floats(args.stable)
-        f = GaussianDensitySpec(sigma=args.sigma, mass=args.mass)
-        first, second = sojourn_mc(alphas[0], f, cfg, half_width=args.half_width)
+    else:
+        f = GaussianDensitySpec(sigma=opts["sigma"], mass=opts["mass"])
+        first, second = sojourn_mc(alphas[0], f, cfg, half_width=opts["half_width"])
         psi = ExponentVector((IsotropicStable(alpha=alphas[0], dim=1),))
         predicted = sojourn_second_moment(psi, f.fourier)
-        params.update({"stable": args.stable, "sigma": args.sigma,
-                       "mass": args.mass, "half_width": args.half_width})
         body = {"first_moment": first.to_json(),
                 "second_moment": second.to_json(),
                 "predicted_first_moment": f.mass,
                 "predicted_second_moment": predicted}
-    else:
-        raise CliError(f"unknown simulate mode {args.mode!r}")
+    params = {"mode": args.mode, "stable": args.stable, "seed": cfg.seed, **opts}
     return {"command": "simulate", **body, "seed": cfg.seed, "params": params}, None
 
 
@@ -440,19 +449,19 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimates")
-    p.add_argument("--mode", required=True,
-                   choices=["hitting", "intersection", "boxdim", "sojourn"])
+    p.add_argument("--mode", required=True, choices=list(_SIMULATE_FLAGS))
     p.add_argument("--stable", required=True)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--set", default=None)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--time-horizon", type=float, default=1.0)
-    p.add_argument("--n-steps", type=int, default=200)
-    p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--half-width", type=float, default=10.0)
+    # defaults per mode in _SIMULATE_FLAGS; None marks a flag not given
+    p.add_argument("--dim", type=int)
+    p.add_argument("--set")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--time-horizon", type=float)
+    p.add_argument("--n-steps", type=int)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--mass", type=float)
+    p.add_argument("--half-width", type=float)
     common(p)
 
     p = sub.add_parser("run", help="replay a saved JSON job config")

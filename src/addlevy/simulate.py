@@ -4,10 +4,18 @@ box-counting dimension, and sojourn-moment estimators.
 One-dimensional stable variates come from the Chambers-Mallows-Stuck
 transform; isotropic stable vectors in d >= 2 from Brownian subordination
 by a positive (alpha/2)-stable variate.  Both are exact in distribution, so
-the only discretization is the time grid.  All estimators are deterministic
-functions of (config, seed): each trial draws from its own stream, spawned
-from the master seed, so the size of the blocks in which trials are sampled
-and tested cannot change results.
+the only discretization is the time grid.
+
+All estimators are deterministic functions of (config, seed).  Each
+estimator seeds one generator, and every trial reads the same fixed number
+K of uniforms, which depends only on the stable indices, d and the number of
+steps (plus one for a sojourn's start point): trial i reads uniforms
+[iK, (i+1)K) of the stream.  A block of trials is one `rng.random((count,
+K))` call, consumed row by row, so the block size cannot change a result.
+The uniforms become variates by exact transforms: v = pi (u - 1/2) and
+w = -log1p(-u) for the CMS pair, Box-Muller for normals, and
+tan(pi (u - 1/2)) for the d = 1 Cauchy step.  In d = 1 nearest distances
+come from one sort per row, with no KD-tree.
 """
 
 from __future__ import annotations
@@ -78,13 +86,16 @@ def _block_trials(n_paths: int, n_steps: int, d: int) -> int:
     return max(1, _BLOCK_VALUES // max(1, n_paths * n_steps * d))
 
 
-def _blocks(seed: int, trials: int, n_paths: int, n_steps: int, d: int):
-    """Yield (first trial, generators) per block of trials; trial i always
-    draws from the i-th stream spawned from seed."""
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trials)]
-    size = _block_trials(n_paths, n_steps, d)
-    for start in range(0, trials, size):
-        yield start, rngs[start:start + size]
+def _blocks(cfg: MCConfig, alphas, d: int, extra: int = 0):
+    """Yield (first trial, uniforms) per block of trials, all from one
+    generator seeded by cfg.seed.  A trial reads K uniforms, `extra` of its
+    own and then its paths'; row r of a block is trial first + r's, the
+    stream's [(first + r) K, (first + r + 1) K)."""
+    width = extra + _trial_width(alphas, d, cfg.n_steps)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    size = _block_trials(len(alphas), cfg.n_steps, d)
+    for start in range(0, cfg.trials, size):
+        yield start, rng.random((min(size, cfg.trials - start), width))
 
 
 # ---------------------------------------------------------------------------
@@ -130,62 +141,77 @@ def sample_stable_increment(alpha: float, beta: float = 0.0, scale: float = 1.0,
     return scale * dt ** (1.0 / alpha) * _cms(alpha, beta, v, w)
 
 
-def _raw_variates(alpha: float, d: int, dt: float, n_steps: int, rng) -> tuple:
-    """The variates one path draws from rng, in order: the normal steps
-    (alpha = 2), the Cauchy steps (alpha = 1, d = 1), or the CMS pair (v, w),
-    followed in d >= 2 by the normals that the stable clock subordinates."""
+def _path_width(alpha: float, d: int, n_steps: int) -> int:
+    """Uniforms one path reads: a CMS pair (v, w) per step, or one per d = 1
+    Cauchy step, and in d >= 2 or for alpha = 2 the Box-Muller pairs of its
+    n_steps * d normals."""
+    normals = 2 * -(-n_steps * d // 2)
     if alpha == 2.0:
-        return (rng.normal(0.0, math.sqrt(2.0 * dt), size=(n_steps, d)),)
-    if d == 1 and alpha == 1.0:
-        return (rng.standard_cauchy(size=(n_steps, 1)),)
-    shape = (n_steps, 1) if d == 1 else n_steps
-    v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=shape)
-    w = rng.exponential(1.0, size=shape)
+        return normals
     if d == 1:
-        return v, w
-    return v, w, rng.normal(0.0, 1.0, size=(n_steps, d))
+        return n_steps if alpha == 1.0 else 2 * n_steps
+    return 2 * n_steps + normals
 
 
-def _increments(alpha: float, d: int, dt: float, raw: tuple) -> np.ndarray:
-    """Increments of a block of paths from their stacked raw variates.
-
-    For alpha < 2 in d >= 2 the clock tau has E exp(-l tau) =
-    exp(-dt (2l)^{alpha/2}), so sqrt(tau) times a standard normal vector is
-    an isotropic alpha-stable increment.
-    """
-    if alpha == 2.0:
-        return raw[0]
-    if d == 1 and alpha == 1.0:
-        return dt * raw[0]
-    if d == 1:
-        return dt ** (1.0 / alpha) * _cms(alpha, 0.0, *raw)
-    v, w, z = raw
-    alpha_half = alpha / 2.0
-    k = 2.0 * (dt * math.cos(math.pi * alpha_half / 2.0)) ** (1.0 / alpha_half)
-    tau = k * _cms(alpha_half, 1.0, v, w)
-    return z * np.sqrt(tau)[..., None]
-
-
-def _sample_paths(alphas, d: int, T: float, n_steps: int, rngs) -> list:
-    """Independent isotropic stable paths from 0, one per alpha, for a block
-    of trials: arrays of shape (len(rngs), n_steps + 1, d).
-
-    Trial t draws its variates from rngs[t] path by path, in the order of
-    alphas; the stable transforms and cumulative sums run once per block.
-    """
+def _trial_width(alphas, d: int, n_steps: int) -> int:
+    """Uniforms the paths of one trial read, one path per alpha."""
     for alpha in alphas:
         if not 0.0 < alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
     if d < 1 or n_steps < 1:
         raise ValueError("need d >= 1 and n_steps >= 1")
+    return sum(_path_width(alpha, d, n_steps) for alpha in alphas)
+
+
+def _normals(u: np.ndarray, count: int) -> np.ndarray:
+    """Box-Muller: the first `count` standard normals of each row of an even
+    number of uniforms, radii from the first half and angles from the second."""
+    half = u.shape[1] // 2
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, :half]))
+    angle = 2.0 * math.pi * u[:, half:]
+    return np.concatenate((radius * np.cos(angle), radius * np.sin(angle)), axis=1)[:, :count]
+
+
+def _increments(alpha: float, d: int, dt: float, n_steps: int, u: np.ndarray) -> np.ndarray:
+    """Increments (rows, n_steps, d) of one path per row of uniforms.
+
+    For alpha < 2 in d >= 2 the clock tau has E exp(-l tau) =
+    exp(-dt (2l)^{alpha/2}), so sqrt(tau) times a standard normal vector is
+    an isotropic alpha-stable increment.
+    """
+    rows = u.shape[0]
+    if alpha == 2.0:
+        return math.sqrt(2.0 * dt) * _normals(u, n_steps * d).reshape(rows, n_steps, d)
+    if d == 1 and alpha == 1.0:
+        return (dt * np.tan(math.pi * (u - 0.5)))[..., None]
+    v = math.pi * (u[:, :n_steps] - 0.5)
+    w = -np.log1p(-u[:, n_steps:2 * n_steps])
+    if d == 1:
+        return (dt ** (1.0 / alpha) * _cms(alpha, 0.0, v, w))[..., None]
+    alpha_half = alpha / 2.0
+    k = 2.0 * (dt * math.cos(math.pi * alpha_half / 2.0)) ** (1.0 / alpha_half)
+    tau = k * _cms(alpha_half, 1.0, v, w)
+    z = _normals(u[:, 2 * n_steps:], n_steps * d).reshape(rows, n_steps, d)
+    return z * np.sqrt(tau)[..., None]
+
+
+def _sample_paths(alphas, d: int, T: float, n_steps: int, u: np.ndarray) -> list:
+    """Independent isotropic stable paths from 0, one per alpha, for a block
+    of trials: arrays of shape (len(u), n_steps + 1, d).
+
+    Row t of u holds trial t's uniforms, read path by path in the order of
+    alphas; the transforms and cumulative sums run once per block.
+    """
     dt = T / n_steps
-    draws = [[_raw_variates(a, d, dt, n_steps, rng) for a in alphas] for rng in rngs]
     paths = []
-    for j, alpha in enumerate(alphas):
-        raw = tuple(np.stack(parts) for parts in zip(*(trial[j] for trial in draws)))
-        path = np.zeros((len(rngs), n_steps + 1, d))
-        path[:, 1:] = np.cumsum(_increments(alpha, d, dt, raw), axis=1)
+    offset = 0
+    for alpha in alphas:
+        width = _path_width(alpha, d, n_steps)
+        path = np.zeros((u.shape[0], n_steps + 1, d))
+        path[:, 1:] = np.cumsum(_increments(alpha, d, dt, n_steps, u[:, offset:offset + width]),
+                                axis=1)
         paths.append(path)
+        offset += width
     return paths
 
 
@@ -199,7 +225,8 @@ def sample_isotropic_stable_path(alpha: float, d: int, T: float, n_steps: int,
     """
     if rng is None:
         rng = np.random.default_rng()
-    return _sample_paths((alpha,), d, T, n_steps, [rng])[0][0]
+    u = rng.random((1, _trial_width((alpha,), d, n_steps)))
+    return _sample_paths((alpha,), d, T, n_steps, u)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +242,41 @@ def _check_budget(query_points: int) -> None:
                           f"exceed the budget of {_QUERY_BUDGET:,}")
 
 
+def _min_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise min ||a_i - b_j|| of points a (rows, p, d) and b, either
+    per row (rows, q, d) or one (q, d) set shared by every row.
+
+    In d = 1 a sort answers it: the closest pair is adjacent in its row's
+    sorted concatenation, one value from each side.  The order of tied values
+    does not matter, since a run of ties with both sides in it has an
+    adjacent pair at distance 0.  Each gap is the float difference of the
+    pair: bitwise what a KD-tree returns, except that the tree's squared gap
+    underflows below about 1e-154.  In d >= 2, KD-trees.
+    """
+    rows, p, d = a.shape
+    if d == 1:
+        both = np.concatenate((a[..., 0], np.broadcast_to(b[..., 0], (rows, b.shape[-2]))),
+                              axis=1)
+        order = np.argsort(both, axis=1)
+        side = order >= p
+        gaps = np.where(side[:, 1:] != side[:, :-1],
+                        np.diff(np.take_along_axis(both, order, axis=1), axis=1), np.inf)
+        return np.abs(gaps.min(axis=1))  # -0.0 - 0.0 is the only negative gap
+    from scipy.spatial import cKDTree  # here, not at import: most subcommands build no tree
+
+    if b.ndim == 2:
+        return cKDTree(b).query(a.reshape(-1, d), k=1)[0].reshape(rows, p).min(axis=1)
+    return np.array([cKDTree(bi).query(ai, k=1)[0].min() for ai, bi in zip(a, b)])
+
+
 def hitting_frequency(sys: StableSystem, target: SetDiscretization,
                       cfg: MCConfig) -> MCEstimate:
     """Fraction of trials where the additive field enters the epsilon
     neighborhood of the target cloud over the [0, T]^N time grid.
 
     For N = 2 the n^2 field values X1(i) + X2(j) are never formed: since
-    |X1(i) + X2(j) - y| = |X2(j) - (y - X1(i))|, a tree on X2's n points
-    answers the m n queries y_k - X1(i), for m target atoms.
+    |X1(i) + X2(j) - y| = |X2(j) - (y - X1(i))|, X2's n points are matched
+    against the m n points y_k - X1(i), for m target atoms.
     """
     if sys.n > 2:
         raise ValueError("time grids beyond N=2 are out of scope in v1")
@@ -230,23 +284,18 @@ def hitting_frequency(sys: StableSystem, target: SetDiscretization,
     if target_pts.shape[1] != sys.d:
         raise ValueError(f"target points lie in R^{target_pts.shape[1]}, "
                          f"the field in R^{sys.d}")
-    n = cfg.n_steps
-    _check_budget(cfg.trials * n * (target_pts.shape[0] if sys.n == 2 else 1))
-    from scipy.spatial import cKDTree  # here, not at import: most subcommands build no tree
-
-    tree = cKDTree(target_pts)
+    _check_budget(cfg.trials * cfg.n_steps * (target_pts.shape[0] if sys.n == 2 else 1))
     hits = np.empty(cfg.trials)
-    for start, rngs in _blocks(cfg.seed, cfg.trials, sys.n, n, sys.d):
+    for start, u in _blocks(cfg, sys.alphas, sys.d):
         paths = [p[:, 1:] for p in _sample_paths(sys.alphas, sys.d, cfg.time_horizon,
-                                                 n, rngs)]
+                                                 cfg.n_steps, u)]
         if sys.n == 1:
-            dist = tree.query(paths[0].reshape(-1, sys.d), k=1)[0]
-            dmin = dist.reshape(len(rngs), n).min(axis=1)
+            dmin = _min_distance(paths[0], target_pts)
         else:
-            dmin = [cKDTree(x2).query((target_pts[:, None, :] - x1).reshape(-1, sys.d),
-                                      k=1)[0].min()
-                    for x1, x2 in zip(*paths)]
-        hits[start:start + len(rngs)] = np.less(dmin, cfg.epsilon)
+            x1, x2 = paths
+            shifted = target_pts[:, None, :] - x1[:, None, :, :]
+            dmin = _min_distance(shifted.reshape(len(u), -1, sys.d), x2)
+        hits[start:start + len(u)] = np.less(dmin, cfg.epsilon)
     return _estimate(hits)
 
 
@@ -254,13 +303,10 @@ def intersection_frequency(alpha1: float, alpha2: float, d: int,
                            cfg: MCConfig) -> MCEstimate:
     """Fraction of trials where two independent paths pass within epsilon."""
     _check_budget(cfg.trials * cfg.n_steps)
-    from scipy.spatial import cKDTree
-
     hits = np.empty(cfg.trials)
-    for start, rngs in _blocks(cfg.seed, cfg.trials, 2, cfg.n_steps, d):
-        p1, p2 = _sample_paths((alpha1, alpha2), d, cfg.time_horizon, cfg.n_steps, rngs)
-        dmin = [cKDTree(x1[1:]).query(x2[1:], k=1)[0].min() for x1, x2 in zip(p1, p2)]
-        hits[start:start + len(rngs)] = np.less(dmin, cfg.epsilon)
+    for start, u in _blocks(cfg, (alpha1, alpha2), d):
+        p1, p2 = _sample_paths((alpha1, alpha2), d, cfg.time_horizon, cfg.n_steps, u)
+        hits[start:start + len(u)] = np.less(_min_distance(p1[:, 1:], p2[:, 1:]), cfg.epsilon)
     return _estimate(hits)
 
 
@@ -337,11 +383,11 @@ def sojourn_mc(alpha: float, f: GaussianDensitySpec, cfg: MCConfig,
     wts[-1] *= 0.5
     first = np.empty(cfg.trials)
     second = np.empty(cfg.trials)
-    for start, rngs in _blocks(cfg.seed, cfg.trials, 2, n, 1):
-        x0 = np.array([rng.uniform(-half_width, half_width) for rng in rngs])[:, None]
-        pos, neg = _sample_paths((alpha, alpha), 1, time_span, n, rngs)
+    for start, u in _blocks(cfg, (alpha, alpha), 1, extra=1):
+        x0 = -half_width + 2.0 * half_width * u[:, :1]
+        pos, neg = _sample_paths((alpha, alpha), 1, time_span, n, u[:, 1:])
         sf = 0.5 * (np.sum(f(x0 + pos[:, :, 0]) * wts, axis=1)
                     + np.sum(f(x0 - neg[:, :, 0]) * wts, axis=1))
-        first[start:start + len(rngs)] = 2.0 * half_width * sf
-        second[start:start + len(rngs)] = 2.0 * half_width * sf * sf
+        first[start:start + len(u)] = 2.0 * half_width * sf
+        second[start:start + len(u)] = 2.0 * half_width * sf * sf
     return _estimate(first), _estimate(second)

@@ -241,6 +241,40 @@ class TestSimulateAndRun:
         assert out.read_text() == first_file
         assert json.loads(first_file) == json.loads(first_stdout)
 
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "hitting", "--stable", "1.5,1.2", "--set",
+         '{"kind":"TwoPoint","separation":2.0,"d":1}', "--trials", "120", "--n-steps", "40",
+         "--time-horizon", "0.5", "--epsilon", "0.2", "--seed", "3"],
+        ["--mode", "intersection", "--stable", "1.5,1.5", "--dim", "2", "--trials", "100",
+         "--n-steps", "30", "--seed", "4"],
+        ["--mode", "boxdim", "--stable", "0.7", "--n-steps", "1500", "--time-horizon", "2.0",
+         "--seed", "5"],
+        ["--mode", "sojourn", "--stable", "1.5", "--trials", "100", "--n-steps", "40",
+         "--sigma", "0.8", "--mass", "1.5", "--half-width", "8.0", "--seed", "6"],
+    ])
+    def test_every_mode_replays_from_its_report(self, argv, capsys, tmp_path):
+        # a report names only the flags its mode reads, so replaying its
+        # {command, params, seed} runs the same job
+        assert main(["simulate", *argv], _exit=False) == 0
+        first = capsys.readouterr().out
+        report = json.loads(first)
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({k: report[k] for k in ("command", "params", "seed")}))
+        assert main(["run", "--config", str(cfg)], _exit=False) == 0
+        assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("mode, flag", [
+        ("sojourn", ["--time-horizon", "3.0"]), ("sojourn", ["--dim", "1"]),
+        ("sojourn", ["--epsilon", "0.2"]), ("boxdim", ["--trials", "5"]),
+        ("boxdim", ["--epsilon", "0.2"]), ("intersection", ["--sigma", "2.0"]),
+        ("hitting", ["--half-width", "4.0"]), ("intersection", ["--set", CUBE_64]),
+    ])
+    def test_flag_the_mode_ignores_is_refused(self, mode, flag, capsys):
+        code, rep = run_cli(["simulate", "--mode", mode, "--stable", "1.5,1.5", *flag], capsys)
+        assert code == 1
+        assert rep == {"error": f"simulate --mode {mode} does not use {flag[0]}",
+                       "kind": "invalid-input"}
+
     def test_run_rejects_unknown_keys(self, capsys, tmp_path):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps({"command": "classify", "params": {},

@@ -24,38 +24,75 @@ from addlevy.measures import discretize, two_point
 
 
 # ---------------------------------------------------------------------------
-# references: one path and one trial at a time, as the estimators once ran
+# references: one path and one trial at a time, each trial reading its K
+# uniforms from one generator with rng.random(K)
 # ---------------------------------------------------------------------------
 
-def trial_rngs(seed, trials):
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trials)]
-
-
-def reference_path(alpha, d, T, n_steps, rng):
-    """Per-path sampler: draws and transforms one path per call."""
-    dt = T / n_steps
+def reference_width(alpha, d, n_steps):
+    """Uniforms of one path: normals come in Box-Muller pairs, a CMS step
+    takes a pair (v, w), a d = 1 Cauchy step one uniform."""
+    normal_pairs = (n_steps * d + 1) // 2
     if alpha == 2.0:
-        steps = rng.normal(0.0, math.sqrt(2.0 * dt), size=(n_steps, d))
-    elif d == 1:
-        steps = sample_stable_increment(alpha, 0.0, 1.0, dt, rng, size=(n_steps, 1))
+        return 2 * normal_pairs
+    if d == 1:
+        return n_steps if alpha == 1.0 else 2 * n_steps
+    return 2 * n_steps + 2 * normal_pairs
+
+
+def trial_uniforms(seed, trials, width):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return [rng.random(width) for _ in range(trials)]
+
+
+def reference_path(alpha, d, T, n_steps, u):
+    """Per-path sampler: transforms one path's uniforms u (1-D)."""
+    dt = T / n_steps
+
+    def normals(uu):
+        half = uu.size // 2
+        radius = np.sqrt(-2.0 * np.log1p(-uu[:half]))
+        angle = 2.0 * math.pi * uu[half:]
+        z = np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))
+        return z[:n_steps * d].reshape(n_steps, d)
+
+    if alpha == 2.0:
+        steps = math.sqrt(2.0 * dt) * normals(u)
+    elif d == 1 and alpha == 1.0:
+        steps = (dt * np.tan(math.pi * (u - 0.5)))[:, None]
     else:
-        alpha_half = alpha / 2.0
-        s = sample_stable_increment(alpha_half, beta=1.0, scale=1.0, dt=1.0, rng=rng,
-                                    size=n_steps)
-        tau = 2.0 * (dt * math.cos(math.pi * alpha_half / 2.0)) ** (1.0 / alpha_half) * s
-        steps = rng.normal(0.0, 1.0, size=(n_steps, d)) * np.sqrt(tau)[:, None]
+        v = math.pi * (u[:n_steps] - 0.5)
+        w = -np.log1p(-u[n_steps:2 * n_steps])
+        if d == 1:
+            steps = (dt ** (1.0 / alpha) * simulate._cms(alpha, 0.0, v, w))[:, None]
+        else:
+            alpha_half = alpha / 2.0
+            tau = (2.0 * (dt * math.cos(math.pi * alpha_half / 2.0)) ** (1.0 / alpha_half)
+                   * simulate._cms(alpha_half, 1.0, v, w))
+            steps = normals(u[2 * n_steps:]) * np.sqrt(tau)[:, None]
     path = np.zeros((n_steps + 1, d))
     path[1:] = np.cumsum(steps, axis=0)
     return path
 
 
+def reference_paths(alphas, d, T, n_steps, u):
+    """The paths of one trial, read from its uniforms in the order of alphas."""
+    paths, offset = [], 0
+    for a in alphas:
+        width = reference_width(a, d, n_steps)
+        paths.append(reference_path(a, d, T, n_steps, u[offset:offset + width]))
+        offset += width
+    assert offset == u.size
+    return paths
+
+
 def reference_hitting(sys_, target, cfg):
     """All n^N field values of each trial against a tree on the target."""
     tree = cKDTree(discretize(target).points)
+    width = sum(reference_width(a, sys_.d, cfg.n_steps) for a in sys_.alphas)
     hits = np.empty(cfg.trials)
-    for i, rng in enumerate(trial_rngs(cfg.seed, cfg.trials)):
-        paths = [reference_path(a, sys_.d, cfg.time_horizon, cfg.n_steps, rng)[1:]
-                 for a in sys_.alphas]
+    for i, u in enumerate(trial_uniforms(cfg.seed, cfg.trials, width)):
+        paths = [p[1:] for p in reference_paths(sys_.alphas, sys_.d, cfg.time_horizon,
+                                                cfg.n_steps, u)]
         if sys_.n == 1:
             pts = paths[0]
         else:
@@ -65,11 +102,11 @@ def reference_hitting(sys_, target, cfg):
 
 
 def reference_intersection(alpha1, alpha2, d, cfg):
+    width = reference_width(alpha1, d, cfg.n_steps) + reference_width(alpha2, d, cfg.n_steps)
     hits = np.empty(cfg.trials)
-    for i, rng in enumerate(trial_rngs(cfg.seed, cfg.trials)):
-        p1 = reference_path(alpha1, d, cfg.time_horizon, cfg.n_steps, rng)[1:]
-        p2 = reference_path(alpha2, d, cfg.time_horizon, cfg.n_steps, rng)[1:]
-        hits[i] = 1.0 if cKDTree(p1).query(p2, k=1)[0].min() < cfg.epsilon else 0.0
+    for i, u in enumerate(trial_uniforms(cfg.seed, cfg.trials, width)):
+        p1, p2 = reference_paths((alpha1, alpha2), d, cfg.time_horizon, cfg.n_steps, u)
+        hits[i] = 1.0 if cKDTree(p1[1:]).query(p2[1:], k=1)[0].min() < cfg.epsilon else 0.0
     return simulate._estimate(hits)
 
 
@@ -81,11 +118,12 @@ def reference_sojourn(alpha, f, cfg, half_width=10.0, time_span=10.0):
     wts[-1] *= 0.5
     first = np.empty(cfg.trials)
     second = np.empty(cfg.trials)
-    for i, rng in enumerate(trial_rngs(cfg.seed, cfg.trials)):
-        x0 = rng.uniform(-half_width, half_width)
-        pos_path = reference_path(alpha, 1, time_span, n, rng)[:, 0]
-        neg_path = -reference_path(alpha, 1, time_span, n, rng)[:, 0]
-        sf = 0.5 * (np.sum(f(x0 + pos_path) * wts) + np.sum(f(x0 + neg_path) * wts))
+    width = 1 + 2 * reference_width(alpha, 1, n)
+    for i, u in enumerate(trial_uniforms(cfg.seed, cfg.trials, width)):
+        x0 = -half_width + 2.0 * half_width * u[0]
+        pos_path, neg_path = (p[:, 0] for p in reference_paths((alpha, alpha), 1, time_span,
+                                                                n, u[1:]))
+        sf = 0.5 * (np.sum(f(x0 + pos_path) * wts) + np.sum(f(x0 - neg_path) * wts))
         first[i] = 2.0 * half_width * sf
         second[i] = 2.0 * half_width * sf * sf
     return simulate._estimate(first), simulate._estimate(second)
@@ -258,20 +296,135 @@ class TestBlockSampler:
            n_steps=st.integers(1, 60), trials=st.integers(1, 12),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_block_paths_equal_per_path_sampler(self, alphas, d, n_steps, trials, seed):
-        # [DERIVED] same streams, same draws in the same order: the block's
-        # paths are bitwise those of one path at a time
-        paths = simulate._sample_paths(alphas, d, 1.3, n_steps, trial_rngs(seed, trials))
-        rngs = trial_rngs(seed, trials)
+        # [DERIVED] same uniforms, same transforms: the block's paths are
+        # bitwise those of one path at a time
+        width = sum(reference_width(a, d, n_steps) for a in alphas)
+        assert simulate._trial_width(alphas, d, n_steps) == width
+        u = trial_uniforms(seed, trials, width)
+        paths = simulate._sample_paths(alphas, d, 1.3, n_steps, np.stack(u))
         for t in range(trials):
-            for a, block in zip(alphas, paths):
-                assert block[t].tobytes() == reference_path(a, d, 1.3, n_steps, rngs[t]).tobytes()
+            refs = reference_paths(alphas, d, 1.3, n_steps, u[t])
+            for block, ref in zip(paths, refs):
+                assert block[t].tobytes() == ref.tobytes()
 
     def test_single_path_is_the_one_generator_block(self):
         # [TRIVIAL]
         for alpha, d in ((0.7, 1), (1.0, 1), (1.0, 2), (2.0, 3)):
-            path = sample_isotropic_stable_path(alpha, d, 1.0, 500, np.random.default_rng(4))
-            ref = reference_path(alpha, d, 1.0, 500, np.random.default_rng(4))
-            assert path.tobytes() == ref.tobytes()
+            path = sample_isotropic_stable_path(alpha, d, 1.0, 501, np.random.default_rng(4))
+            u = np.random.default_rng(4).random(reference_width(alpha, d, 501))
+            assert path.tobytes() == reference_path(alpha, d, 1.0, 501, u).tobytes()
+
+
+class TestUniformTransforms:
+    # [DERIVED] the paths no longer reuse numpy's own variates, so the laws
+    # of the transformed uniforms are checked directly
+
+    def test_box_muller_normals_with_odd_count(self):
+        # 3 x 10001 normals: the last Box-Muller pair gives only its cosine
+        n_steps, d = 10_001, 3
+        path = sample_isotropic_stable_path(2.0, d, float(n_steps), n_steps,
+                                            np.random.default_rng(30))
+        z = np.diff(path, axis=0).ravel() / math.sqrt(2.0)
+        assert z.size == n_steps * d and z.size % 2 == 1
+        assert stats.kstest(z, "norm").pvalue > 0.01
+
+    def test_cms_pair_laws(self, monkeypatch):
+        # v uniform on (-pi/2, pi/2) and w standard exponential, as the
+        # sampler hands them to the CMS transform
+        seen = []
+        cms = simulate._cms
+
+        def recording(alpha, beta, v, w):
+            seen.append((v.copy(), w.copy()))
+            return cms(alpha, beta, v, w)
+
+        monkeypatch.setattr(simulate, "_cms", recording)
+        sample_isotropic_stable_path(1.5, 1, 1.0, 50_000, np.random.default_rng(31))
+        ((v, w),) = seen
+        assert stats.kstest(w.ravel(), "expon").pvalue > 0.01
+        assert stats.kstest(v.ravel(), "uniform", args=(-math.pi / 2, math.pi)).pvalue > 0.01
+
+    @pytest.mark.parametrize("d", (1, 2))
+    @pytest.mark.parametrize("alpha", (0.7, 1.0, 1.5, 2.0))
+    def test_increment_characteristic_function(self, alpha, d):
+        # E exp(i xi . X(dt)) = exp(-dt ||xi||^alpha) for one long path
+        n_steps, dt = 200_000, 0.5
+        path = sample_isotropic_stable_path(alpha, d, dt * n_steps, n_steps,
+                                            np.random.default_rng(32))
+        steps = np.diff(path, axis=0)
+        for xi in (np.array([0.5, -1.0]), np.array([1.0, 0.0]), np.array([1.2, 0.9])):
+            xi = xi[:d]
+            emp = np.mean(np.exp(1j * (steps @ xi)))
+            expected = math.exp(-dt * np.linalg.norm(xi) ** alpha)
+            assert abs(emp.real - expected) < 0.01, (alpha, d, xi)
+            assert abs(emp.imag) < 0.01, (alpha, d, xi)
+
+
+ROWS = st.shared(st.integers(1, 4), key="rows")
+# a tree squares each gap, so gaps below 1e-154 would underflow there
+GAP_VALUES = st.one_of(st.integers(-6, 6).map(lambda k: 0.25 * k),
+                       st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) > 1e-100))
+
+
+def gap_rows(width):
+    return ROWS.flatmap(lambda rows: st.lists(
+        st.lists(GAP_VALUES, min_size=width, max_size=width), min_size=rows, max_size=rows))
+
+
+class TestNearestDistance:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), p=st.integers(1, 30), q=st.integers(1, 30), shared=st.booleans())
+    def test_d1_equals_kd_tree_bitwise(self, data, p, q, shared):
+        # [DERIVED] ties, repeated values and one-point targets included
+        a = np.array(data.draw(gap_rows(p)))
+        b = np.array(data.draw(gap_rows(q)))
+        if shared:
+            b = b[0][:, None]
+            got = simulate._min_distance(a[..., None], b)
+            want = [cKDTree(b).query(row[:, None], k=1)[0].min() for row in a]
+        else:
+            got = simulate._min_distance(a[..., None], b[..., None])
+            want = [cKDTree(brow[:, None]).query(arow[:, None], k=1)[0].min()
+                    for arow, brow in zip(a, b)]
+        assert np.array(want).tobytes() == got.tobytes()
+
+    def test_d1_estimators_build_no_tree(self, monkeypatch):
+        import scipy.spatial
+
+        class NoTree:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("built a KD-tree")
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", NoTree)
+        cfg = MCConfig(trials=100, n_steps=50, epsilon=0.1, seed=3)
+        for alphas in ((1.5,), (1.5, 1.2)):
+            hitting_frequency(StableSystem(alphas=alphas, d=1), two_point(1.0), cfg)
+        intersection_frequency(1.5, 1.2, 1, cfg)
+        with pytest.raises(AssertionError, match="KD-tree"):
+            intersection_frequency(1.5, 1.2, 2, cfg)
+
+
+class TestOneGenerator:
+    def test_each_estimator_builds_one_generator(self, monkeypatch):
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        # 300 trials span several blocks of every estimator
+        cfg = MCConfig(trials=300, n_steps=400, epsilon=0.1, seed=4)
+        runs = (lambda: hitting_frequency(StableSystem(alphas=(1.5,), d=1), two_point(1.0), cfg),
+                lambda: hitting_frequency(StableSystem(alphas=(1.5, 1.5), d=2),
+                                          two_point(1.0, 2), cfg),
+                lambda: intersection_frequency(1.5, 1.5, 2, cfg),
+                lambda: sojourn_mc(1.5, GaussianDensitySpec(), cfg))
+        for run in runs:
+            built.clear()
+            run()
+            assert len(built) == 1
 
 
 def _steps_for_block(n_paths, d, draw_steps):
