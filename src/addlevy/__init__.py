@@ -57,7 +57,6 @@ from addlevy.classify import (
     intersection_dimension,
     intersections_exist,
     multiple_points_allowed,
-    numeric_convergence_probe,
     range_dimension,
     range_has_positive_measure,
     subordinator_meet,

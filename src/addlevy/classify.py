@@ -4,8 +4,9 @@ Stable families admit closed-form answers via tail-exponent arithmetic.
 The numeric probes decide the defining integral tests from partial
 integrals over dyadic shells and the log-log slope of their increments:
 the intersection-dimension test on the real side, through the
-one-potential densities of the stable components (d <= 3), and general
-kernel integrals on the Fourier side by a tensor rule.  Boundary
+one-potential densities of the stable components (d <= 3), and the planar
+point test from the angle average of the product kernel, taken by a 1-D
+rule in the angle graded toward the ridges of the drifts.  Boundary
 (equality) cases follow the strict inequalities of the theory: equality
 means a negative verdict, and logarithmically divergent criterion
 integrals are classified Divergent.
@@ -16,13 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from addlevy.exponents import ExponentVector, IsotropicStable
 from addlevy.kernels import _axis_points, potential_density_v
-from addlevy.quadrature import QuadratureSpec, panel_nodes, tensor_nodes
+from addlevy.quadrature import QuadratureSpec, panel_nodes
 
 # Dyadic shells [2^-k-1, 2^-k], k < _PROBE_SHELLS, of the real-side
 # dimension probe: the slope transients are series in r^(d - alpha) and
@@ -143,27 +144,8 @@ def subordinator_meet(alpha1: float, alpha2: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# numeric convergence probe
+# numeric convergence probes
 # ---------------------------------------------------------------------------
-
-def _shell_boxes(dim: int, r: float) -> list[list[tuple[float, float]]]:
-    """Exact decomposition of {r < max|x_i| <= 2r} into axis-aligned boxes."""
-    outer, inner = 2.0 * r, r
-    if dim == 1:
-        return [[(inner, outer)], [(-outer, -inner)]]
-    boxes = [[(inner, outer)] + [(-outer, outer)] * (dim - 1),
-             [(-outer, -inner)] + [(-outer, outer)] * (dim - 1)]
-    for sub in _shell_boxes(dim - 1, r):
-        boxes.append([(-inner, inner)] + sub)
-    return boxes
-
-
-def _box_integral(f, box: list[tuple[float, float]], nodes_per_axis: int) -> float:
-    n_panels = max(1, nodes_per_axis // 8)
-    pts, wts = tensor_nodes([panel_nodes(np.linspace(a, b, n_panels + 1), 8)
-                             for (a, b) in box])
-    return float(np.sum(wts * np.asarray(f(pts))))
-
 
 def _extrapolated_slope(log_radii: np.ndarray, log_inc: np.ndarray, span: int = 1) -> float:
     """Limit of the log-log slope of increments against their radii.
@@ -183,95 +165,14 @@ def _extrapolated_slope(log_radii: np.ndarray, log_inc: np.ndarray, span: int = 
     return float(c - (c - b) ** 2 / denom)
 
 
-def numeric_convergence_probe(integrand: Callable[[np.ndarray], np.ndarray],
-                              total_dim: int,
-                              radii: Optional[Sequence[float]] = None,
-                              growth_bound: float = 1e3) -> ConvergenceVerdict:
-    """Classify int over R^D of a nonnegative integrand by dyadic partial sums.
+def _shell_verdict(radii: np.ndarray, increments: np.ndarray) -> ConvergenceVerdict:
+    """Classify a sum of positive shell increments by their growth in radii.
 
-    Partial integrals I(R) are accumulated over the core box [-r0, r0]^D and
-    dyadic shells; the log-log slope of the increments decides: below -0.1
-    Convergent, above +0.1 Divergent.  Near-zero slopes follow the
-    log-divergence rule: if the increments do not decay (or the total grows
-    beyond ``growth_bound``) the verdict is Divergent, otherwise
-    Inconclusive.
+    The increments grow like radii^slope; the extrapolated log-log slope is
+    taken at two depths, the last shell and _SLOPE_SPAN shells before it,
+    and their difference is its error.  The verdict is Convergent
+    (slope < 0) or Divergent only when |slope| - error clears _SLOPE_BAND.
     """
-    if total_dim > 4:
-        raise ValueError("tensor probe supports total dimension <= 4")
-    if radii is None:
-        radii = [2.0 ** m for m in range(10 - total_dim)]
-    radii = sorted(float(r) for r in radii)
-    nodes_per_axis = {1: 128, 2: 64, 3: 24, 4: 16}[total_dim]
-    core_box = [(-radii[0], radii[0])] * total_dim
-    try:
-        total = _box_integral(integrand, core_box, nodes_per_axis)
-        increments = []
-        partials = [total]
-        for r in radii[:-1]:
-            shell = sum(_box_integral(integrand, box, nodes_per_axis)
-                        for box in _shell_boxes(total_dim, r))
-            increments.append(max(shell, 0.0))
-            total += shell
-            partials.append(total)
-    except (ValueError, FloatingPointError):
-        return ConvergenceVerdict(kind="Inconclusive", radii=tuple(radii))
-    inc = np.array(increments)
-    evidence = {"radii": tuple(radii), "partials": tuple(partials)}
-    if np.any(inc <= 0.0):
-        # increments already at roundoff: the tail is gone
-        return ConvergenceVerdict(kind="Convergent", **evidence)
-    slope = _extrapolated_slope(np.log(np.array(radii[1:])), np.log(inc))
-    if slope < -0.1:
-        return ConvergenceVerdict(kind="Convergent", slope=slope, **evidence)
-    if slope > 0.1 or partials[-1] > growth_bound or inc[-1] >= 0.999 * inc[-2]:
-        return ConvergenceVerdict(kind="Divergent", slope=slope, **evidence)
-    return ConvergenceVerdict(kind="Inconclusive", slope=slope, **evidence)
-
-
-def stable_intersection_integrand(sys: StableSystem, s: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The global Fourier integrand whose finiteness marks dimension >= s.
-
-    Over (R^d)^N:  prod_j (1 + ||xi_j||^alpha_j)^-1 / (1 + ||sum xi_j||^(d-s)).
-    The tensor probe integrates it for d >= 4, where no radial inversion of
-    the one-potential densities is available.
-    """
-    d, alphas = sys.d, sys.alphas
-
-    def f(pts: np.ndarray) -> np.ndarray:
-        out = np.ones(pts.shape[0])
-        acc = np.zeros((pts.shape[0], d))
-        for j, a in enumerate(alphas):
-            block = pts[:, j * d:(j + 1) * d]
-            out /= 1.0 + np.linalg.norm(block, axis=-1) ** a
-            acc += block
-        return out / (1.0 + np.linalg.norm(acc, axis=-1) ** (d - s))
-
-    return f
-
-
-def probe_intersection_dimension_test(sys: StableSystem, s: float) -> ConvergenceVerdict:
-    """Numeric convergence verdict of the intersection-dimension test at s.
-
-    By Parseval the Fourier test integral is finite exactly when
-    r^(d-1-s) prod_j u_j(r) is integrable at 0, with u_j the one-potential
-    density of the alpha_j-stable process.  Its integrals over the dyadic
-    shells [2^-k-1, 2^-k] grow like 2^(k (s - s*)), so the extrapolated
-    log-log slope against 2^k estimates s - s*.  The slope is extrapolated at
-    two depths, the last shell and four shells before it; their difference
-    is its error, and the verdict is Convergent (slope < 0) or Divergent only
-    when |slope| - error clears the band.  In d >= 4 the tensor probe
-    integrates the Fourier side, limited to N*d <= 4.
-    """
-    if not 0.0 <= s < sys.d:
-        raise ValueError(f"test order s must lie in [0, d), got {s}")
-    if sys.d > 3:
-        if sys.n * sys.d > 4:
-            raise ValueError("probe limited to N*d <= 4 in d >= 4; use the analytic route")
-        return numeric_convergence_probe(stable_intersection_integrand(sys, s),
-                                         total_dim=sys.n * sys.d)
-    x, w, density = sys._potential_shells
-    increments = np.sum(w * x ** (sys.d - 1 - s) * density, axis=1)
-    radii = 2.0 ** np.arange(1.0, len(increments) + 1.0)  # 1 / inner radius of each shell
     log_r, log_inc = np.log(radii), np.log(increments)
     slope = _extrapolated_slope(log_r, log_inc, _SLOPE_SPAN)
     error = abs(slope - _extrapolated_slope(log_r[:-_SLOPE_SPAN], log_inc[:-_SLOPE_SPAN],
@@ -283,6 +184,27 @@ def probe_intersection_dimension_test(sys: StableSystem, s: float) -> Convergenc
                               partials=tuple(np.cumsum(increments).tolist()))
 
 
+def probe_intersection_dimension_test(sys: StableSystem, s: float) -> ConvergenceVerdict:
+    """Numeric convergence verdict of the intersection-dimension test at s.
+
+    By Parseval the Fourier test integral is finite exactly when
+    r^(d-1-s) prod_j u_j(r) is integrable at 0, with u_j the one-potential
+    density of the alpha_j-stable process.  Its integrals over the dyadic
+    shells [2^-k-1, 2^-k] grow like 2^(k (s - s*)), so the extrapolated
+    log-log slope against 2^k estimates s - s* (see _shell_verdict).  The
+    one-potential densities are inverted only in d <= 3; in higher d the
+    analytic intersection_dimension decides.
+    """
+    if not 0.0 <= s < sys.d:
+        raise ValueError(f"test order s must lie in [0, d), got {s}")
+    if sys.d > 3:
+        raise ValueError("numeric probe needs d <= 3; use the analytic route")
+    x, w, density = sys._potential_shells
+    increments = np.sum(w * x ** (sys.d - 1 - s) * density, axis=1)
+    radii = 2.0 ** np.arange(1.0, len(increments) + 1.0)  # 1 / inner radius of each shell
+    return _shell_verdict(radii, increments)
+
+
 def probe_intersections_exist(sys: StableSystem) -> ConvergenceVerdict:
     """Existence probe: the dimension test at s just above 0.
 
@@ -290,6 +212,82 @@ def probe_intersections_exist(sys: StableSystem) -> ConvergenceVerdict:
     intersection set, i.e. the processes meet.
     """
     return probe_intersection_dimension_test(sys, 1e-3)
+
+
+def _ridge_rule(ridges: np.ndarray, width: np.ndarray):
+    """Gauss-Legendre rule on the half circle [0, pi), graded toward ridges.
+
+    ridges holds distinct sorted angles in [0, pi), width (rows,) the
+    narrowest panel width of each row.  The circle of period pi is cut
+    midway between neighbouring ridges; the arc of each ridge has panel edges
+    at its ends, at the ridge and at +-width * 2^k from it.  Node n of a row
+    lies at angle ridges[home[n]] + offsets[row, n]: offsets from the ridge
+    keep their precision however close to it.  Returns (home, offsets,
+    weights).
+    """
+    right = 0.5 * np.diff(np.append(ridges, ridges[0] + np.pi))
+    left = np.roll(right, 1)
+    levels = max(1, math.ceil(math.log2(np.pi / min(width.min(), np.pi))))
+    grid = width[:, None] * 2.0 ** np.arange(levels)
+    home, offsets, weights = [], [], []
+    for i in range(ridges.size):
+        ends = np.broadcast_to([-left[i], 0.0, right[i]], (width.size, 3))
+        edges = np.sort(np.clip(np.concatenate((-grid, ends, grid), axis=1),
+                                -left[i], right[i]), axis=1)
+        x, w = panel_nodes(edges, 16)
+        home.append(np.full(x.shape[1], i))
+        offsets.append(x)
+        weights.append(w)
+    return np.concatenate(home), np.concatenate(offsets, axis=1), np.concatenate(weights, axis=1)
+
+
+def planar_averaged_kernel(psi: ExponentVector, r: np.ndarray) -> np.ndarray:
+    """The average of K over the circle of radius r, for each r, in d = 2.
+
+    Component j, Psi_j(xi) = R_j(|xi|) - i b_j . xi, contributes
+    A_j / (A_j^2 + r^2 |b_j|^2 sin^2(theta - t_j)) at angle theta, with
+    A_j = 1 + R_j and t_j normal to b_j: a ridge of width about
+    1 / (|b_j| r).  Components without drift factor out; the ridge-graded
+    rule averages the others, with panels down to 1 / (max_j |b_j| r).
+    """
+    out = np.ones(r.size)
+    moving = []
+    for c in psi.components:
+        a = 1.0 + c.evaluate(_axis_points(r, 2)).real
+        b = -c.evaluate(np.eye(2)).imag
+        if np.any(b):
+            moving.append((a, math.hypot(*b), (math.atan2(b[1], b[0]) + 0.5 * math.pi) % math.pi))
+        else:
+            out /= a
+    if not moving:
+        return out
+    ridges = np.unique([t for _, _, t in moving])
+    home, offsets, weights = _ridge_rule(ridges, 1.0 / (max(m[1] for m in moving) * r))
+    values = np.ones_like(offsets)
+    for a, speed, t in moving:
+        delta = ridges[home] - t
+        sine = np.sin(delta) * np.cos(offsets) + np.cos(delta) * np.sin(offsets)
+        values *= a[:, None] / (a[:, None] ** 2 + (speed * r[:, None] * sine) ** 2)
+    return out * np.sum(weights * values, axis=1) / math.pi
+
+
+def probe_planar_point_test(psi: ExponentVector) -> ConvergenceVerdict:
+    """Numeric verdict on int K over the plane, from its angle average.
+
+    int K = 2 pi int_0^inf r Kbar(r) dr with Kbar = planar_averaged_kernel.
+    The integral over [0, 1] and the dyadic shells [2^k, 2^k+1], k <
+    _PROBE_SHELLS, each take an 8-node Gauss-Legendre rule in r; the
+    increments grow like 2^(k (2 - p)) when Kbar decays like r^-p, and
+    _shell_verdict classifies them against the outer radii of the shells.
+    """
+    if psi.dim != 2:
+        raise ValueError("the planar point probe needs d = 2")
+    edges = 2.0 ** np.arange(-1.0, _PROBE_SHELLS + 1.0)
+    edges[0] = 0.0
+    x, w = (a.reshape(-1, 8) for a in panel_nodes(edges, 8))
+    increments = np.array([np.sum(wk * xk * planar_averaged_kernel(psi, xk))
+                           for xk, wk in zip(x, w)])
+    return _shell_verdict(edges[1:], increments)
 
 
 def dimension_by_bisection(test: Callable[[float], ConvergenceVerdict],

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -385,6 +386,7 @@ def cmd_run(args) -> dict:
     return main(argv, _exit=False)
 
 
+@functools.cache  # parsing leaves it unchanged and every default is immutable
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="addlevy",

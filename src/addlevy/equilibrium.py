@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from addlevy.classify import numeric_convergence_probe
+from addlevy.classify import probe_planar_point_test
 from addlevy.exponents import ExponentVector
 from addlevy.kernels import Kernel, PotentialDensity, _axis_points, riesz_kernel
 from addlevy.measures import AtomicMeasure, SetDiscretization, cell_width, discretize
@@ -27,7 +27,7 @@ from addlevy.quadrature import halfline_edges, integrate_panels
 
 
 class InconclusiveError(RuntimeError):
-    """A numeric convergence probe could not classify the integral."""
+    """The point test could not decide whether the kernel integral is finite."""
 
 
 @dataclass(frozen=True)
@@ -96,12 +96,13 @@ def assemble_matrix(gauge: Union[Kernel, ExponentVector, PotentialDensity],
         gauge = gauge.as_kernel()
     mu = discretize(disc)
     h = cell_width(disc)
-    diffs = mu.points[:, None, :] - mu.points[None, :, :]
-    vals = gauge.eval(diffs)
+    vals = gauge.eval(mu.points[:, None, :] - mu.points[None, :, :])
     np.fill_diagonal(vals, _cell_average(gauge, h))
-    # x_j - x_i is exactly -(x_i - x_j), so the transpose holds the gauge at -diffs
-    vals = 0.5 * (vals + vals.T)
-    return EnergyMatrix(entries=vals, source=gauge.meta.get("name", repr(gauge.meta)))
+    # x_j - x_i is exactly -(x_i - x_j), so the transpose holds the gauge at
+    # the negated differences; halving in place keeps two n x n arrays alive
+    entries = vals + vals.T
+    entries *= 0.5
+    return EnergyMatrix(entries=entries, source=gauge.meta.get("name", repr(gauge.meta)))
 
 
 def _step_length(slope: float, curv: float, gamma_max: float) -> float:
@@ -263,22 +264,34 @@ def bessel_riesz_capacity(disc: SetDiscretization, s: float, tol: float = 1e-8,
 def point_capacity_test(psi: ExponentVector) -> bool:
     """True iff the additive field hits points: the product kernel is integrable.
 
-    The only probability measure on a singleton is the point mass, whose
-    energy is the full integral of the kernel; positivity of the singleton
-    capacity is exactly its finiteness.  Stable-type families are decided by
-    the analytic tail rule; otherwise a numeric convergence probe runs and
-    an unclassifiable probe raises InconclusiveError.
+    The point mass is the only probability measure on a singleton, and its
+    energy is the integral of K, which depends only on the average Kbar(r) of
+    K over spheres: points are hit iff Kbar decays faster than r^-d
+    (equality is the log-divergent boundary).  A rotation-invariant K decays
+    by its analytic tail exponent.  In d >= 2, Psi_j = R_j(|xi|) - i b_j.xi;
+    a component without drift is the factor 1 / (1 + R_j), of decay g_j, the
+    growth of R_j (0 when R_j = 0).  One drifting component averages to
+    (A^2 + B^2)^-1/2 in d = 2 and arctan(B/A) / B in d = 3 (A = 1 + R,
+    B = |b| r), a decay of max(g, 1) in any d >= 2, and the decays add.  Two
+    or more drifting components are probed numerically in d = 2 and raise
+    InconclusiveError in d >= 3, or when the probe cannot classify.
     """
     decay = psi.kernel_decay_exponent()
     d = psi.dim
     if decay is not None:
-        return decay > d  # equality is the log-divergent boundary: not integrable
-    if d > 4:
-        raise InconclusiveError("no analytic tail rule and dimension too high to probe")
-    verdict = numeric_convergence_probe(
-        lambda pts: psi.kernel_values(pts), total_dim=d)
-    if verdict.kind == "Convergent":
-        return True
-    if verdict.kind == "Divergent":
-        return False
-    raise InconclusiveError("numeric probe could not classify the kernel integral")
+        return decay > d
+    moving, decay = [], 0.0
+    for c in psi.components:
+        if np.any(c.evaluate(np.eye(d)).imag):  # Im Psi_j(e_i) = -b_ji
+            moving.append(c)
+        else:
+            decay += max(0.0, c._real_growth())
+    if len(moving) <= 1:
+        return decay + sum(max(c._real_growth(), 1.0) for c in moving) > d
+    if d > 2:
+        raise InconclusiveError(f"no point test for {len(moving)} drifting components in "
+                                f"d = {d}: the angle average is computed only in d = 2")
+    verdict = probe_planar_point_test(psi)
+    if verdict.kind == "Inconclusive":
+        raise InconclusiveError("numeric probe could not classify the kernel integral")
+    return verdict.kind == "Convergent"

@@ -69,6 +69,10 @@ class LevyExponent:
         """
         raise NotImplementedError
 
+    def _real_growth(self) -> float:
+        """Growth exponent of Re Psi at infinity; -inf where Re Psi is 0."""
+        return self._growth()[0]
+
     def kernel_decay_exponent(self) -> Optional[float]:
         """Decay exponent p with Re(1/(1+Psi(xi))) ~ |xi|^-p at infinity.
 
@@ -195,7 +199,10 @@ class PureDrift(LevyExponent):
     def _growth(self):
         if self.dim > 1:
             return None  # decay is direction dependent, no radial rule
-        return (-math.inf, 1.0)
+        return (-math.inf, 1.0 if any(self.b) else -math.inf)
+
+    def _real_growth(self):
+        return -math.inf
 
     def to_json(self):
         return {"family": "PureDrift", "dim": self.dim, "params": {"b": list(self.b)}}
@@ -226,6 +233,9 @@ class SumOf(LevyExponent):
         if any(g is None for g in gs):
             return None
         return (max(g[0] for g in gs), max(g[1] for g in gs))
+
+    def _real_growth(self):
+        return max(c._real_growth() for c in self.components)
 
     def to_json(self):
         return {"family": "SumOf", "dim": self.dim,

@@ -8,8 +8,6 @@ inside the set.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,21 +66,6 @@ class AtomicMeasure:
     def translated(self, shift) -> "AtomicMeasure":
         shift = np.atleast_1d(np.asarray(shift, dtype=float))
         return AtomicMeasure(self.points + shift, self.weights)
-
-    def to_csv(self) -> str:
-        """Columns x_1..x_d, w."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow([f"x_{i + 1}" for i in range(self.dim)] + ["w"])
-        for p, w in zip(self.points, self.weights):
-            writer.writerow([repr(v) for v in p] + [repr(w)])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "AtomicMeasure":
-        rows = list(csv.reader(io.StringIO(text)))
-        data = np.array([[float(v) for v in row] for row in rows[1:]])
-        return cls(points=data[:, :-1], weights=data[:, -1])
 
 
 def delta(x) -> AtomicMeasure:

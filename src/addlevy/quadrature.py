@@ -46,25 +46,18 @@ def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def panel_nodes(edges: np.ndarray, n_nodes: int = 12) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on each panel [edges[i], edges[i+1]]."""
-    x, w = _gauss_legendre(n_nodes)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mids[:, None] + half[:, None] * x[None, :]
-    weights = half[:, None] * w[None, :]
-    return nodes.ravel(), weights.ravel()
+    """Gauss-Legendre nodes/weights on each panel [edges[i], edges[i+1]].
 
-
-def tensor_nodes(rules) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor product of 1-D (nodes, weights) rules, one rule per axis.
-
-    Returns points of shape (m, d), first axis slowest, and their weights.
+    Edges of shape (..., m) give nodes and weights of shape
+    (..., (m - 1) * n_nodes), one rule per row of edges.
     """
-    node_grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-    pts = np.stack([g.ravel() for g in node_grids], axis=-1)
-    w_grids = np.meshgrid(*[r[1] for r in rules], indexing="ij")
-    wts = np.prod(np.stack([g.ravel() for g in w_grids], axis=-1), axis=-1)
-    return pts, wts
+    x, w = _gauss_legendre(n_nodes)
+    mids = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    nodes = mids[..., None] + half[..., None] * x
+    weights = half[..., None] * w
+    shape = edges.shape[:-1] + (-1,)
+    return nodes.reshape(shape), weights.reshape(shape)
 
 
 def uniform_panel_count(r_max: float, max_freq=0.0):
@@ -85,13 +78,13 @@ def halfline_edges(r_max: float, max_freq: float = 0.0, min_scale: float = 1e-9)
     (e.g. |xi|^-s) resolved.
     """
     n_uniform = int(uniform_panel_count(r_max, max_freq))
-    edges = set(np.linspace(0.0, r_max, n_uniform + 1).tolist())
     # geometric cascade below the first uniform edge
+    cascade = []
     lo = r_max / n_uniform
     while lo > min_scale * r_max:
         lo /= 2.0
-        edges.add(lo)
-    return np.array(sorted(edges))
+        cascade.append(lo)
+    return np.unique(np.concatenate((np.linspace(0.0, r_max, n_uniform + 1), cascade)))
 
 
 def integrate_panels(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray,

@@ -1,4 +1,6 @@
-"""Hitting/intersection/dimension classifiers and the convergence probe."""
+"""Hitting/intersection/dimension classifiers and the convergence probes."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,16 +12,18 @@ from addlevy import (
     intersection_dimension,
     intersections_exist,
     multiple_points_allowed,
-    numeric_convergence_probe,
     range_dimension,
     range_has_positive_measure,
     subordinator_meet,
 )
 from addlevy.classify import (
+    _ridge_rule,
+    planar_averaged_kernel,
     probe_intersection_dimension_test,
     probe_intersections_exist,
-    stable_intersection_integrand,
+    probe_planar_point_test,
 )
+from addlevy.exponents import ExponentVector, IsotropicStable, PureDrift, SumOf
 
 
 class TestRangeMeasure:
@@ -118,20 +122,6 @@ class TestSubordinatorMeet:
 
 
 class TestNumericProbe:
-    def test_integrable_tail(self):
-        # [DERIVED] int dxi / (1 + |xi|^1.5) converges
-        v = numeric_convergence_probe(
-            lambda x: 1.0 / (1.0 + np.abs(x[..., 0]) ** 1.5), total_dim=1)
-        assert v.kind == "Convergent"
-
-    def test_logarithmic_divergence(self):
-        # [DERIVED] int dxi / (1 + |xi|) diverges; flagged by the growth
-        # bound / non-decaying increment rule
-        v = numeric_convergence_probe(
-            lambda x: 1.0 / (1.0 + np.abs(x[..., 0])), total_dim=1,
-            growth_bound=10.0)
-        assert v.kind == "Divergent"
-
     def test_pair_probe_brackets_analytic_dimension(self):
         # [DERIVED] analytic intersection dimension is 1.0; the probe must
         # call the integral test on either side of it
@@ -150,12 +140,6 @@ class TestNumericProbe:
         no = probe_intersections_exist(StableSystem(alphas=(0.7, 0.7), d=2))
         assert yes.kind == "Convergent"
         assert no.kind == "Divergent"
-
-    def test_integrand_positive(self):
-        sys_ = StableSystem(alphas=(1.5, 1.5), d=1)
-        f = stable_intersection_integrand(sys_, 0.5)
-        pts = np.random.default_rng(0).normal(size=(16, 2))
-        assert np.all(f(pts) > 0.0)
 
 
 @st.composite
@@ -231,3 +215,66 @@ class TestValidation:
     def test_probe_s_out_of_range(self):
         with pytest.raises(ValueError):
             probe_intersection_dimension_test(StableSystem(alphas=(1.5, 1.5), d=2), 2.5)
+
+    def test_probe_refuses_d_above_three(self):
+        with pytest.raises(ValueError, match="analytic route"):
+            probe_intersection_dimension_test(StableSystem(alphas=(2.0,), d=4), 1.0)
+
+
+def drift(*b):
+    return PureDrift(b=tuple(float(v) for v in b))
+
+
+class TestPlanarPointProbe:
+    @pytest.mark.parametrize("speed_r", [0.5, 5.0, 50.0])
+    @pytest.mark.parametrize("a", [1.0, 3.0])
+    def test_ridge_rule_reproduces_the_closed_forms(self, speed_r, a):
+        # [DERIVED] with A = a and B = |b| r, the mean of A / (A^2 + B^2 cos^2)
+        # over the circle is (A^2 + B^2)^-1/2, and over the sphere (weight
+        # sin(theta) / 2 in the polar angle from b) it is arctan(B / A) / B
+        home, offsets, weights = _ridge_rule(np.array([0.5 * np.pi]), np.array([1.0 / speed_r]))
+        theta = 0.5 * np.pi + offsets[0]
+        ridge = a / (a * a + (speed_r * np.cos(theta)) ** 2)
+        assert np.all(home == 0)
+        assert np.sum(weights * ridge) / np.pi == pytest.approx(
+            (a * a + speed_r ** 2) ** -0.5, rel=1e-10, abs=0)
+        assert np.sum(weights * ridge * np.sin(theta)) / 2.0 == pytest.approx(
+            math.atan(speed_r / a) / speed_r, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("speed_r", [0.5, 5.0, 50.0])
+    def test_planar_average_of_one_drift(self, speed_r):
+        # a drift with an alpha = 1 real part: A = 1 + r, B = |b| r
+        b = np.array([0.3, -0.7])
+        r = speed_r / np.linalg.norm(b)
+        psi = ExponentVector((SumOf(components=(drift(*b), IsotropicStable(alpha=1.0, dim=2))),
+                              IsotropicStable(alpha=1.5, dim=2)))
+        a = 1.0 + r
+        expect = (a * a + speed_r ** 2) ** -0.5 / (1.0 + r ** 1.5)
+        got = planar_averaged_kernel(psi, np.array([r]))[0]
+        assert got == pytest.approx(expect, rel=1e-10, abs=0)
+
+    def test_non_parallel_drifts_integrate_to_the_closed_form(self):
+        # [DERIVED] int over R^2 of prod_j 1 / (1 + (b_j . xi)^2) is
+        # pi^2 / |det(b1, b2)|, by the substitution eta_j = b_j . xi
+        b1, b2 = (1.0, 0.3), (-0.4, 2.0)
+        verdict = probe_planar_point_test(ExponentVector((drift(*b1), drift(*b2))))
+        assert verdict.kind == "Convergent"
+        assert verdict.slope == pytest.approx(-1.0, abs=0.01)
+        total = 2.0 * np.pi * verdict.partials[-1]
+        assert total == pytest.approx(np.pi ** 2 / abs(np.linalg.det([b1, b2])), rel=1e-6)
+
+    @pytest.mark.parametrize("b2", [(2.0, 4.0), (-0.5, -1.0)])
+    def test_parallel_drifts_diverge(self, b2):
+        # [DERIVED] K is constant along the common ridge b . xi = 0
+        verdict = probe_planar_point_test(ExponentVector((drift(1.0, 2.0), drift(*b2))))
+        assert verdict.kind == "Divergent"
+        assert verdict.slope == pytest.approx(1.0, abs=0.01)
+
+    def test_drift_free_components_factor_out(self):
+        psi = ExponentVector((drift(0.0, 0.0), IsotropicStable(alpha=1.5, dim=2)))
+        r = np.array([0.5, 3.0])
+        assert np.array_equal(planar_averaged_kernel(psi, r), 1.0 / (1.0 + r ** 1.5))
+
+    def test_needs_the_plane(self):
+        with pytest.raises(ValueError):
+            probe_planar_point_test(ExponentVector((drift(1.0, 0.0, 0.0), drift(0.0, 1.0, 0.0))))

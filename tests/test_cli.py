@@ -1,5 +1,6 @@
 """End-to-end CLI: subcommands, JSON/CSV reports, error codes, replay."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -52,6 +53,44 @@ def test_lambda_check_and_potential_gauge_leave_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True, timeout=120).stdout
     assert out.strip() == "[0, 0] False"
+
+
+def test_repeated_main_calls_print_what_fresh_processes_print(tmp_path):
+    # the parser is built once per process; calls with different subcommands,
+    # a refused one and a replay among them, must print the same bytes as
+    # each call made in a process of its own
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"command": "classify", "params": {"stable": "0.7,0.8"}}))
+    jobs = [["classify", "--stable", "1.5,1.5", "--dim", "2"],
+            ["lambda", "--points", "1,0;0.5,2"],
+            ["capacity", "--point-test", "--psi", STABLE_2D],
+            ["classify"],
+            ["dimension", "--stable", "1.0,1.0", "--dim", "3"],
+            ["simulate", "--mode", "boxdim", "--stable", "1.5", "--n-steps", "50",
+             "--seed", "3"],
+            ["run", "--config", str(config)],
+            ["classify", "--stable", "1.5,1.5", "--dim", "2"]]
+    probe = ("import contextlib, io, json, sys\n"
+             "from addlevy.cli import main\n"
+             "outs = []\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    buf = io.StringIO()\n"
+             "    with contextlib.redirect_stdout(buf):\n"
+             "        code = main(argv, _exit=False)\n"
+             "    outs.append([code, buf.getvalue()])\n"
+             "print(json.dumps(outs))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(addlevy.__file__).parents[1])}
+
+    def run(batch):
+        out = subprocess.run([sys.executable, "-c", probe, json.dumps(batch)],
+                             capture_output=True, text=True, env=env, check=True,
+                             timeout=120).stdout
+        return json.loads(out)
+
+    together = run(jobs)
+    alone = [run([argv])[0] for argv in jobs]
+    assert together == alone
+    assert [code for code, _ in together] == [0, 0, 0, 1, 0, 0, 0, 0]
 
 
 def test_closed_stdout_exits_quietly(tmp_path):
@@ -181,6 +220,25 @@ class TestCapacity:
         code, rep = run_cli(["capacity", "--point-test", "--psi", STABLE_PSI], capsys)
         assert code == 0
         assert rep["singletons_hit"] is True
+
+    @pytest.mark.parametrize("alpha, hits", [(1.3, True), (0.7, False)])
+    def test_planar_drift_point_test(self, alpha, hits, capsys):
+        # [DERIVED] drift + alpha-stable in the plane hits points iff alpha > 1
+        theta = 4.417201438521419
+        psi = json.dumps([{"family": "PureDrift", "dim": 2,
+                           "params": {"b": [math.cos(theta), math.sin(theta)]}},
+                          {"family": "IsotropicStable", "dim": 2, "params": {"alpha": alpha}}])
+        code, rep = run_cli(["capacity", "--point-test", "--psi", psi], capsys)
+        assert code == 0
+        assert rep["singletons_hit"] is hits
+
+    def test_two_drifts_in_space_exit_two(self, capsys):
+        psi = json.dumps([{"family": "PureDrift", "dim": 3, "params": {"b": [1.0, 0.0, 0.0]}},
+                          {"family": "PureDrift", "dim": 3, "params": {"b": [0.0, 1.0, 0.0]}}])
+        code, rep = run_cli(["capacity", "--point-test", "--psi", psi], capsys)
+        assert code == 2
+        assert rep["kind"] == "not-converged"
+        assert "d = 3" in rep["error"]
 
     def test_bessel_riesz(self, capsys):
         code, rep = run_cli(["capacity", "--set", CUBE_64, "--s", "0.5"], capsys)

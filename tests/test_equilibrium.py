@@ -10,6 +10,8 @@ from addlevy import (
     ExponentVector,
     IsotropicStable,
     BrownianIsotropic,
+    PureDrift,
+    SumOf,
     assemble_matrix,
     bessel_riesz_capacity,
     point_capacity_test,
@@ -437,3 +439,72 @@ class TestPointCapacity:
         # [DERIVED] two Brownian factors: tail exponent 4 > 3
         psi = ExponentVector((BrownianIsotropic(dim=3), BrownianIsotropic(dim=3)))
         assert point_capacity_test(psi)
+
+
+def planar_drift(theta, speed=1.0):
+    return PureDrift(b=(speed * math.cos(theta), speed * math.sin(theta)))
+
+
+class TestDriftPointCapacity:
+    """A drift factor adds max(g, 1) to the decay of the angle-averaged kernel."""
+
+    @pytest.mark.parametrize("alpha", [None, 0.5, 0.7, 1.3, 1.6])
+    def test_planar_drift_at_one_direction(self, alpha):
+        # [DERIVED] drift + alpha-stable in the plane hits points iff alpha > 1
+        comps = [planar_drift(4.417201438521419)]
+        if alpha is not None:
+            comps.append(IsotropicStable(alpha=alpha, dim=2))
+        assert point_capacity_test(ExponentVector(tuple(comps))) == (alpha is not None
+                                                                     and alpha > 1.0)
+
+    def test_random_planar_drifts_decide_alpha_above_one(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            theta, speed = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.1, 10.0)
+            alpha = float(rng.choice([0.5, 0.7, 1.3, 1.6]))
+            psi = ExponentVector((planar_drift(theta, speed), IsotropicStable(alpha=alpha, dim=2)))
+            assert point_capacity_test(psi) == (alpha > 1.0), (theta, speed, alpha)
+
+    def test_drift_and_brownian_in_space_miss(self):
+        # [DERIVED] decay 1 + 2 = 3 = d: the log-divergent boundary
+        psi = ExponentVector((PureDrift(b=(0.2, -1.0, 0.5)), BrownianIsotropic(dim=3)))
+        assert not point_capacity_test(psi)
+
+    def test_drift_and_two_brownians_in_space_hit(self):
+        # [DERIVED] decay 1 + 2 + 2 = 5 > 3
+        psi = ExponentVector((PureDrift(b=(0.2, -1.0, 0.5)), BrownianIsotropic(dim=3),
+                              BrownianIsotropic(dim=3)))
+        assert point_capacity_test(psi)
+
+    def test_drift_inside_a_sum_adds_its_growth(self):
+        # [DERIVED] (b + Brownian) decays like r^-max(2, 1), then alpha = 1.5:
+        # 2 + 1.5 > 3 in space
+        moving = SumOf(components=(PureDrift(b=(0.0, 3.0, 0.0)), BrownianIsotropic(dim=3)))
+        assert point_capacity_test(ExponentVector((moving, IsotropicStable(alpha=1.5, dim=3))))
+        assert not point_capacity_test(ExponentVector((moving,)))
+
+    def test_zero_drift(self):
+        # [DERIVED] a bare zero drift is K = 1; with a real part it is 1 / (1 + R)
+        assert not point_capacity_test(ExponentVector((PureDrift(b=(0.0,)),)))
+        assert point_capacity_test(ExponentVector((PureDrift(b=(0.5,)),)))
+        zero = PureDrift(b=(0.0, 0.0))
+        assert not point_capacity_test(ExponentVector((zero,)))
+        assert not point_capacity_test(ExponentVector((zero, IsotropicStable(alpha=1.5, dim=2))))
+        assert point_capacity_test(ExponentVector((zero, IsotropicStable(alpha=1.5, dim=2),
+                                                   IsotropicStable(alpha=1.5, dim=2))))
+        cancelled = SumOf(components=(PureDrift(b=(1.0, 2.0)), PureDrift(b=(-1.0, -2.0)),
+                                      BrownianIsotropic(dim=2)))
+        assert not point_capacity_test(ExponentVector((cancelled,)))
+        assert point_capacity_test(ExponentVector((cancelled, cancelled)))
+
+    def test_two_planar_drifts(self):
+        # [DERIVED] int K = pi^2 / |det(b1, b2)| when the drifts are not
+        # parallel; parallel ones leave K constant along their common ridge
+        assert point_capacity_test(ExponentVector((planar_drift(0.3), planar_drift(1.9, 4.0))))
+        assert not point_capacity_test(ExponentVector((planar_drift(0.3),
+                                                       planar_drift(0.3 + np.pi, 2.0))))
+
+    def test_two_drifts_in_space_are_not_decided(self):
+        psi = ExponentVector((PureDrift(b=(1.0, 0.0, 0.0)), PureDrift(b=(0.0, 1.0, 0.0))))
+        with pytest.raises(InconclusiveError, match="d = 3"):
+            point_capacity_test(psi)

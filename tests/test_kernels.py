@@ -153,6 +153,28 @@ class TestRieszConstant:
             riesz_constant(1, 1.5)
 
 
+class TestRadius:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bit_identical_to_numpy_norm(self, d):
+        # the row sums follow norm's order, down to overflow and underflow
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=(500, 6, d)) * 10.0 ** rng.integers(-170, 170, size=(500, 6, 1))
+        x[0, 0] = 0.0
+        x[1, 1] = -0.0
+        with np.errstate(over="ignore", under="ignore"):
+            got = kernels._radius(x, d)
+            expect = np.linalg.norm(x, axis=-1)
+        assert got.tobytes() == expect.tobytes()
+
+    def test_riesz_kernel_values(self):
+        # [DERIVED] ||x||^(alpha - d), infinite at the origin
+        k = kernels.riesz_kernel(2, 0.5)
+        x = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, -0.25]])
+        assert np.array_equal(k.eval(x), [np.inf, 5.0 ** -1.5, 0.25 ** -1.5])
+        assert np.array_equal(k.fourier(x), k.meta["riesz"]["constant"]
+                              * np.array([np.inf, 5.0 ** -0.5, 0.25 ** -0.5]))
+
+
 class TestPotentialDensity:
     PSI = ExponentVector((IsotropicStable(alpha=1.5, dim=1),))
 

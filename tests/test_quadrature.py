@@ -176,6 +176,28 @@ class TestUniformPanelCount:
                               [n, 16])
 
 
+def set_halfline_edges(r_max, max_freq=0.0, min_scale=1e-9):
+    """The edges built from a Python set of floats, as halfline_edges once did."""
+    n_uniform = int(uniform_panel_count(r_max, max_freq))
+    edges = set(np.linspace(0.0, r_max, n_uniform + 1).tolist())
+    lo = r_max / n_uniform
+    while lo > min_scale * r_max:
+        lo /= 2.0
+        edges.add(lo)
+    return np.array(sorted(edges))
+
+
+class TestHalflineEdges:
+    def test_bit_identical_to_the_set_version(self):
+        for r_max in (1.0, 3.0, 45.0, 400.0, 1600.0, 6400.0):
+            for max_freq in (0.0, 1e-3, 0.37, 1.0, 2.5, 123.0):
+                for min_scale in (1e-9, 1e-9 * 400.0 / 6400.0, 1e-3, 0.5):
+                    got = halfline_edges(r_max, max_freq=max_freq, min_scale=min_scale)
+                    expect = set_halfline_edges(r_max, max_freq=max_freq, min_scale=min_scale)
+                    assert got.dtype == expect.dtype
+                    assert got.tobytes() == expect.tobytes(), (r_max, max_freq, min_scale)
+
+
 class TestSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
