@@ -93,10 +93,6 @@ class ConvergenceVerdict:
         if self.kind == "Divergent" and self.slope is None:
             raise ValueError("Divergent verdict must carry a growth exponent estimate")
 
-    def to_json(self):
-        return {"kind": self.kind, "slope": self.slope,
-                "radii": list(self.radii), "partials": list(self.partials)}
-
 
 # ---------------------------------------------------------------------------
 # analytic classifiers (tail-exponent arithmetic for stable systems)
@@ -113,16 +109,24 @@ def range_dimension(sys: StableSystem) -> float:
     return min(float(sys.d), sum(sys.alphas))
 
 
+def _range_dimension_sum(sys: StableSystem) -> float:
+    """sum_j min(alpha_j, d), the dimensions of the N ranges: a range with
+    alpha_j > d (only d = 1) has positive measure and dimension d, and the
+    codimensions d - min(alpha_j, d) add (Hawkes, "Intersections of Markov
+    random sets", 1977; Khoshnevisan-Xiao-Zhong 2003)."""
+    return sum(min(a, sys.d) for a in sys.alphas)
+
+
 def intersections_exist(sys: StableSystem) -> bool:
     """N trajectories intersect with positive probability iff
-    (N-1) d < sum(alpha); equality fails (strict inequality)."""
-    return (sys.n - 1) * sys.d < sum(sys.alphas)
+    (N-1) d < sum_j min(alpha_j, d); equality fails (strict inequality)."""
+    return (sys.n - 1) * sys.d < _range_dimension_sum(sys)
 
 
 def intersection_dimension(sys: StableSystem) -> float:
-    """dim of the mutual intersection set: max(0, sum(alpha) - (N-1) d),
-    capped at d because the set lies in R^d."""
-    return min(float(sys.d), max(0.0, sum(sys.alphas) - (sys.n - 1) * sys.d))
+    """dim of the mutual intersection set: max(0, sum_j min(alpha_j, d) -
+    (N-1) d), capped at d because the set lies in R^d."""
+    return min(float(sys.d), max(0.0, _range_dimension_sum(sys) - (sys.n - 1) * sys.d))
 
 
 def multiple_points_allowed(alpha: float, d: int, N: int) -> bool:
@@ -147,7 +151,7 @@ def subordinator_meet(alpha1: float, alpha2: float) -> bool:
 # numeric convergence probes
 # ---------------------------------------------------------------------------
 
-def _extrapolated_slope(log_radii: np.ndarray, log_inc: np.ndarray, span: int = 1) -> float:
+def _extrapolated_slope(log_radii: np.ndarray, log_inc: np.ndarray, span: int) -> float:
     """Limit of the log-log slope of increments against their radii.
 
     Slopes are taken over blocks of ``span`` increments.  They approach

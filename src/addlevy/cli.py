@@ -1,10 +1,13 @@
 """Batch command-line front end.
 
 Every subcommand emits a single JSON report on stdout (and optionally to a
-file) that embeds the fully resolved parameters and the seed, so a run can
-be reproduced from its own report.  Exit codes: 0 success, 1 invalid input
-(with a machine-readable error object on stdout) or a stdout closed by its
-reader, 2 a solver or quadrature failed to converge.
+file).  One table, ``_FLAGS``, lists for each variant of each subcommand the
+flags it reads and their defaults.  A flag of the subcommand that its
+variant does not read is refused; the report's ``params`` hold exactly the
+resolved flags, defaults filled in, so a run can be reproduced from its own
+report.  Exit codes: 0 success, 1 invalid input (with a machine-readable
+error object on stdout) or a stdout closed by its reader, 2 a solver or
+quadrature failed to converge.
 
 A saved report or hand-written config can be replayed with
 
@@ -45,7 +48,7 @@ from addlevy.equilibrium import (
     solve_equilibrium,
 )
 from addlevy.exponents import ExponentVector, IsotropicStable, exponent_from_json
-from addlevy.kernels import PotentialDensity, lambda_bruteforce, lambda_closed, riesz_kernel
+from addlevy.kernels import lambda_bruteforce, lambda_closed
 from addlevy.measures import SetDiscretization, discretize
 from addlevy.quadrature import QuadratureError, QuadratureSpec
 from addlevy.simulate import (
@@ -86,8 +89,7 @@ def _load_json_arg(text: str):
         raise CliError(f"invalid JSON argument: {exc}")
 
 
-def _exponent_arg(text: str) -> ExponentVector:
-    data = _load_json_arg(text)
+def _exponent(data) -> ExponentVector:
     if isinstance(data, dict):
         data = data.get("components", [data])
     if not isinstance(data, list) or not data:
@@ -98,8 +100,7 @@ def _exponent_arg(text: str) -> ExponentVector:
         raise CliError(f"bad exponent spec: {exc}")
 
 
-def _set_arg(text: str) -> SetDiscretization:
-    data = _load_json_arg(text)
+def _set(data) -> SetDiscretization:
     if not isinstance(data, dict) or "kind" not in data:
         raise CliError('set spec must be {"kind": ..., **params}')
     params = {k: v for k, v in data.items() if k != "kind"}
@@ -123,20 +124,105 @@ def _write_report(report: dict, output_path, csv_rows=None, csv_path=None):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# the flags each job reads
 # ---------------------------------------------------------------------------
 
-def cmd_lambda(args) -> dict:
-    if args.points:
+# For each subcommand: its selector flag (None for one variant) and, per
+# variant, the flags the variant reads with their defaults.  The variant is
+# the value of --gauge or --mode, or whether --points, --point-test, --stable
+# or --numeric is given.  _REQUIRED marks a flag the variant cannot run
+# without; a None default leaves the flag out of the job.
+_REQUIRED = object()
+_EQUILIBRIUM = {"set": _REQUIRED, "tol": 1e-8, "max_iter": 50000, "flat_check": False}
+_MC = {"stable": _REQUIRED, "seed": 0, "n_steps": 200}
+_MC_PATHS = {**_MC, "dim": 1, "time_horizon": 1.0}
+_FLAGS = {
+    "lambda": ("points", {
+        True: {"points": _REQUIRED, "check": 0},
+        False: {"re_max": 5.0, "im_max": 5.0, "n_grid": 8, "check": 0},
+    }),
+    "energy": (None, {
+        None: {"psi": _REQUIRED, "set": _REQUIRED, "r_max": 400.0, "rel_tol": 1e-4},
+    }),
+    "equilibrium": ("gauge", {
+        "riesz": {**_EQUILIBRIUM, "s": 0.5},
+        "potential": {**_EQUILIBRIUM, "psi": _REQUIRED},
+    }),
+    "capacity": ("point_test", {
+        True: {"psi": _REQUIRED},
+        False: {"set": _REQUIRED, "s": 0.5, "tol": 1e-8, "max_iter": 50000},
+    }),
+    "classify": ("stable", {
+        True: {"stable": _REQUIRED, "dim": 1, "multiple": None, "subordinators": None},
+        False: {"multiple": None, "subordinators": None},
+    }),
+    "dimension": ("numeric", {
+        True: {"stable": _REQUIRED, "dim": 1, "bisect_tol": 0.05},
+        False: {"stable": _REQUIRED, "dim": 1},
+    }),
+    "simulate": ("mode", {
+        "hitting": {**_MC_PATHS, "set": _REQUIRED, "trials": 1000, "epsilon": 0.1},
+        "intersection": {**_MC_PATHS, "trials": 1000, "epsilon": 0.1},
+        "boxdim": _MC_PATHS,
+        "sojourn": {**_MC, "trials": 1000, "sigma": 1.0, "mass": 1.0, "half_width": 10.0},
+    }),
+}
+_JSON_FLAGS = ("psi", "set")
+_MC_FIELDS = ("trials", "time_horizon", "n_steps", "epsilon")
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _resolve(args) -> dict:
+    """The job's params: the flags its variant reads, with defaults filled in.
+
+    Refuses a flag of the subcommand that the variant does not read, or a
+    required one that is missing.  --psi and --set are parsed here, once.
+    """
+    selector, variants = _FLAGS[args.command]
+    value = getattr(args, selector) if selector else None
+    key = value if value in variants else value is not None
+    label = args.command
+    if selector:
+        flag = _flag(selector)
+        label += {True: f" {flag}", False: f" without {flag}"}.get(key, f" {flag} {key}")
+    used = variants[key]
+    for name in sorted(set().union(*variants.values()) - set(used)):
+        if getattr(args, name) is not None:
+            raise CliError(f"{label} does not use {_flag(name)}")
+    params = {} if value is None else {selector: value}
+    for name, default in used.items():
+        given = getattr(args, name)
+        if given is None:
+            if default is _REQUIRED:
+                raise CliError(f"{label} needs {_flag(name)}")
+            given = default
+        elif name in _JSON_FLAGS:
+            given = _load_json_arg(given)
+        if given is not None:
+            params[name] = given
+    return params
+
+
+# ---------------------------------------------------------------------------
+# subcommands: each maps its resolved params to a report body and CSV rows;
+# its docstring is its --help line
+# ---------------------------------------------------------------------------
+
+def cmd_lambda(p) -> tuple:
+    """evaluate the sojourn covariance kernel"""
+    if "points" in p:
         zs = []
-        for pair in args.points.split(";"):
+        for pair in p["points"].split(";"):
             re_im = _parse_floats(pair)
             if len(re_im) != 2:
                 raise CliError("each point must be re,im")
             zs.append(complex(re_im[0], re_im[1]))
     else:
-        res = np.linspace(0.0, args.re_max, args.n_grid)
-        ims = np.linspace(-args.im_max, args.im_max, args.n_grid)
+        res = np.linspace(0.0, p["re_max"], p["n_grid"])
+        ims = np.linspace(-p["im_max"], p["im_max"], p["n_grid"])
         zs = [complex(r, i) for r in res for i in ims]
     rows = [("re", "im", "lambda_closed")]
     values = {}
@@ -144,204 +230,143 @@ def cmd_lambda(args) -> dict:
         v = lambda_closed(z)
         values[f"{z.real:g}{z.imag:+g}j"] = v
         rows.append((z.real, z.imag, v))
-    report = {"command": "lambda", "n_points": len(zs), "values": values,
-              "params": {"points": args.points, "re_max": args.re_max,
-                         "im_max": args.im_max, "n_grid": args.n_grid}}
-    if args.check:
+    report = {"n_points": len(zs), "values": values}
+    if p["check"]:
         worst = 0.0
-        for z in zs[: args.check]:
+        for z in zs[: p["check"]]:
             worst = max(worst, abs(lambda_closed(z) - lambda_bruteforce(z)))
         report["bruteforce_max_abs_diff"] = worst
     return report, rows
 
 
-def cmd_energy(args) -> dict:
-    psi = _exponent_arg(args.psi)
-    mu = discretize(_set_arg(args.set))
-    quad = QuadratureSpec(r_max=args.r_max, rel_tol=args.rel_tol)
-    rep = energy_fourier(psi, mu, quad)
+def cmd_energy(p) -> tuple:
+    """Fourier-side energy of a discretized set"""
+    mu = discretize(_set(p["set"]))
+    quad = QuadratureSpec(r_max=p["r_max"], rel_tol=p["rel_tol"])
+    rep = energy_fourier(_exponent(p["psi"]), mu, quad)
     if not rep.converged:
         raise NotConverged("energy quadrature did not meet its tolerance")
-    return {"command": "energy", "energy": rep.value,
-            "tail_estimate": rep.tail_estimate, "converged": rep.converged,
-            "params": {"psi": psi.to_json(), "set": _load_json_arg(args.set),
-                       "r_max": args.r_max, "rel_tol": args.rel_tol}}, None
+    return {"energy": rep.value, "tail_estimate": rep.tail_estimate,
+            "converged": rep.converged}, None
 
 
-def _gauge_from_args(args):
-    if args.gauge == "riesz":
-        disc = _set_arg(args.set)
-        d = len(np.atleast_2d(discretize(disc).points)[0])
-        return riesz_kernel(d, d - args.s)
-    if args.gauge == "potential":
-        if not args.psi:
-            raise CliError("--gauge potential needs --psi")
-        psi = _exponent_arg(args.psi)
-        return PotentialDensity(psi)
-    raise CliError(f"unknown gauge {args.gauge!r}")
-
-
-def cmd_equilibrium(args) -> dict:
-    disc = _set_arg(args.set)
-    gauge = _gauge_from_args(args)
-    matrix = assemble_matrix(gauge, disc)
-    result = solve_equilibrium(matrix, tol=args.tol, max_iter=args.max_iter)
+def cmd_equilibrium(p) -> tuple:
+    """minimize energy over probability measures"""
+    disc = _set(p["set"])
+    if p["gauge"] == "riesz":
+        result = bessel_riesz_capacity(disc, p["s"], tol=p["tol"], max_iter=p["max_iter"])
+    else:
+        result = solve_equilibrium(assemble_matrix(_exponent(p["psi"]), disc),
+                                   tol=p["tol"], max_iter=p["max_iter"])
     if not result.converged:
         raise NotConverged("energy minimizer did not reach the gap tolerance")
-    report = {"command": "equilibrium", **result.to_json(),
-              "params": {"set": _load_json_arg(args.set), "gauge": args.gauge,
-                         "s": args.s, "psi": args.psi, "tol": args.tol,
-                         "max_iter": args.max_iter}}
+    report = result.to_json()
     rows = [("atom_index", "weight")] + [(i, w) for i, w in enumerate(result.weights)]
-    if args.flat_check:
+    if p["flat_check"]:
         n = len(result.weights)
         tv = 0.5 * float(np.abs(np.asarray(result.weights) - 1.0 / n).sum())
         report["flat_check"] = {
             "tv_to_uniform": tv,
             "flat": tv < 0.05,
-            "note": ("weights are numerically flat, matching the "
-                     "flat-equilibrium prediction for sets with interior"
-                     if tv < 0.05 else
-                     "documented discrepancy: the discretized pairwise "
-                     "minimizer concentrates weight near the boundary, as "
-                     "classical Riesz equilibrium on an interval does, and "
-                     "does not reproduce the flat prediction at this "
-                     "resolution; see the per-atom CSV"),
+            "note": ("weights are numerically flat: within 0.05 of uniform in "
+                     "total variation" if tv < 0.05 else
+                     "documented discrepancy: the continuum equilibrium measure "
+                     "is itself not uniform, so a finer grid does not close the "
+                     "gap: a bounded gauge (a potential gauge with alpha > d = 1) "
+                     "puts atoms at the ends of an interval, and the distance to "
+                     "uniform stays near 0.32 for alpha = 1.5 from n = 100 to "
+                     "800; a Riesz gauge has a density that grows toward the "
+                     "boundary; see the per-atom CSV"),
         }
-    del report["weights"]
-    report["weights"] = [float(w) for w in result.weights]
     return report, rows
 
 
-def cmd_capacity(args) -> dict:
-    if args.point_test:
-        if not args.psi:
-            raise CliError("--point-test needs --psi")
-        psi = _exponent_arg(args.psi)
+def cmd_capacity(p) -> tuple:
+    """Riesz capacity, or the point-polarity test"""
+    if p["point_test"]:
         try:
-            hits = point_capacity_test(psi)
+            hits = point_capacity_test(_exponent(p["psi"]))
         except InconclusiveError as exc:
             raise NotConverged(str(exc))
-        return {"command": "capacity", "points_are_polar": not hits,
-                "singletons_hit": hits,
-                "params": {"psi": psi.to_json(), "point_test": True}}, None
-    if not args.set:
-        raise CliError("capacity needs --set (or --point-test with --psi)")
-    disc = _set_arg(args.set)
-    result = bessel_riesz_capacity(disc, args.s, tol=args.tol, max_iter=args.max_iter)
+        return {"points_are_polar": not hits, "singletons_hit": hits}, None
+    result = bessel_riesz_capacity(_set(p["set"]), p["s"], tol=p["tol"],
+                                   max_iter=p["max_iter"])
     if not result.converged:
         raise NotConverged("capacity minimizer did not converge")
-    return {"command": "capacity", "capacity": result.capacity,
-            "energy": result.energy, "s": args.s,
-            "params": {"set": _load_json_arg(args.set), "s": args.s,
-                       "tol": args.tol, "max_iter": args.max_iter}}, None
+    return {"capacity": result.capacity, "energy": result.energy, "s": p["s"]}, None
 
 
-def cmd_classify(args) -> dict:
-    report = {"command": "classify", "params": {}}
-    if args.stable:
-        alphas = _parse_floats(args.stable)
-        sys_ = StableSystem(alphas=tuple(alphas), d=args.dim)
-        report["params"].update({"stable": args.stable, "dim": args.dim})
+def cmd_classify(p) -> tuple:
+    """analytic hitting/intersection criteria"""
+    report = {}
+    if "stable" in p:
+        sys_ = StableSystem(alphas=tuple(_parse_floats(p["stable"])), d=p["dim"])
         report.update({
             "intersect": intersections_exist(sys_),
             "dimension": intersection_dimension(sys_),
             "range_dimension": range_dimension(sys_),
             "range_has_positive_measure": range_has_positive_measure(sys_),
         })
-    if args.multiple:
-        vals = _parse_floats(args.multiple)
+    if "multiple" in p:
+        vals = _parse_floats(p["multiple"])
         if len(vals) != 3:
             raise CliError("--multiple needs alpha,d,N")
         alpha, d, n = vals[0], int(vals[1]), int(vals[2])
-        report["params"]["multiple"] = args.multiple
         report["multiple_points_allowed"] = multiple_points_allowed(alpha, d, n)
-    if args.subordinators:
-        vals = _parse_floats(args.subordinators)
+    if "subordinators" in p:
+        vals = _parse_floats(p["subordinators"])
         if len(vals) != 2:
             raise CliError("--subordinators needs alpha1,alpha2")
-        report["params"]["subordinators"] = args.subordinators
         report["subordinator_ranges_meet"] = subordinator_meet(vals[0], vals[1])
-    if len(report) == 2:
+    if not report:
         raise CliError("classify: give at least one of --stable/--multiple/--subordinators")
     return report, None
 
 
-def cmd_dimension(args) -> dict:
-    alphas = _parse_floats(args.stable)
-    sys_ = StableSystem(alphas=tuple(alphas), d=args.dim)
-    report = {"command": "dimension",
-              "analytic_dimension": intersection_dimension(sys_),
-              "range_dimension": range_dimension(sys_),
-              "params": {"stable": args.stable, "dim": args.dim,
-                         "numeric": args.numeric}}
-    if args.numeric:
+def cmd_dimension(p) -> tuple:
+    """intersection dimension, analytic and numeric"""
+    sys_ = StableSystem(alphas=tuple(_parse_floats(p["stable"])), d=p["dim"])
+    report = {"analytic_dimension": intersection_dimension(sys_),
+              "range_dimension": range_dimension(sys_)}
+    if p["numeric"]:
         try:
             report["numeric_dimension"] = dimension_by_bisection(
                 lambda s: probe_intersection_dimension_test(sys_, s),
-                0.0, float(args.dim), tol=args.bisect_tol)
+                0.0, float(p["dim"]), tol=p["bisect_tol"])
         except (ValueError, QuadratureError) as exc:
             raise NotConverged(f"numeric dimension probe failed: {exc}")
     return report, None
 
 
-# The flags each simulate mode reads besides --mode, --stable and --seed, with
-# their defaults.  A mode reports exactly these, so its report replays, and
-# refuses any other simulate flag given explicitly.
-_SIMULATE_FLAGS = {
-    "hitting": {"dim": 1, "set": None, "trials": 1000, "time_horizon": 1.0,
-                "n_steps": 200, "epsilon": 0.1},
-    "intersection": {"dim": 1, "trials": 1000, "time_horizon": 1.0, "n_steps": 200,
-                     "epsilon": 0.1},
-    "boxdim": {"dim": 1, "time_horizon": 1.0, "n_steps": 200},
-    "sojourn": {"trials": 1000, "n_steps": 200, "sigma": 1.0, "mass": 1.0,
-                "half_width": 10.0},
-}
-_MC_FIELDS = ("trials", "time_horizon", "n_steps", "epsilon")
-
-
-def cmd_simulate(args) -> dict:
-    used = _SIMULATE_FLAGS[args.mode]
-    for name in sorted(set().union(*_SIMULATE_FLAGS.values()) - set(used)):
-        if getattr(args, name) is not None:
-            flag = "--" + name.replace("_", "-")
-            raise CliError(f"simulate --mode {args.mode} does not use {flag}")
-    opts = {name: default if getattr(args, name) is None else getattr(args, name)
-            for name, default in used.items()}
-    try:
-        cfg = MCConfig(seed=args.seed, **{k: opts[k] for k in _MC_FIELDS if k in opts})
-    except ValueError as exc:
-        raise CliError(str(exc))
-    alphas = _parse_floats(args.stable)
-    if args.mode == "hitting":
-        if opts["set"] is None:
-            raise CliError("hitting mode needs --set")
-        sys_ = StableSystem(alphas=tuple(alphas), d=opts["dim"])
-        est = hitting_frequency(sys_, _set_arg(opts["set"]), cfg)
-        opts["set"] = _load_json_arg(opts["set"])
+def cmd_simulate(p) -> tuple:
+    """Monte Carlo estimates"""
+    cfg = MCConfig(seed=p["seed"], **{k: p[k] for k in _MC_FIELDS if k in p})
+    alphas = _parse_floats(p["stable"])
+    if p["mode"] == "hitting":
+        sys_ = StableSystem(alphas=tuple(alphas), d=p["dim"])
+        est = hitting_frequency(sys_, _set(p["set"]), cfg)
         body = {"hit_frequency": est.to_json()}
-    elif args.mode == "intersection":
+    elif p["mode"] == "intersection":
         if len(alphas) != 2:
             raise CliError("intersection mode needs --stable alpha1,alpha2")
-        est = intersection_frequency(alphas[0], alphas[1], opts["dim"], cfg)
+        est = intersection_frequency(alphas[0], alphas[1], p["dim"], cfg)
         body = {"intersection_frequency": est.to_json()}
-    elif args.mode == "boxdim":
+    elif p["mode"] == "boxdim":
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-        path = sample_isotropic_stable_path(alphas[0], opts["dim"],
+        path = sample_isotropic_stable_path(alphas[0], p["dim"],
                                             cfg.time_horizon, cfg.n_steps, rng)
         dim_est = box_dimension_estimate(path, cfg.box_scales)
         body = {"box_dimension": dim_est, "scales": list(cfg.box_scales)}
     else:
-        f = GaussianDensitySpec(sigma=opts["sigma"], mass=opts["mass"])
-        first, second = sojourn_mc(alphas[0], f, cfg, half_width=opts["half_width"])
+        f = GaussianDensitySpec(sigma=p["sigma"], mass=p["mass"])
+        first, second = sojourn_mc(alphas[0], f, cfg, half_width=p["half_width"])
         psi = ExponentVector((IsotropicStable(alpha=alphas[0], dim=1),))
         predicted = sojourn_second_moment(psi, f.fourier)
         body = {"first_moment": first.to_json(),
                 "second_moment": second.to_json(),
                 "predicted_first_moment": f.mass,
                 "predicted_second_moment": predicted}
-    params = {"mode": args.mode, "stable": args.stable, "seed": cfg.seed, **opts}
-    return {"command": "simulate", **body, "seed": cfg.seed, "params": params}, None
+    return {**body, "seed": cfg.seed}, None
 
 
 _COMMANDS = {
@@ -357,28 +382,27 @@ _COMMANDS = {
 _RUN_KEYS = {"command", "params", "output_path", "seed"}
 
 
-def cmd_run(args) -> dict:
+def cmd_run(args) -> int:
     with open(args.config) as fh:
         job = json.load(fh)
     extra = set(job) - _RUN_KEYS
     if extra:
         raise CliError(f"unknown config keys: {sorted(extra)}")
     command = job.get("command")
-    if command not in _COMMANDS or command == "run":
+    if command not in _COMMANDS:
         raise CliError(f"config command must be one of {sorted(_COMMANDS)}")
     params = job.get("params", {})
     if not isinstance(params, dict):
         raise CliError("config params must be an object")
     argv = [command]
     for key, value in params.items():
-        flag = "--" + key.replace("_", "-")
         if isinstance(value, bool):
             if value:
-                argv.append(flag)
+                argv.append(_flag(key))
         elif isinstance(value, (dict, list)):
-            argv.extend([flag, json.dumps(value)])
+            argv.extend([_flag(key), json.dumps(value)])
         else:
-            argv.extend([flag, str(value)])
+            argv.extend([_flag(key), str(value)])
     if "seed" in job and "seed" not in params:
         argv.extend(["--seed", str(job["seed"])])
     if job.get("output_path"):
@@ -386,89 +410,53 @@ def cmd_run(args) -> dict:
     return main(argv, _exit=False)
 
 
+# Selectors that are not a flag of any variant, as argparse keywords.
+_SELECTORS = {
+    "gauge": {"choices": tuple(_FLAGS["equilibrium"][1]), "default": "riesz"},
+    "point_test": {"action": "store_true"},
+    "numeric": {"action": "store_true"},
+    "mode": {"choices": tuple(_FLAGS["simulate"][1]), "required": True},
+}
+_HELP = {
+    "points": 'semicolon list "re,im;re,im"',
+    "check": "cross-check this many points against the defining integral",
+    "psi": "exponent vector as JSON (or @file)",
+    "set": "set discretization as JSON (or @file)",
+    "rel_tol": "relative tolerance for the convergence certificate",
+    "s": "Riesz energy order",
+    "flat_check": "report total-variation distance of the minimizer to uniform",
+    "point_test": "decide whether singletons are hit (needs --psi)",
+    "stable": "comma list of stability indices",
+    "multiple": "alpha,d,N for N-multiple points",
+    "subordinators": "alpha1,alpha2",
+}
+
+
 @functools.cache  # parsing leaves it unchanged and every default is immutable
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every flag in _FLAGS; a flag not given parses as None."""
     parser = argparse.ArgumentParser(
         prog="addlevy",
         description="Energies, capacities, classifiers, and Monte Carlo "
                     "checks for additive Levy processes.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", default=None, help="also write the JSON report here")
-        p.add_argument("--csv", default=None, help="write tabular output as CSV")
-
-    p = sub.add_parser("lambda", help="evaluate the sojourn covariance kernel")
-    p.add_argument("--points", default=None, help='semicolon list "re,im;re,im"')
-    p.add_argument("--re-max", type=float, default=5.0)
-    p.add_argument("--im-max", type=float, default=5.0)
-    p.add_argument("--n-grid", type=int, default=8)
-    p.add_argument("--check", type=int, default=0,
-                   help="cross-check this many points against the defining integral")
-    common(p)
-
-    p = sub.add_parser("energy", help="Fourier-side energy of a discretized set")
-    p.add_argument("--psi", required=True, help="exponent vector as JSON (or @file)")
-    p.add_argument("--set", required=True, help="set discretization as JSON (or @file)")
-    p.add_argument("--r-max", type=float, default=400.0)
-    p.add_argument("--rel-tol", type=float, default=1e-4,
-                   help="relative tolerance for the convergence certificate")
-    common(p)
-
-    p = sub.add_parser("equilibrium", help="minimize energy over probability measures")
-    p.add_argument("--set", required=True)
-    p.add_argument("--gauge", choices=["riesz", "potential"], default="riesz")
-    p.add_argument("--s", type=float, default=0.5, help="Riesz energy order")
-    p.add_argument("--psi", default=None, help="exponent vector for --gauge potential")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=50000)
-    p.add_argument("--flat-check", action="store_true",
-                   help="report total-variation distance of the minimizer to uniform")
-    common(p)
-
-    p = sub.add_parser("capacity", help="Riesz capacity, or the point-polarity test")
-    p.add_argument("--set", default=None)
-    p.add_argument("--s", type=float, default=0.5)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=50000)
-    p.add_argument("--point-test", action="store_true",
-                   help="decide whether singletons are hit (needs --psi)")
-    p.add_argument("--psi", default=None)
-    common(p)
-
-    p = sub.add_parser("classify", help="analytic hitting/intersection criteria")
-    p.add_argument("--stable", default=None, help="comma list of stability indices")
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--multiple", default=None, help="alpha,d,N for N-multiple points")
-    p.add_argument("--subordinators", default=None, help="alpha1,alpha2")
-    common(p)
-
-    p = sub.add_parser("dimension", help="intersection dimension, analytic and numeric")
-    p.add_argument("--stable", required=True)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--numeric", action="store_true")
-    p.add_argument("--bisect-tol", type=float, default=0.05)
-    common(p)
-
-    p = sub.add_parser("simulate", help="Monte Carlo estimates")
-    p.add_argument("--mode", required=True, choices=list(_SIMULATE_FLAGS))
-    p.add_argument("--stable", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    # defaults per mode in _SIMULATE_FLAGS; None marks a flag not given
-    p.add_argument("--dim", type=int)
-    p.add_argument("--set")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--time-horizon", type=float)
-    p.add_argument("--n-steps", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--mass", type=float)
-    p.add_argument("--half-width", type=float)
-    common(p)
-
+    for command, (selector, variants) in _FLAGS.items():
+        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
+        if selector in _SELECTORS:
+            p.add_argument(_flag(selector), help=_HELP.get(selector), **_SELECTORS[selector])
+        flags = {}
+        for used in variants.values():
+            flags.update(used)
+        for name, default in flags.items():
+            if isinstance(default, bool):
+                kind = {"action": "store_true", "default": None}
+            else:
+                kind = {"type": type(default) if isinstance(default, (int, float)) else str}
+            p.add_argument(_flag(name), help=_HELP.get(name), **kind)
+        p.add_argument("--out", help="also write the JSON report here")
+        p.add_argument("--csv", help="write tabular output as CSV")
     p = sub.add_parser("run", help="replay a saved JSON job config")
     p.add_argument("--config", required=True)
-
     return parser
 
 
@@ -483,10 +471,10 @@ def main(argv=None, _exit=True) -> int:
     try:
         if args.command == "run":
             return cmd_run(args)
-        result = _COMMANDS[args.command](args)
-        report, rows = result
-        _write_report(report, getattr(args, "out", None), rows,
-                      getattr(args, "csv", None))
+        params = _resolve(args)
+        report, rows = _COMMANDS[args.command](params)
+        report.update(command=args.command, params=params)
+        _write_report(report, args.out, rows, args.csv)
         code = 0
     except BrokenPipeError:
         # The reader closed stdout (`| head`): nothing more can reach it, and

@@ -13,8 +13,7 @@ minimal energy is the capacity estimate.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from addlevy.classify import probe_planar_point_test
 from addlevy.exponents import ExponentVector
 from addlevy.kernels import Kernel, PotentialDensity, _axis_points, riesz_kernel
-from addlevy.measures import AtomicMeasure, SetDiscretization, cell_width, discretize
+from addlevy.measures import SetDiscretization, cell_width, discretize
 from addlevy.quadrature import halfline_edges, integrate_panels
 
 
@@ -35,7 +34,6 @@ class EnergyMatrix:
     """Symmetric pairwise-energy matrix over the atoms of a discretization."""
 
     entries: np.ndarray
-    source: str
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -102,7 +100,7 @@ def assemble_matrix(gauge: Union[Kernel, ExponentVector, PotentialDensity],
     # the negated differences; halving in place keeps two n x n arrays alive
     entries = vals + vals.T
     entries *= 0.5
-    return EnergyMatrix(entries=entries, source=gauge.meta.get("name", repr(gauge.meta)))
+    return EnergyMatrix(entries=entries)
 
 
 def _step_length(slope: float, curv: float, gamma_max: float) -> float:

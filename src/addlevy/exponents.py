@@ -39,7 +39,7 @@ def _as_points(xi, dim: int) -> tuple[np.ndarray, tuple]:
     return arr.reshape(-1, dim), lead
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class LevyExponent:
     """Base class; concrete families override ``_eval`` and ``_growth``."""
 
@@ -88,7 +88,7 @@ class LevyExponent:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class IsotropicStable(LevyExponent):
     """Psi(xi) = (scale * ||xi||)^alpha, rotation invariant."""
 
@@ -114,7 +114,7 @@ class IsotropicStable(LevyExponent):
                 "params": {"alpha": self.alpha, "scale": self.scale}}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BrownianIsotropic(LevyExponent):
     """Psi(xi) = diffusivity * ||xi||^2 / 2 (standard Brownian motion at 1)."""
 
@@ -137,7 +137,7 @@ class BrownianIsotropic(LevyExponent):
                 "params": {"diffusivity": self.diffusivity}}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Skewed1DStable(LevyExponent):
     """One-dimensional stable exponent with skew beta.
 
@@ -182,7 +182,7 @@ class Skewed1DStable(LevyExponent):
                 "params": {"alpha": self.alpha, "beta": self.beta, "scale": self.scale}}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PureDrift(LevyExponent):
     """Deterministic motion X(t) = b t; Psi(xi) = -i b . xi."""
 
@@ -208,7 +208,7 @@ class PureDrift(LevyExponent):
         return {"family": "PureDrift", "dim": self.dim, "params": {"b": list(self.b)}}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SumOf(LevyExponent):
     """Independent-sum exponent: pointwise sum of the component exponents."""
 
@@ -229,7 +229,12 @@ class SumOf(LevyExponent):
         return sum(c._eval(pts) for c in self.components)
 
     def _growth(self):
-        gs = [c._growth() for c in self.components]
+        # drifts add before growths are taken: opposite ones cancel
+        drifts = [c.b for c in self.components if isinstance(c, PureDrift)]
+        parts = [c for c in self.components if not isinstance(c, PureDrift)]
+        if drifts:
+            parts.append(PureDrift(b=tuple(np.sum(drifts, axis=0))))
+        gs = [c._growth() for c in parts]
         if any(g is None for g in gs):
             return None
         return (max(g[0] for g in gs), max(g[1] for g in gs))

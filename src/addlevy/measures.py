@@ -63,10 +63,6 @@ class AtomicMeasure:
             out[:] = np.exp(1j * (block @ self.points.T)) @ self.weights
         return vals.reshape(lead)
 
-    def translated(self, shift) -> "AtomicMeasure":
-        shift = np.atleast_1d(np.asarray(shift, dtype=float))
-        return AtomicMeasure(self.points + shift, self.weights)
-
 
 def delta(x) -> AtomicMeasure:
     """Point mass at x."""
@@ -84,9 +80,6 @@ class SetDiscretization:
 
     kind: str
     params: dict
-
-    def to_json(self):
-        return {"kind": self.kind, "params": dict(self.params)}
 
 
 def cube_grid(bounds, n_per_axis: int) -> SetDiscretization:

@@ -70,6 +70,13 @@ class TestIntersectionsExist:
         assert not intersections_exist(StableSystem(alphas=(2.0, 2.0, 2.0), d=3))
         assert intersections_exist(StableSystem(alphas=(2.0, 2.0, 2.0), d=2))
 
+    def test_range_of_positive_measure_counts_as_d(self):
+        # [DERIVED] alpha = 2 > d = 1: that range has dimension 1, not 2, so
+        # min(2, 1) + 0.1 + 0.1 = 1.2 < (N - 1) d = 2 (Hawkes 1977; KXZ:03)
+        sys_ = StableSystem(alphas=(2.0, 0.1, 0.1), d=1)
+        assert not intersections_exist(sys_)
+        assert probe_intersections_exist(sys_).kind == "Divergent"
+
 
 class TestIntersectionDimension:
     def test_stable_pair_plane(self):
@@ -89,6 +96,14 @@ class TestIntersectionDimension:
         # for two alpha = 1.5 paths on the line, but the dimension is 1
         assert intersection_dimension(StableSystem(alphas=(1.5, 1.5), d=1)) == 1.0
         assert intersection_dimension(StableSystem(alphas=(2.0,), d=1)) == 1.0
+
+    def test_alpha_above_d_counts_as_d(self):
+        # [DERIVED] min(1.2, 1) + 0.3 - 1 = 0.3, not 1.2 + 0.3 - 1 = 0.5:
+        # the probe of the defining integral puts the threshold there too
+        sys_ = StableSystem(alphas=(1.2, 0.3), d=1)
+        assert intersection_dimension(sys_) == pytest.approx(0.3)
+        assert probe_intersection_dimension_test(sys_, 0.2).kind == "Convergent"
+        assert probe_intersection_dimension_test(sys_, 0.4).kind == "Divergent"
 
 
 class TestMultiplePoints:

@@ -24,6 +24,18 @@ def run_cli(argv, capsys):
     return code, json.loads(out)
 
 
+def assert_replays(argv, capsys, tmp_path):
+    """Replaying a report's {command, params, seed} prints the same bytes."""
+    assert main(argv, _exit=False) == 0
+    first = capsys.readouterr().out
+    report = json.loads(first)
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({k: report[k] for k in ("command", "params", "seed")
+                               if k in report}))
+    assert main(["run", "--config", str(cfg)], _exit=False) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_import_leaves_heavy_scipy_modules_unloaded():
     # each of these scipy modules adds to the start-up time of every subcommand;
     # nothing on the import path may need them
@@ -313,13 +325,7 @@ class TestSimulateAndRun:
     def test_every_mode_replays_from_its_report(self, argv, capsys, tmp_path):
         # a report names only the flags its mode reads, so replaying its
         # {command, params, seed} runs the same job
-        assert main(["simulate", *argv], _exit=False) == 0
-        first = capsys.readouterr().out
-        report = json.loads(first)
-        cfg = tmp_path / "job.json"
-        cfg.write_text(json.dumps({k: report[k] for k in ("command", "params", "seed")}))
-        assert main(["run", "--config", str(cfg)], _exit=False) == 0
-        assert capsys.readouterr().out == first
+        assert_replays(["simulate", *argv], capsys, tmp_path)
 
     @pytest.mark.parametrize("mode, flag", [
         ("sojourn", ["--time-horizon", "3.0"]), ("sojourn", ["--dim", "1"]),
@@ -340,6 +346,87 @@ class TestSimulateAndRun:
         code, rep = run_cli(["run", "--config", str(cfg)], capsys)
         assert code == 1
         assert "bogus" in rep["error"]
+
+
+CUBE_16 = '{"kind":"CubeGrid","bounds":[[0.0,1.0]],"n_per_axis":16}'
+TWO_POINT_1D = '{"kind":"TwoPoint","separation":1.0,"d":1}'
+
+
+class TestFlagTable:
+    """Every subcommand reports exactly the flags its variant reads."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["lambda"], id="lambda-grid"),
+        pytest.param(["lambda", "--points", "1,0;0.5,2"], id="lambda-points"),
+        pytest.param(["lambda", "--n-grid", "2", "--re-max", "1.5", "--check", "2"],
+                     id="lambda-check"),
+        pytest.param(["energy", "--psi", STABLE_PSI, "--set", TWO_POINT_1D,
+                      "--rel-tol", "1e-3"], id="energy"),
+        pytest.param(["equilibrium", "--set", CUBE_16, "--s", "0.3"], id="equilibrium-riesz"),
+        pytest.param(["equilibrium", "--set", CUBE_16, "--gauge", "potential",
+                      "--psi", STABLE_PSI, "--tol", "1e-9"], id="equilibrium-potential"),
+        pytest.param(["equilibrium", "--set", CUBE_16, "--flat-check"],
+                     id="equilibrium-flat-check"),
+        pytest.param(["capacity", "--set", CUBE_16, "--s", "0.7"], id="capacity-riesz"),
+        pytest.param(["capacity", "--point-test", "--psi", STABLE_2D], id="capacity-point-test"),
+        pytest.param(["classify", "--stable", "1.5,1.2", "--dim", "2",
+                      "--multiple", "1.5,2,2"], id="classify"),
+        pytest.param(["dimension", "--stable", "1.0,1.0", "--dim", "3"], id="dimension"),
+        pytest.param(["dimension", "--stable", "1.5,1.5", "--dim", "2", "--numeric"],
+                     id="dimension-numeric"),
+        pytest.param(["dimension", "--stable", "1.5,1.5", "--dim", "2", "--numeric",
+                      "--bisect-tol", "0.5"], id="dimension-bisect-tol"),
+        pytest.param(["simulate", "--mode", "hitting", "--stable", "1.5", "--set", TWO_POINT_1D,
+                      "--trials", "100", "--n-steps", "20", "--seed", "3"], id="simulate-hitting"),
+        pytest.param(["simulate", "--mode", "intersection", "--stable", "1.5,1.5",
+                      "--trials", "100", "--n-steps", "20"], id="simulate-intersection"),
+        pytest.param(["simulate", "--mode", "boxdim", "--stable", "0.7", "--n-steps", "500",
+                      "--seed", "5"], id="simulate-boxdim"),
+        pytest.param(["simulate", "--mode", "sojourn", "--stable", "1.5", "--trials", "100",
+                      "--n-steps", "20", "--seed", "6"], id="simulate-sojourn"),
+    ])
+    def test_every_variant_replays_from_its_report(self, argv, capsys, tmp_path):
+        assert_replays(argv, capsys, tmp_path)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["equilibrium", "--set", CUBE_16, "--gauge", "potential", "--psi", STABLE_PSI,
+          "--s", "0.9"], "--s"),
+        (["equilibrium", "--set", CUBE_16, "--psi", STABLE_PSI], "--psi"),
+        (["capacity", "--point-test", "--psi", STABLE_PSI, "--set", CUBE_16], "--set"),
+        (["capacity", "--point-test", "--psi", STABLE_PSI, "--s", "0.5"], "--s"),
+        (["capacity", "--point-test", "--psi", STABLE_PSI, "--tol", "1e-6"], "--tol"),
+        (["capacity", "--point-test", "--psi", STABLE_PSI, "--max-iter", "10"], "--max-iter"),
+        (["capacity", "--set", CUBE_16, "--psi", STABLE_PSI], "--psi"),
+        (["dimension", "--stable", "1.5,1.5", "--dim", "2", "--bisect-tol", "0.5"],
+         "--bisect-tol"),
+        (["lambda", "--points", "1,0", "--re-max", "2"], "--re-max"),
+        (["lambda", "--points", "1,0", "--im-max", "2"], "--im-max"),
+        (["lambda", "--points", "1,0", "--n-grid", "3"], "--n-grid"),
+        (["classify", "--dim", "2", "--subordinators", "0.5,0.6"], "--dim"),
+    ])
+    def test_flag_the_variant_ignores_is_refused(self, argv, flag, capsys):
+        code, rep = run_cli(argv, capsys)
+        assert code == 1
+        assert rep["kind"] == "invalid-input"
+        assert rep["error"].endswith(f" does not use {flag}")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["capacity", "--point-test"], "--psi"),
+        (["capacity", "--s", "0.5"], "--set"),
+        (["equilibrium", "--set", CUBE_16, "--gauge", "potential"], "--psi"),
+        (["simulate", "--mode", "hitting", "--stable", "1.5"], "--set"),
+    ])
+    def test_missing_flag_the_variant_needs(self, argv, flag, capsys):
+        code, rep = run_cli(argv, capsys)
+        assert code == 1
+        assert rep["kind"] == "invalid-input"
+        assert rep["error"].endswith(f" needs {flag}")
+
+    def test_params_hold_the_defaults_and_parsed_json(self, capsys):
+        code, rep = run_cli(["capacity", "--set", CUBE_16], capsys)
+        assert code == 0
+        assert rep["params"] == {"point_test": False, "set": json.loads(CUBE_16), "s": 0.5,
+                                 "tol": 1e-8, "max_iter": 50000}
 
 
 class TestArgin:

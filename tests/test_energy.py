@@ -11,6 +11,7 @@ from addlevy import (
     ExponentVector,
     IsotropicStable,
     PureDrift,
+    SumOf,
     energy_fourier,
     energy_identity_check,
     lambda_closed,
@@ -77,6 +78,13 @@ class TestEnergyFourier:
     def test_cauchy_delta_diverges(self):
         # [DERIVED] logarithmic tail: flagged divergent, value +inf
         psi = ExponentVector((IsotropicStable(alpha=1.0, dim=1),))
+        rep = energy_fourier(psi, delta([0.0]))
+        assert not rep.converged
+        assert rep.value == np.inf
+
+    def test_cancelling_drifts_diverge(self):
+        # [DERIVED] opposite drifts sum to Psi = 0, so K = 1 is not integrable
+        psi = ExponentVector((SumOf(components=(PureDrift(b=(1.0,)), PureDrift(b=(-1.0,)))),))
         rep = energy_fourier(psi, delta([0.0]))
         assert not rep.converged
         assert rep.value == np.inf

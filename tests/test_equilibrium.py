@@ -187,7 +187,7 @@ def exact_rel_gap(mat, w):
 
 
 def toy(entries):
-    return EnergyMatrix(entries=np.array(entries, dtype=float), source="toy")
+    return EnergyMatrix(entries=np.array(entries, dtype=float))
 
 
 def random_spd(n, seed, positive, shift):
@@ -207,8 +207,7 @@ def fw_from_uniform(m, tol=1e-8, max_iter=50000):
 class TestSolveEquilibrium:
     def test_two_atom_symmetric(self):
         # [TRIVIAL] symmetry + uniqueness pin the split at (1/2, 1/2)
-        mat = EnergyMatrix(entries=np.array([[2.0, 1.0], [1.0, 2.0]]),
-                          source="toy")
+        mat = EnergyMatrix(entries=np.array([[2.0, 1.0], [1.0, 2.0]]))
         res = solve_equilibrium(mat)
         assert res.converged
         assert res.weights == pytest.approx([0.5, 0.5], abs=1e-8)
@@ -388,8 +387,7 @@ class TestSolveEquilibrium:
         assert not res.converged
 
     def test_infinite_entries_zero_capacity(self):
-        mat = EnergyMatrix(entries=np.array([[np.inf, 1.0], [1.0, np.inf]]),
-                          source="toy")
+        mat = EnergyMatrix(entries=np.array([[np.inf, 1.0], [1.0, np.inf]]))
         res = solve_equilibrium(mat)
         assert res.capacity == 0.0
 
@@ -487,6 +485,9 @@ class TestDriftPointCapacity:
         # [DERIVED] a bare zero drift is K = 1; with a real part it is 1 / (1 + R)
         assert not point_capacity_test(ExponentVector((PureDrift(b=(0.0,)),)))
         assert point_capacity_test(ExponentVector((PureDrift(b=(0.5,)),)))
+        # opposite drifts in d = 1 add to Psi = 0 before any growth is taken
+        opposite = SumOf(components=(PureDrift(b=(1.0,)), PureDrift(b=(-1.0,))))
+        assert not point_capacity_test(ExponentVector((opposite,)))
         zero = PureDrift(b=(0.0, 0.0))
         assert not point_capacity_test(ExponentVector((zero,)))
         assert not point_capacity_test(ExponentVector((zero, IsotropicStable(alpha=1.5, dim=2))))

@@ -151,6 +151,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             Skewed1DStable(alpha=1.5, beta=1.5)
 
+    @pytest.mark.parametrize("build", [
+        lambda: IsotropicStable(1.5),
+        lambda: PureDrift((-1.0,)),
+        lambda: BrownianIsotropic(1, 2.0),
+        lambda: Skewed1DStable(1.5),
+        lambda: SumOf((IsotropicStable(alpha=1.5),)),
+    ])
+    def test_positional_construction_refused(self, build):
+        # IsotropicStable(1.5) would otherwise read as dim=1.5, alpha=2.0
+        with pytest.raises(TypeError):
+            build()
+
     def test_vector_mixed_dims_rejected(self):
         with pytest.raises(DimensionMismatchError):
             ExponentVector((IsotropicStable(dim=2), BrownianIsotropic(dim=3)))
