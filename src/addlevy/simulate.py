@@ -14,12 +14,20 @@ steps (plus one for a sojourn's start point): trial i reads uniforms
 K))` call, consumed row by row, so the block size cannot change a result.
 The uniforms become variates by exact transforms: v = pi (u - 1/2) and
 w = -log1p(-u) for the CMS pair, Box-Muller for normals, and
-tan(pi (u - 1/2)) for the d = 1 Cauchy step.  In d = 1 nearest distances
-come from one sort per row, with no KD-tree.
+tan(pi (u - 1/2)) for the d = 1 Cauchy step.
+
+Hitting and intersection need only whether some pair of points is closer
+than epsilon, and no KD-tree is built.  In d = 1 nearest distances come from
+one sort per row.  In d >= 2 one side of a block of trials is hashed into
+epsilon-cells, with the 3^d neighbour cells of each point, and sorted once;
+each point of the other side looks up its own cell there with searchsorted.
+Only the pairs so found have their distances computed, by the KD-tree's own
+float expression, so every hit flag is the one a tree would give.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -243,30 +251,161 @@ def _check_budget(query_points: int) -> None:
 
 
 def _min_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise min ||a_i - b_j|| of points a (rows, p, d) and b, either
-    per row (rows, q, d) or one (q, d) set shared by every row.
+    """Row-wise min |a_i - b_j| of d = 1 points a (rows, p, 1) and b, either
+    per row (rows, q, 1) or one (q, 1) set shared by every row.
 
-    In d = 1 a sort answers it: the closest pair is adjacent in its row's
-    sorted concatenation, one value from each side.  The order of tied values
-    does not matter, since a run of ties with both sides in it has an
-    adjacent pair at distance 0.  Each gap is the float difference of the
-    pair: bitwise what a KD-tree returns, except that the tree's squared gap
-    underflows below about 1e-154.  In d >= 2, KD-trees.
+    A sort answers it: the closest pair is adjacent in its row's sorted
+    concatenation, one value from each side.  The order of tied values does
+    not matter, since a run of ties with both sides in it has an adjacent
+    pair at distance 0.  Each gap is the float difference of the pair:
+    bitwise what a KD-tree returns, except that the tree's squared gap
+    underflows below about 1e-154.
     """
-    rows, p, d = a.shape
-    if d == 1:
-        both = np.concatenate((a[..., 0], np.broadcast_to(b[..., 0], (rows, b.shape[-2]))),
-                              axis=1)
-        order = np.argsort(both, axis=1)
-        side = order >= p
-        gaps = np.where(side[:, 1:] != side[:, :-1],
-                        np.diff(np.take_along_axis(both, order, axis=1), axis=1), np.inf)
-        return np.abs(gaps.min(axis=1))  # -0.0 - 0.0 is the only negative gap
-    from scipy.spatial import cKDTree  # here, not at import: most subcommands build no tree
+    rows, p, _ = a.shape
+    both = np.concatenate((a[..., 0], np.broadcast_to(b[..., 0], (rows, b.shape[-2]))), axis=1)
+    order = np.argsort(both, axis=1)
+    side = order >= p
+    gaps = np.where(side[:, 1:] != side[:, :-1],
+                    np.diff(np.take_along_axis(both, order, axis=1), axis=1), np.inf)
+    return np.abs(gaps.min(axis=1))  # -0.0 - 0.0 is the only negative gap
 
-    if b.ndim == 2:
-        return cKDTree(b).query(a.reshape(-1, d), k=1)[0].reshape(rows, p).min(axis=1)
-    return np.array([cKDTree(bi).query(ai, k=1)[0].min() for ai, bi in zip(a, b)])
+
+# Cells are this much wider than epsilon, and cell indices are clipped to
+# +-_CELL_CLIP.  Rounding x / width moves a point by at most
+# ulp(_CELL_CLIP) / 2 = 2^-11 of a cell, less than the 2^-10 the widening
+# leaves, so a pair the distance test can pass never lies two cells apart.
+_CELL_WIDENING = 1.0 + 2.0 ** -10
+_CELL_CLIP = 2.0 ** 42
+# Cells are at least this wide: below it a squared gap is subnormal, and the
+# distance test may round a gap wider than epsilon to a hit.
+_MIN_CELL = 2.0 ** -500
+# Cells cover the first _CELL_AXES coordinates only, so a point has at most
+# 27 neighbour cells; in higher d the distance test alone reads the others.
+_CELL_AXES = 3
+# The cell hash is linear, with odd 32-bit multipliers (one per cell axis,
+# then the row) shifted into the high half of an int64.  A key is the hash
+# plus the point's index in the low 32 bits, so one np.sort orders the keys
+# and carries the indices along.
+_HASH = (np.array([0x9E3779B9, 0x85EBCA6B, 0xC2B2AE35, 0x27D4EB2F], dtype=np.uint64)
+         << np.uint64(32)).view(np.int64)
+_INDEX_MASK = np.int64(2 ** 32 - 1)
+
+
+@functools.cache
+def _neighbour_offsets(axes: int) -> np.ndarray:
+    """Hash offsets of the 3^axes cells around a cell, itself included."""
+    steps = np.stack(np.meshgrid(*([np.array([-1, 0, 1])] * axes), indexing="ij"), axis=-1)
+    return steps.reshape(-1, axes) @ _HASH[:axes]
+
+
+class _Cells:
+    """Points hashed into epsilon-cells and sorted once, to find the points
+    of another set that lie within epsilon of them.
+
+    The points are (rows, q, d), one set per row of trials, or (q, d), one
+    set shared by every row.  A point's hash is a linear function of its
+    cell floor(x / width), width a hair over epsilon, and of its row.  So the
+    hashes of a cell's 3^d neighbours (3^3 in d > 3) are its own plus
+    constant offsets.  The side with fewer points carries those offsets:
+    these points if they are at most `probe_points`, the number a probe will
+    bring, or else the probe's.  Collisions of the hash only add candidate
+    pairs; the exact distances decide.
+    """
+
+    def __init__(self, points: np.ndarray, epsilon: float, probe_points: int):
+        self.epsilon = epsilon
+        self.scale = 1.0 / (max(epsilon, _MIN_CELL) * _CELL_WIDENING)
+        self.group = points.shape[1] if points.ndim == 3 else None  # points per row
+        self.coords = _coordinates(points)
+        self.expand = self.coords.shape[1] <= probe_points
+        self.keys = self._sorted_keys(points, self.expand)
+
+    def _sorted_keys(self, points: np.ndarray, expand: bool) -> np.ndarray:
+        """Sorted keys of points (rows, n, d) or (n, d), or of their 3^d
+        neighbour cells if `expand`."""
+        axes = min(points.shape[-1], _CELL_AXES)
+        with np.errstate(over="ignore"):  # clipped: |x| / width may exceed the float range
+            cells = np.clip(points[..., :axes] * self.scale, -_CELL_CLIP, _CELL_CLIP)
+        cells = np.floor(cells, out=cells).astype(np.int64)
+        keys = cells[..., 0] * _HASH[0]
+        for axis in range(1, axes):
+            keys += cells[..., axis] * _HASH[axis]
+        if self.group is not None:
+            keys += (np.arange(points.shape[0]) * _HASH[-1])[:, None]
+        keys = keys.ravel()
+        keys |= np.arange(keys.size)
+        if expand:
+            offsets = _neighbour_offsets(axes)
+            expanded = np.empty((offsets.size, keys.size), dtype=np.int64)
+            for row, offset in zip(expanded, offsets):
+                np.add(keys, offset, out=row)
+            keys = expanded.ravel()
+        keys.sort()
+        return keys
+
+    def near(self, probe: np.ndarray) -> np.ndarray:
+        """Hit flag per row of probe (rows, p, d): does some point of the
+        row lie within epsilon of this set (of the row's own set, if per row)?
+
+        Each probe key does one pair of searchsorted calls on the sorted keys;
+        the candidate pairs are then tested, _BLOCK_VALUES at a time, by the
+        distance a KD-tree computes, sqrt(sum_k (a_k - b_k)^2) summed in
+        coordinate order, so every flag is the tree's `distance < epsilon`.
+        """
+        rows, p, _ = probe.shape
+        coords = _coordinates(probe)
+        needles = self._sorted_keys(probe, not self.expand)
+        owners = needles & _INDEX_MASK
+        needles -= owners
+        lo = np.searchsorted(self.keys, needles, side="left")
+        counts = np.searchsorted(self.keys, needles | _INDEX_MASK, side="right") - lo
+        keep = np.flatnonzero(counts)
+        owners, counts = owners[keep], counts[keep]
+        ends = np.cumsum(counts)
+        shift = lo[keep] - (ends - counts)  # candidate c of owner k is keys[c + shift[k]]
+        hit = np.zeros(rows, dtype=bool)
+        total = int(ends[-1]) if ends.size else 0
+        for start in range(0, total, _BLOCK_VALUES):
+            c = np.arange(start, min(start + _BLOCK_VALUES, total))
+            k = np.searchsorted(ends, c, side="right")
+            i, j = owners[k], self.keys[c + shift[k]] & _INDEX_MASK
+            with np.errstate(over="ignore"):  # far candidate pairs: inf, as in the tree
+                sq = np.zeros(c.size)
+                for x, y in zip(coords, self.coords):
+                    gap = x[i] - y[j]
+                    sq += gap * gap
+            row = i // p
+            close = np.sqrt(sq) < self.epsilon
+            if self.group is not None:
+                close &= j // self.group == row  # a hash collision across rows
+            hit[row[close]] = True
+        return hit
+
+
+def _coordinates(points: np.ndarray) -> np.ndarray:
+    """(d, n) coordinate arrays of points (..., d), checked finite."""
+    coords = points.reshape(-1, points.shape[-1]).T.copy()
+    if not np.isfinite(coords).all():
+        raise ValueError("points must be finite, got nan or inf")
+    return coords
+
+
+def _near(a: np.ndarray, b, epsilon: float) -> np.ndarray:
+    """Hit flag per row: does some point of a (rows, p, d) lie within
+    epsilon of b, the row's own points (rows, q, d), one (q, d) set shared by
+    every row, or a shared set already hashed into _Cells?
+
+    Every flag is `min distance < epsilon` as a KD-tree computes it.  In
+    d = 1 the minimum comes from one sort per row (_min_distance); in d >= 2
+    from the epsilon-cells of _Cells.
+    """
+    if isinstance(b, _Cells):
+        return b.near(a)
+    if a.shape[-1] == 1:
+        return np.less(_min_distance(a, b), epsilon)
+    if b.ndim == 3 and b.shape[1] > a.shape[1]:
+        a, b = b, a  # the relation is symmetric; index the smaller side
+    return _Cells(b, epsilon, a.shape[0] * a.shape[1]).near(a)
 
 
 def hitting_frequency(sys: StableSystem, target: SetDiscretization,
@@ -285,17 +424,21 @@ def hitting_frequency(sys: StableSystem, target: SetDiscretization,
         raise ValueError(f"target points lie in R^{target_pts.shape[1]}, "
                          f"the field in R^{sys.d}")
     _check_budget(cfg.trials * cfg.n_steps * (target_pts.shape[0] if sys.n == 2 else 1))
+    target = target_pts
+    if sys.n == 1 and sys.d > 1:  # hashed once, not once per block
+        block_points = _block_trials(1, cfg.n_steps, sys.d) * cfg.n_steps
+        target = _Cells(target_pts, cfg.epsilon, block_points)
     hits = np.empty(cfg.trials)
     for start, u in _blocks(cfg, sys.alphas, sys.d):
         paths = [p[:, 1:] for p in _sample_paths(sys.alphas, sys.d, cfg.time_horizon,
                                                  cfg.n_steps, u)]
         if sys.n == 1:
-            dmin = _min_distance(paths[0], target_pts)
+            hits[start:start + len(u)] = _near(paths[0], target, cfg.epsilon)
         else:
             x1, x2 = paths
             shifted = target_pts[:, None, :] - x1[:, None, :, :]
-            dmin = _min_distance(shifted.reshape(len(u), -1, sys.d), x2)
-        hits[start:start + len(u)] = np.less(dmin, cfg.epsilon)
+            hits[start:start + len(u)] = _near(shifted.reshape(len(u), -1, sys.d), x2,
+                                               cfg.epsilon)
     return _estimate(hits)
 
 
@@ -306,7 +449,7 @@ def intersection_frequency(alpha1: float, alpha2: float, d: int,
     hits = np.empty(cfg.trials)
     for start, u in _blocks(cfg, (alpha1, alpha2), d):
         p1, p2 = _sample_paths((alpha1, alpha2), d, cfg.time_horizon, cfg.n_steps, u)
-        hits[start:start + len(u)] = np.less(_min_distance(p1[:, 1:], p2[:, 1:]), cfg.epsilon)
+        hits[start:start + len(u)] = _near(p1[:, 1:], p2[:, 1:], cfg.epsilon)
     return _estimate(hits)
 
 

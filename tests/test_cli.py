@@ -67,6 +67,26 @@ def test_lambda_check_and_potential_gauge_leave_scipy_integrate_unloaded():
     assert out.strip() == "[0, 0] False"
 
 
+def test_planar_monte_carlo_leaves_scipy_spatial_unloaded():
+    # d >= 2 hitting and intersection decide hits by epsilon-cells, with no
+    # KD-tree; running them must not import scipy.spatial
+    mc = ["--trials", "100", "--n-steps", "50", "--seed", "3"]
+    jobs = [["simulate", "--mode", "hitting", "--stable", "1.5", "--dim", "2",
+             "--set", TWO_POINT_2D] + mc,
+            ["simulate", "--mode", "hitting", "--stable", "1.5,1.2", "--dim", "2",
+             "--set", TWO_POINT_2D] + mc,
+            ["simulate", "--mode", "intersection", "--stable", "1.5,1.2", "--dim", "2"] + mc]
+    probe = ("import contextlib, io, sys\n"
+             "from addlevy.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    codes = [main(argv, _exit=False) for argv in {jobs!r}]\n"
+             "print(codes, 'scipy.spatial' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(addlevy.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True, timeout=120).stdout
+    assert out.strip() == "[0, 0, 0] False"
+
+
 def test_repeated_main_calls_print_what_fresh_processes_print(tmp_path):
     # the parser is built once per process; calls with different subcommands,
     # a refused one and a replay among them, must print the same bytes as

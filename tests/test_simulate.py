@@ -1,6 +1,8 @@
 """Monte Carlo: stable samplers, paths, hitting, box counting, sojourns."""
 import math
 import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from addlevy import (
 )
 from addlevy import simulate
 from addlevy.simulate import BudgetError, GaussianDensitySpec
-from addlevy.measures import discretize, two_point
+from addlevy.measures import cube_grid, discretize, two_point
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +390,7 @@ class TestNearestDistance:
                     for arow, brow in zip(a, b)]
         assert np.array(want).tobytes() == got.tobytes()
 
-    def test_d1_estimators_build_no_tree(self, monkeypatch):
+    def test_estimators_build_no_tree(self, monkeypatch):
         import scipy.spatial
 
         class NoTree:
@@ -397,11 +399,176 @@ class TestNearestDistance:
 
         monkeypatch.setattr(scipy.spatial, "cKDTree", NoTree)
         cfg = MCConfig(trials=100, n_steps=50, epsilon=0.1, seed=3)
-        for alphas in ((1.5,), (1.5, 1.2)):
-            hitting_frequency(StableSystem(alphas=alphas, d=1), two_point(1.0), cfg)
-        intersection_frequency(1.5, 1.2, 1, cfg)
-        with pytest.raises(AssertionError, match="KD-tree"):
-            intersection_frequency(1.5, 1.2, 2, cfg)
+        for d in (1, 2, 3):
+            for alphas in ((1.5,), (1.5, 1.2)):
+                hitting_frequency(StableSystem(alphas=alphas, d=d), two_point(1.0, d), cfg)
+            intersection_frequency(1.5, 1.2, d, cfg)
+
+
+def tree_flags(a, b, eps):
+    """The KD-tree oracle: min distance < eps per row."""
+    if b.ndim == 2:
+        tree = cKDTree(b)
+        return np.array([tree.query(row, k=1)[0].min() < eps for row in a])
+    return np.array([cKDTree(brow).query(arow, k=1)[0].min() < eps for arow, brow in zip(a, b)])
+
+
+def nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, math.copysign(math.inf, ulps))
+    return float(x)
+
+
+CELL_EPS = st.sampled_from((0.1, 0.3, 1.0, 2.0 ** -7, 1e-3))
+HUGE = (1e200, -1e200, 1.5e200, -3e199, 1e200 * (1 + 2 ** -52))
+
+
+@st.composite
+def cell_clouds(draw, d, rows, count, eps):
+    """(rows, count, d) coordinates: cell boundaries k eps (negative ones
+    too) nudged by up to one ulp, free floats, huge values, or one cluster
+    of points sharing a cell."""
+    lattice = st.tuples(st.integers(-6, 6), st.integers(-1, 1)).map(
+        lambda t: nudged(t[0] * eps, t[1]))
+    coord = st.one_of(lattice, st.floats(-3.0, 3.0), st.sampled_from(HUGE))
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.lists(st.lists(coord, min_size=d, max_size=d),
+                                                min_size=count, max_size=count),
+                                       min_size=rows, max_size=rows)))
+    centre = np.array(draw(st.lists(lattice, min_size=d, max_size=d)))
+    spread = draw(st.floats(0.0, 0.25)) * eps
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return centre + np.random.default_rng(seed).uniform(-spread, spread, (rows, count, d))
+
+
+# directions of pairs set at distance (about) eps: an axis, a diagonal, or drawn
+DIRECTIONS = st.one_of(
+    st.sampled_from(((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 1.0, 1.0),
+                     (1.0, 1.0, 0.0), (-1.0, 1.0, 1.0))),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: v[0] ** 2 + v[1] ** 2 > 1e-6))
+
+
+class TestCellPairs:
+    # [DERIVED] the epsilon-cell test decides every row as the KD-tree does
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), d=st.sampled_from((2, 3)), rows=st.integers(1, 4),
+           p=st.integers(1, 12), q=st.integers(1, 12), shared=st.booleans(), eps=CELL_EPS)
+    def test_equals_kd_tree(self, data, d, rows, p, q, shared, eps):
+        a = data.draw(cell_clouds(d, rows, p, eps))
+        b = data.draw(cell_clouds(d, 1 if shared else rows, q, eps))
+        # move some points of b to about eps from a point of a, one ulp either side
+        for _ in range(data.draw(st.integers(0, 4))):
+            r = data.draw(st.integers(0, b.shape[0] - 1))
+            i, j = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, q - 1))
+            direction = np.array(data.draw(DIRECTIONS)[:d])
+            length = nudged(eps, data.draw(st.integers(-2, 2)))
+            step = length * direction / np.sqrt(np.sum(direction * direction))
+            b[r, j] = a[data.draw(st.integers(0, rows - 1)) if shared else r, i] + step
+        b = b[0] if shared else b
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = simulate._near(a, b, eps)
+        assert got.tolist() == tree_flags(a, b, eps).tolist()
+
+    @pytest.mark.parametrize("d", (2, 3))
+    @pytest.mark.parametrize("eps", (0.1, 0.3, 1e-3))
+    def test_pairs_at_epsilon(self, d, eps):
+        # pairs eps apart along an axis, and one ulp either side, from points
+        # on a cell boundary (negative ones too), one ulp off it, or off the grid
+        width = eps * simulate._CELL_WIDENING
+        starts = [nudged(k * width, ulps) for k in range(-3, 3) for ulps in (-1, 0, 1)]
+        for x0 in starts + [0.37, -2.5]:
+            for gap in (nudged(eps, -1), eps, nudged(eps, 1), -eps):
+                a = np.zeros((1, 1, d))
+                a[0, 0, 0] = x0
+                b = a.copy()
+                b[0, 0, 0] = x0 + gap
+                for bb in (b, b[0]):
+                    assert (simulate._near(a, bb, eps).tolist()
+                            == tree_flags(a, bb, eps).tolist()), (x0, gap)
+
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_tiny_epsilon_reads_underflowing_gaps_as_the_tree(self, d):
+        # a gap of 1e-165 squares to 0, so the tree sees distance 0 < 1e-170
+        a = np.zeros((2, 1, d))
+        b = a.copy()
+        b[0, 0, 0] = 1e-165
+        b[1, 0, 0] = 1e-150
+        assert tree_flags(a, b, 1e-170).tolist() == [True, False]
+        assert simulate._near(a, b, 1e-170).tolist() == [True, False]
+
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_hash_collisions_only_add_candidates(self, monkeypatch, d):
+        # with every multiplier 0 all points of all rows share one hash, so
+        # each pair is a candidate: the distances and rows alone must decide
+        monkeypatch.setattr(simulate, "_HASH", np.zeros(4, dtype=np.int64))
+        simulate._neighbour_offsets.cache_clear()
+        try:
+            rng = np.random.default_rng(5)
+            a = rng.uniform(-1.0, 1.0, (5, 8, d))
+            b = a[::-1] + rng.uniform(-0.01, 0.01, a.shape)  # near pairs lie in other rows
+            for bb in (b, b[2], b[:, :5]):
+                assert simulate._near(a, bb, 0.05).tolist() == tree_flags(a, bb, 0.05).tolist()
+        finally:
+            simulate._neighbour_offsets.cache_clear()
+
+    def test_cells_beyond_three_axes(self):
+        # in d = 5 cells cover three axes; the last two must still count
+        rng = np.random.default_rng(8)
+        a = rng.uniform(-0.3, 0.3, (6, 20, 5))
+        b = a + rng.normal(0.0, 0.02, a.shape)
+        b[::2, :, 4] += 1.0  # far apart along the fifth axis only
+        flags = tree_flags(a, b, 0.1)
+        assert flags[1::2].all() and not flags[::2].any()
+        assert simulate._near(a, b, 0.1).tolist() == flags.tolist()
+        assert simulate._near(a, b[0], 0.1).tolist() == tree_flags(a, b[0], 0.1).tolist()
+
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_huge_coordinates_overflow_to_no_hit(self, d):
+        # squared gaps overflow: the tree reads inf, so no hit, and no warning
+        a = np.full((2, 3, d), 1e200)
+        a[1] *= -1.0
+        b = a * (1.0 + 2.0 ** -40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = simulate._near(a, b, 0.1)
+            shared = simulate._near(a, b[0], 0.1)
+        assert got.tolist() == [False, False] == tree_flags(a, b, 0.1).tolist()
+        assert shared.tolist() == [False, False] == tree_flags(a, b[0], 0.1).tolist()
+        assert simulate._near(a, a.copy(), 0.1).tolist() == [True, True]
+
+    @pytest.mark.parametrize("d", (2, 3))
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_points_raise(self, d, bad):
+        a = np.zeros((2, 3, d))
+        b = np.ones((2, 4, d))
+        for side in ("a", "b"):
+            x, y = a.copy(), b.copy()
+            (x if side == "a" else y)[1, 2, 0] = bad
+            for yy in (y, y[1]):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match="finite"):
+                        simulate._near(x, yy, 0.1)
+
+    @pytest.mark.parametrize("d, n_per_axis, n_steps, peak_mib", [(2, 200, 50, 16),
+                                                                   (3, 60, 20, 32)])
+    def test_dense_target_equals_tree_in_bounded_memory(self, d, n_per_axis, n_steps,
+                                                        peak_mib):
+        # hundreds of target atoms per epsilon-cell: candidate pairs number
+        # millions, and are tested a block's worth at a time
+        target = cube_grid([[-0.5, 0.5]] * d, n_per_axis)
+        cfg = MCConfig(trials=100, n_steps=n_steps, epsilon=0.1, seed=11)
+        sys_ = StableSystem(alphas=(1.5,), d=d)
+        tracemalloc.start()
+        try:
+            est = hitting_frequency(sys_, target, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est == reference_hitting(sys_, target, cfg)
+        assert peak < peak_mib * 2 ** 20
 
 
 class TestOneGenerator:
@@ -472,7 +639,7 @@ class TestBlockEstimators:
         assert sojourn_mc(alpha, f, cfg) == reference_sojourn(alpha, f, cfg)
 
     def test_workload_sized_hitting_pair(self):
-        # the benchmark's N = 2 shape: one tree on X2 per trial instead of n^2 points
+        # the benchmark's N = 2 shape: X2 against the m n shifted target points, not n^2 points
         cfg = MCConfig(trials=150, n_steps=200, epsilon=0.1, seed=17)
         sys_ = StableSystem(alphas=(1.5, 1.5), d=1)
         est = hitting_frequency(sys_, two_point(4.0), cfg)
