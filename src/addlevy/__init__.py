@@ -19,11 +19,9 @@ from addlevy.exponents import (
     PureDrift,
     Skewed1DStable,
     SumOf,
-    eval_exponent,
-    k_psi,
     sector_constant,
 )
-from addlevy.measures import AtomicMeasure, SetDiscretization, discretize, fourier_measure
+from addlevy.measures import AtomicMeasure, SetDiscretization, discretize
 from addlevy.kernels import (
     Kernel,
     PotentialDensity,
@@ -34,9 +32,9 @@ from addlevy.kernels import (
     riesz_constant,
     riesz_kernel,
 )
+from addlevy.quadrature import QuadratureSpec
 from addlevy.energy import (
     EnergyReport,
-    QuadratureSpec,
     energy_fourier,
     energy_identity_check,
     mutual_energy_real,

@@ -84,7 +84,6 @@ class ConvergenceVerdict:
 
     kind: str  # "Convergent", "Divergent", "Inconclusive"
     slope: Optional[float] = None
-    radii: tuple = ()
     partials: tuple = ()
 
     def __post_init__(self):
@@ -184,7 +183,7 @@ def _shell_verdict(radii: np.ndarray, increments: np.ndarray) -> ConvergenceVerd
     kind = "Inconclusive"
     if abs(slope) - error > _SLOPE_BAND:  # False for a NaN slope
         kind = "Convergent" if slope < 0.0 else "Divergent"
-    return ConvergenceVerdict(kind=kind, slope=slope, radii=tuple(radii.tolist()),
+    return ConvergenceVerdict(kind=kind, slope=slope,
                               partials=tuple(np.cumsum(increments).tolist()))
 
 
@@ -257,8 +256,8 @@ def planar_averaged_kernel(psi: ExponentVector, r: np.ndarray) -> np.ndarray:
     out = np.ones(r.size)
     moving = []
     for c in psi.components:
-        a = 1.0 + c.evaluate(_axis_points(r, 2)).real
-        b = -c.evaluate(np.eye(2)).imag
+        a = 1.0 + c(_axis_points(r, 2)).real
+        b = -c(np.eye(2)).imag
         if np.any(b):
             moving.append((a, math.hypot(*b), (math.atan2(b[1], b[0]) + 0.5 * math.pi) % math.pi))
         else:

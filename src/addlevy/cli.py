@@ -5,9 +5,9 @@ file).  One table, ``_FLAGS``, lists for each variant of each subcommand the
 flags it reads and their defaults.  A flag of the subcommand that its
 variant does not read is refused; the report's ``params`` hold exactly the
 resolved flags, defaults filled in, so a run can be reproduced from its own
-report.  Exit codes: 0 success, 1 invalid input (with a machine-readable
-error object on stdout) or a stdout closed by its reader, 2 a solver or
-quadrature failed to converge.
+report.  Exit codes: 0 success, 1 invalid input, a bad command line
+included (with a machine-readable error object on stdout), or a stdout
+closed by its reader, 2 a solver or quadrature failed to converge.
 
 A saved report or hand-written config can be replayed with
 
@@ -71,6 +71,13 @@ class NotConverged(RuntimeError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is invalid input, exit 1, as any other."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def _parse_floats(text: str) -> list:
     try:
         return [float(t) for t in text.replace(";", ",").split(",") if t.strip()]
@@ -115,7 +122,7 @@ def _write_report(report: dict, output_path, csv_rows=None, csv_path=None):
     if output_path:
         with open(output_path, "w") as fh:
             fh.write(text + "\n")
-    if csv_path and csv_rows is not None:
+    if csv_path:
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerows(csv_rows)
@@ -168,6 +175,7 @@ _FLAGS = {
     }),
 }
 _JSON_FLAGS = ("psi", "set")
+_TABLES = ("lambda", "equilibrium")  # the subcommands with CSV rows
 _MC_FIELDS = ("trials", "time_horizon", "n_steps", "epsilon")
 
 
@@ -311,8 +319,10 @@ def cmd_classify(p) -> tuple:
         vals = _parse_floats(p["multiple"])
         if len(vals) != 3:
             raise CliError("--multiple needs alpha,d,N")
-        alpha, d, n = vals[0], int(vals[1]), int(vals[2])
-        report["multiple_points_allowed"] = multiple_points_allowed(alpha, d, n)
+        alpha, d, n = vals
+        if not (d.is_integer() and d >= 1 and n.is_integer() and n >= 2):
+            raise CliError("--multiple needs an integral d >= 1 and an integral N >= 2")
+        report["multiple_points_allowed"] = multiple_points_allowed(alpha, int(d), int(n))
     if "subordinators" in p:
         vals = _parse_floats(p["subordinators"])
         if len(vals) != 2:
@@ -329,6 +339,8 @@ def cmd_dimension(p) -> tuple:
     report = {"analytic_dimension": intersection_dimension(sys_),
               "range_dimension": range_dimension(sys_)}
     if p["numeric"]:
+        if p["dim"] > 3:
+            raise CliError("--numeric needs --dim <= 3, where the probe is defined")
         try:
             report["numeric_dimension"] = dimension_by_bisection(
                 lambda s: probe_intersection_dimension_test(sys_, s),
@@ -342,6 +354,8 @@ def cmd_simulate(p) -> tuple:
     """Monte Carlo estimates"""
     cfg = MCConfig(seed=p["seed"], **{k: p[k] for k in _MC_FIELDS if k in p})
     alphas = _parse_floats(p["stable"])
+    if p["mode"] in ("boxdim", "sojourn") and len(alphas) != 1:
+        raise CliError(f"{p['mode']} mode needs one --stable index")
     if p["mode"] == "hitting":
         sys_ = StableSystem(alphas=tuple(alphas), d=p["dim"])
         est = hitting_frequency(sys_, _set(p["set"]), cfg)
@@ -435,7 +449,7 @@ _HELP = {
 @functools.cache  # parsing leaves it unchanged and every default is immutable
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every flag in _FLAGS; a flag not given parses as None."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="addlevy",
         description="Energies, capacities, classifiers, and Monte Carlo "
                     "checks for additive Levy processes.")
@@ -454,28 +468,27 @@ def _build_parser() -> argparse.ArgumentParser:
                 kind = {"type": type(default) if isinstance(default, (int, float)) else str}
             p.add_argument(_flag(name), help=_HELP.get(name), **kind)
         p.add_argument("--out", help="also write the JSON report here")
-        p.add_argument("--csv", help="write tabular output as CSV")
+        if command in _TABLES:
+            p.add_argument("--csv", help="write the report's table as CSV")
     p = sub.add_parser("run", help="replay a saved JSON job config")
     p.add_argument("--config", required=True)
     return parser
 
 
 def main(argv=None, _exit=True) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if _exit:
-            raise
-        raise CliError(f"argument parsing failed (exit {exc.code})")
-    try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             return cmd_run(args)
         params = _resolve(args)
         report, rows = _COMMANDS[args.command](params)
         report.update(command=args.command, params=params)
-        _write_report(report, args.out, rows, args.csv)
+        _write_report(report, args.out, rows, getattr(args, "csv", None))
         code = 0
+    except SystemExit as exc:  # --help: parse errors raise CliError
+        if _exit:
+            raise
+        code = exc.code
     except BrokenPipeError:
         # The reader closed stdout (`| head`): nothing more can reach it, and
         # pointing the descriptor at devnull keeps the flush at exit quiet.

@@ -22,17 +22,7 @@ import numpy as np
 from addlevy.exponents import DimensionMismatchError, ExponentVector
 from addlevy.kernels import Kernel, lambda_closed, potential_density_v, riesz_constant, riesz_kernel
 from addlevy.measures import AtomicMeasure
-from addlevy.quadrature import QuadratureSpec, halfline_edges, integrate_panels
-
-__all__ = [
-    "QuadratureSpec",
-    "EnergyReport",
-    "mutual_energy_real",
-    "energy_fourier",
-    "energy_identity_check",
-    "riesz_identity_sides",
-    "sojourn_second_moment",
-]
+from addlevy.quadrature import QuadratureSpec, halfline_edges, integrate_panels, powerlaw_tail
 
 
 @dataclass(frozen=True)
@@ -40,10 +30,6 @@ class EnergyReport:
     value: float
     tail_estimate: float
     converged: bool
-
-    def to_json(self):
-        return {"value": self.value, "tail_estimate": self.tail_estimate,
-                "converged": self.converged}
 
 
 def _pairwise_gauge(k: Kernel, mu: AtomicMeasure, nu: AtomicMeasure) -> np.ndarray:
@@ -85,29 +71,31 @@ def _max_frequency(*measures: AtomicMeasure) -> float:
     return max(spans + [0.0])
 
 
+def _two_resolution(upto: Callable[[float], float], quad: QuadratureSpec) -> EnergyReport:
+    """The value upto(r_max), certified by its distance to upto(r_max / 2)."""
+    value = upto(quad.r_max)
+    residual = abs(value - upto(quad.r_max / 2.0))
+    return EnergyReport(value=value, tail_estimate=residual,
+                        converged=residual <= quad.rel_tol * max(abs(value), 1e-300))
+
+
 def _halfline_value(f: Callable[[np.ndarray], np.ndarray], quad: QuadratureSpec,
                     max_freq: float, decay: Optional[float], tail_amp: float) -> EnergyReport:
     """(2 pi)^-1 * 2 * int_0^inf f, with power-law tail handling (d=1)."""
     norm = 1.0 / math.pi
 
-    def upto(r):
+    def main(r):
         return integrate_panels(f, halfline_edges(r, max_freq=max_freq))
 
-    main = upto(quad.r_max)
     if decay is None or decay <= 1.0:
         # no certified tail model; report the truncation as unconverged
-        value = norm * main
-        return EnergyReport(value=value, tail_estimate=np.inf, converged=False)
-    # tail_amp is the integrand amplitude at r_max; f ~ tail_amp (r/r_max)^-decay
-    tail = tail_amp * quad.r_max / (decay - 1.0)
-    # consistency estimate: redo at half the radius and compare
-    half_r = quad.r_max / 2.0
-    half_main = upto(half_r)
-    half_tail = tail_amp * 2.0 ** decay * half_r / (decay - 1.0)
-    value = norm * (main + tail)
-    residual = abs(value - norm * (half_main + half_tail))
-    return EnergyReport(value=value, tail_estimate=residual,
-                        converged=residual <= quad.rel_tol * max(abs(value), 1e-300))
+        return EnergyReport(value=norm * main(quad.r_max), tail_estimate=np.inf, converged=False)
+
+    # tail_amp is the integrand amplitude at r_max; f ~ tail_amp (s/r_max)^-decay
+    def upto(r):
+        return norm * (main(r) + powerlaw_tail(tail_amp * (quad.r_max / r) ** decay, r, decay))
+
+    return _two_resolution(upto, quad)
 
 
 def energy_fourier(psi: ExponentVector, mu: AtomicMeasure,
@@ -146,24 +134,20 @@ def energy_fourier(psi: ExponentVector, mu: AtomicMeasure,
         v = potential_density_v(psi, diffs, QuadratureSpec(r_max=r, rel_tol=quad.rel_tol))
         return float(mu.weights @ v @ mu.weights)
 
-    value = upto(quad.r_max)
-    residual = abs(value - upto(quad.r_max / 2.0))
-    return EnergyReport(value=value, tail_estimate=residual,
-                        converged=residual <= quad.rel_tol * max(abs(value), 1e-300))
+    return _two_resolution(upto, quad)
 
 
-def energy_identity_check(k: Kernel, nu: AtomicMeasure, mu: AtomicMeasure,
-                          quad: Optional[QuadratureSpec] = None) -> tuple[float, float]:
+def energy_identity_check(k: Kernel, nu: AtomicMeasure, mu: AtomicMeasure) -> tuple[float, float]:
     """Both sides of the convolved-gauge identity; returns (real, fourier).
 
     Real side: mutual energy of mu against itself in the convolved gauge
     (kappa * nu)(x) = sum_k w_k kappa(x - y_k).  Fourier side:
-    (2 pi)^-d int kappa_hat Re(nu_hat) |mu_hat|^2 dxi.
+    (2 pi)^-d int kappa_hat Re(nu_hat) |mu_hat|^2 dxi up to 2000, plus a
+    power-law tail.
     """
     if k.fourier is None:
         raise ValueError("kernel must carry a Fourier transform")
-    if quad is None:
-        quad = QuadratureSpec(r_max=2000.0, rel_tol=1e-6)
+    quad = QuadratureSpec(r_max=2000.0)
     if k.dim != 1:
         raise ValueError("identity check supports d=1 in v1")
     # real side
@@ -226,16 +210,15 @@ def riesz_identity_sides(mu: AtomicMeasure, s: float, cell: float) -> tuple[floa
     return real_side, fourier_side
 
 
-def sojourn_second_moment(psi: ExponentVector, fhat: Callable[[np.ndarray], np.ndarray],
-                          quad: Optional[QuadratureSpec] = None) -> float:
-    """E|Sf|^2 = 4^-N (2 pi)^-d int |f_hat|^2 prod_j Lambda(Psi_j) dxi (d=1).
+def sojourn_second_moment(psi: ExponentVector,
+                          fhat: Callable[[np.ndarray], np.ndarray]) -> float:
+    """E|Sf|^2 = 4^-N (2 pi)^-d int |f_hat|^2 prod_j Lambda(Psi_j) dxi (d=1),
+    the integral taken up to 60.
 
     fhat is the closed-form transform of the test function f.
     """
     if psi.dim != 1:
         raise ValueError("sojourn second moment supports d=1 in v1")
-    if quad is None:
-        quad = QuadratureSpec(r_max=60.0, rel_tol=1e-8)
 
     def f(sgrid):
         pts = sgrid.reshape(-1, 1)
@@ -244,6 +227,5 @@ def sojourn_second_moment(psi: ExponentVector, fhat: Callable[[np.ndarray], np.n
             prod *= lambda_closed(comp._eval(pts))
         return np.abs(np.asarray(fhat(sgrid))) ** 2 * prod
 
-    edges = halfline_edges(quad.r_max)
-    main = integrate_panels(f, edges)
+    main = integrate_panels(f, halfline_edges(60.0))
     return float((4.0 ** (-psi.n)) * (2.0 / (2.0 * math.pi)) * main)

@@ -280,7 +280,7 @@ def point_capacity_test(psi: ExponentVector) -> bool:
         return decay > d
     moving, decay = [], 0.0
     for c in psi.components:
-        if np.any(c.evaluate(np.eye(d)).imag):  # Im Psi_j(e_i) = -b_ji
+        if np.any(c(np.eye(d)).imag):  # Im Psi_j(e_i) = -b_ji
             moving.append(c)
         else:
             decay += max(0.0, c._real_growth())

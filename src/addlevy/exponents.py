@@ -52,13 +52,11 @@ class LevyExponent:
     def _eval(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def evaluate(self, xi) -> np.ndarray:
-        """Vectorized Psi(xi); returns a complex array with the lead shape of xi."""
+    def __call__(self, xi):
+        """Psi(xi): a complex number for one point, else a complex array of
+        the lead shape of xi."""
         pts, lead = _as_points(xi, self.dim)
-        return self._eval(pts).reshape(lead)
-
-    def __call__(self, xi) -> complex:
-        out = self.evaluate(xi)
+        out = self._eval(pts).reshape(lead)
         return complex(out) if out.ndim == 0 else out
 
     def _growth(self) -> Optional[tuple[float, float]]:
@@ -294,7 +292,7 @@ class ExponentVector:
         return self.components[0].dim
 
     def kernel_values(self, xi) -> np.ndarray:
-        """Vectorized K(xi) = prod_j (1 + Re Psi_j) / |1 + Psi_j|^2."""
+        """Vectorized K(xi) = prod_j (1 + Re Psi_j) / |1 + Psi_j|^2, in (0, 1]."""
         pts, lead = _as_points(xi, self.dim)
         out = np.ones(pts.shape[0])
         for comp in self.components:
@@ -312,19 +310,6 @@ class ExponentVector:
             total += p
         return total
 
-    def to_json(self):
-        return {"components": [c.to_json() for c in self.components]}
-
-
-def eval_exponent(exp: LevyExponent, xi) -> complex:
-    """Evaluate Psi(xi) for a single point xi."""
-    return complex(exp.evaluate(xi))
-
-
-def k_psi(psi: ExponentVector, xi) -> float:
-    """The product kernel K(xi); lies in (0, 1] whenever Re Psi_j >= 0."""
-    return float(np.asarray(psi.kernel_values(xi)).reshape(()))
-
 
 def sector_constant(exp: LevyExponent, sample_grid: Sequence) -> float:
     """max over the grid of |Im Psi| / (1 + Re Psi).
@@ -335,5 +320,5 @@ def sector_constant(exp: LevyExponent, sample_grid: Sequence) -> float:
     grid = list(sample_grid)
     if not grid:
         raise ValueError("sample grid must be nonempty")
-    vals = exp.evaluate(np.asarray(grid, dtype=float))
+    vals = exp(np.asarray(grid, dtype=float))
     return float(np.max(np.abs(vals.imag) / (1.0 + vals.real)))

@@ -33,17 +33,14 @@ class Kernel:
 
     eval maps arrays of shape (..., d) to nonnegative values (np.inf is
     allowed at the origin); fourier, when present, maps frequencies to the
-    nonnegative transform values ("kernel of positive type").
+    nonnegative transform values ("kernel of positive type").  meta["riesz"]
+    holds the d, alpha and constant of a Riesz kernel, for its closed forms.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
     dim: int
     fourier: Optional[Callable[[np.ndarray], np.ndarray]] = None
     meta: dict = field(default_factory=dict)
-
-    def at(self, x) -> float:
-        arr = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1, self.dim)
-        return float(self.eval(arr)[0])
 
 
 def _radius(x: np.ndarray, dim: int) -> np.ndarray:
@@ -93,7 +90,6 @@ def exponential_kernel(rate: float = 1.0) -> Kernel:
         eval=lambda x: np.exp(-rate * _radius(x, 1)),
         dim=1,
         fourier=lambda xi: 2.0 * rate / (rate ** 2 + _radius(xi, 1) ** 2),
-        meta={"name": f"exp({rate})"},
     )
 
 
@@ -104,7 +100,6 @@ def gaussian_kernel(width: float = 1.0) -> Kernel:
         dim=1,
         fourier=lambda xi: width * math.sqrt(2.0 * math.pi)
         * np.exp(-(width * _radius(xi, 1)) ** 2 / 2.0),
-        meta={"name": f"gauss({width})"},
     )
 
 
@@ -114,7 +109,6 @@ def cauchy_kernel(scale: float = 1.0) -> Kernel:
         eval=lambda x: 1.0 / (1.0 + (_radius(x, 1) / scale) ** 2),
         dim=1,
         fourier=lambda xi: math.pi * scale * np.exp(-scale * _radius(xi, 1)),
-        meta={"name": f"cauchy({scale})"},
     )
 
 
@@ -296,19 +290,17 @@ class PotentialDensity:
     def as_kernel(self) -> Kernel:
         """Expose v as a gauge with fourier = K (the defining transform)."""
         return Kernel(eval=self, dim=self.source.dim,
-                      fourier=lambda xi: self.source.kernel_values(xi),
-                      meta={"potential_density": True})
+                      fourier=lambda xi: self.source.kernel_values(xi))
 
 
-def kernel_sup_check(k: Kernel, samples, tol: float = 1e-9) -> bool:
-    """True iff the kernel value at the origin dominates all sampled values.
+def kernel_sup_check(k: Kernel, samples) -> bool:
+    """True iff the kernel value at the origin dominates all sampled values, to 1e-9.
 
     Kernels of positive type achieve their supremum at the origin; this is
     the numeric check of that statement on a finite sample.
     """
-    origin = k.at(np.zeros(k.dim))
+    origin = float(k.eval(np.zeros((1, k.dim)))[0])
     if math.isinf(origin):
         return True
-    pts = np.atleast_2d(np.asarray(samples, dtype=float))
-    vals = k.eval(pts)
-    return bool(origin >= np.max(vals) - tol)
+    vals = k.eval(np.atleast_2d(np.asarray(samples, dtype=float)))
+    return bool(origin >= np.max(vals) - 1e-9)

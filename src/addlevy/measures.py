@@ -50,7 +50,10 @@ class AtomicMeasure:
         return self.points.shape[0]
 
     def fourier(self, xi) -> np.ndarray:
-        """mu_hat(xi) = sum_k w_k exp(i xi . x_k), vectorized over xi in row blocks."""
+        """mu_hat(xi) = sum_k w_k exp(i xi . x_k), vectorized over xi in row blocks.
+
+        One point gives a complex number, an array of points (..., d) an array.
+        """
         pts, lead = _as_points(xi, self.dim)
         if lead == ():
             phases = pts[0] @ self.points.T
@@ -165,8 +168,3 @@ def cell_width(spec: SetDiscretization) -> float:
     if kind == "Circle":
         return float(2.0 * np.pi * p["radius"] / p["n"])
     raise ValueError(f"unknown discretization kind: {kind!r}")
-
-
-def fourier_measure(mu: AtomicMeasure, xi) -> complex:
-    """Fourier transform of mu at a single frequency xi."""
-    return complex(np.asarray(mu.fourier(np.atleast_1d(np.asarray(xi, dtype=float)))).reshape(()))

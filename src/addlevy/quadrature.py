@@ -102,18 +102,17 @@ def powerlaw_tail(f_at_rmax: float, r_max: float, decay: float) -> float:
 
 def averaged_oscillatory_tail(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                               start: float, omega, rel_tol: float = 1e-8,
-                              max_half_periods: int = 4000, n_nodes: int = 8,
-                              scale=1.0) -> np.ndarray:
+                              max_half_periods: int = 4000, scale=1.0) -> np.ndarray:
     """Sum int_{start}^inf f(s, omega_i) ds for every frequency omega_i.
 
     Each integrand must oscillate with its angular frequency omega_i (> 0);
     its half-period panels then alternate in sign, and iterated averaging of
     the partial sums accelerates the conditionally convergent series.  Round
     k integrates the k-th half period of every row still running with one
-    call f(s, omega), s of shape (rows, n_nodes) and omega of shape
-    (rows, 1).  A row stops when its averaged sum changes by at most
-    rel_tol * scale_i in one round, so its value does not depend on the
-    other rows.  Returns an array of omega's shape.
+    call f(s, omega): s (rows, 8) holds an 8-node Gauss-Legendre rule per
+    row, omega is (rows, 1).  A row stops when its averaged sum changes by
+    at most rel_tol * scale_i in one round, so its value does not depend on
+    the other rows.  Returns an array of omega's shape.
     """
     omega = np.asarray(omega, dtype=float)
     shape = omega.shape
@@ -124,7 +123,7 @@ def averaged_oscillatory_tail(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     if not omega.size:
         return out.reshape(shape)
     bound = rel_tol * np.maximum(np.abs(np.broadcast_to(scale, shape).ravel()), 1e-300)
-    x, w = _gauss_legendre(n_nodes)
+    x, w = _gauss_legendre(8)
     # the state of the rows still running; row i of them is row rows[i] of out
     rows = np.arange(omega.size)
     h = np.pi / omega

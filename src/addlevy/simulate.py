@@ -61,11 +61,6 @@ class MCConfig:
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
 
-    def to_json(self):
-        return {"trials": self.trials, "time_horizon": self.time_horizon,
-                "n_steps": self.n_steps, "epsilon": self.epsilon,
-                "seed": self.seed, "box_scales": list(self.box_scales)}
-
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -129,8 +124,10 @@ def sample_stable_increment(alpha: float, beta: float = 0.0, scale: float = 1.0,
     """One (or `size`) increment(s) of the 1D stable law over time dt.
 
     Chambers-Mallows-Stuck transform in the parameterization with exponent
-    (scale |xi|)^alpha (1 - i beta sgn(xi) tan(pi alpha / 2)); alpha = 1
-    with nonzero skew is unsupported.
+    (scale |xi|)^alpha (1 - i beta sgn(xi) tan(pi alpha / 2)), of the pair
+    v = pi (u - 1/2), w = -log1p(-u) read from rng.random as the estimators
+    read it; alpha = 2 gives N(0, 2 scale^2 dt) and alpha = 1 the Cauchy
+    law tan(v).  alpha = 1 with nonzero skew is unsupported.
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
@@ -140,12 +137,8 @@ def sample_stable_increment(alpha: float, beta: float = 0.0, scale: float = 1.0,
         raise ValueError("alpha=1 with nonzero skew is unsupported")
     if rng is None:
         rng = np.random.default_rng()
-    if alpha == 2.0:
-        return rng.normal(0.0, scale * math.sqrt(2.0 * dt), size=size)
-    if alpha == 1.0:
-        return scale * dt * rng.standard_cauchy(size=size)
-    v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
-    w = rng.exponential(1.0, size=size)
+    v = math.pi * (rng.random(size) - 0.5)
+    w = -np.log1p(-rng.random(size))
     return scale * dt ** (1.0 / alpha) * _cms(alpha, beta, v, w)
 
 
@@ -403,8 +396,6 @@ def _near(a: np.ndarray, b, epsilon: float) -> np.ndarray:
         return b.near(a)
     if a.shape[-1] == 1:
         return np.less(_min_distance(a, b), epsilon)
-    if b.ndim == 3 and b.shape[1] > a.shape[1]:
-        a, b = b, a  # the relation is symmetric; index the smaller side
     return _Cells(b, epsilon, a.shape[0] * a.shape[1]).near(a)
 
 
@@ -482,44 +473,43 @@ def box_dimension_estimate(points: np.ndarray, scales) -> float:
 
 @dataclass(frozen=True)
 class GaussianDensitySpec:
-    """Test density mass * N(center, sigma^2) for the sojourn estimators."""
+    """Test density mass * N(0, sigma^2) for the sojourn estimators."""
 
     sigma: float = 1.0
-    center: float = 0.0
     mass: float = 1.0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        z = (np.asarray(x) - self.center) / self.sigma
+        z = np.asarray(x) / self.sigma
         return self.mass * np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
 
     def fourier(self, xi: np.ndarray) -> np.ndarray:
-        """f_hat(xi) = mass * exp(i xi center - sigma^2 xi^2 / 2)."""
-        xi = np.asarray(xi)
-        return self.mass * np.exp(1j * xi * self.center - 0.5 * (self.sigma * xi) ** 2)
+        """f_hat(xi) = mass * exp(-sigma^2 xi^2 / 2)."""
+        return self.mass * np.exp(-0.5 * (self.sigma * np.asarray(xi)) ** 2)
 
     def tail_mass_beyond(self, x: float) -> float:
         """Mass outside [-x, x]."""
-        scale = self.sigma * math.sqrt(2.0)
-        return self.mass * 0.5 * (math.erfc((x - self.center) / scale)
-                                  + math.erfc((x + self.center) / scale))
+        return self.mass * math.erfc(x / (self.sigma * math.sqrt(2.0)))
+
+
+# Sojourn paths run over times [0, 10]; the e^-t weight beyond is e^-10 = 4.5e-5.
+_SOJOURN_SPAN = 10.0
 
 
 def sojourn_mc(alpha: float, f: GaussianDensitySpec, cfg: MCConfig,
-               half_width: float = 10.0,
-               time_span: float = 10.0) -> tuple[MCEstimate, MCEstimate]:
+               half_width: float = 10.0) -> tuple[MCEstimate, MCEstimate]:
     """Estimate the first two moments of the sojourn functional (d=1, N=1).
 
     The two-sided path is built from two independent one-sided paths
     (negative times run the reflected second path).  Each trial draws the
     start point uniformly on [-L, L] and weighs by 2L; the sojourn value is
-    the exponentially weighted time integral of f along the shifted path,
-    by trapezoid quadrature on the simulation grid.  Returns (first moment,
-    second moment) estimates.
+    the exponentially weighted time integral of f along the shifted path
+    over times up to _SOJOURN_SPAN, by trapezoid quadrature on the
+    simulation grid.  Returns (first moment, second moment) estimates.
     """
     if f.tail_mass_beyond(0.9 * half_width) > 1e-3:
         raise ValueError("half_width too small: test density has mass near the edge")
     n = cfg.n_steps
-    dt = time_span / n
+    dt = _SOJOURN_SPAN / n
     tgrid = dt * np.arange(n + 1)
     wts = np.exp(-tgrid) * dt
     wts[0] *= 0.5
@@ -528,7 +518,7 @@ def sojourn_mc(alpha: float, f: GaussianDensitySpec, cfg: MCConfig,
     second = np.empty(cfg.trials)
     for start, u in _blocks(cfg, (alpha, alpha), 1, extra=1):
         x0 = -half_width + 2.0 * half_width * u[:, :1]
-        pos, neg = _sample_paths((alpha, alpha), 1, time_span, n, u[:, 1:])
+        pos, neg = _sample_paths((alpha, alpha), 1, _SOJOURN_SPAN, n, u[:, 1:])
         sf = 0.5 * (np.sum(f(x0 + pos[:, :, 0]) * wts, axis=1)
                     + np.sum(f(x0 - neg[:, :, 0]) * wts, axis=1))
         first[start:start + len(u)] = 2.0 * half_width * sf

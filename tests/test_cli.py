@@ -16,6 +16,8 @@ STABLE_PSI = '{"family":"IsotropicStable","dim":1,"params":{"alpha":1.5}}'
 STABLE_2D = '{"family":"IsotropicStable","dim":2,"params":{"alpha":1.5}}'
 TWO_POINT_2D = '{"kind":"TwoPoint","separation":0.25,"d":2}'
 CUBE_64 = '{"kind":"CubeGrid","bounds":[[0.0,1.0]],"n_per_axis":64}'
+CUBE_16 = '{"kind":"CubeGrid","bounds":[[0.0,1.0]],"n_per_axis":16}'
+TWO_POINT_1D = '{"kind":"TwoPoint","separation":1.0,"d":1}'
 
 
 def run_cli(argv, capsys):
@@ -158,6 +160,14 @@ class TestClassify:
         assert rep["kind"] == "invalid-input"
         assert "stability index" in rep["error"]
 
+    @pytest.mark.parametrize("multiple", ["1.5,2.7,2.9", "1.5,2,2.5", "1.5,0,2", "1.5,2,1"])
+    def test_multiple_needs_integral_d_and_n(self, multiple, capsys):
+        # a fractional d or N was truncated; N = 1 or d = 0 asks nothing
+        code, rep = run_cli(["classify", "--multiple", multiple], capsys)
+        assert code == 1
+        assert rep == {"error": "--multiple needs an integral d >= 1 and an integral N >= 2",
+                       "kind": "invalid-input"}
+
 
 class TestLambda:
     def test_default_grid_agreement(self, capsys):
@@ -247,6 +257,38 @@ class TestEquilibrium:
         assert len(lines) == 9
 
 
+class TestCsv:
+    def test_lambda_rows(self, capsys, tmp_path):
+        csv_path = tmp_path / "lambda.csv"
+        code, rep = run_cli(["lambda", "--points", "0,0;1,0", "--csv", str(csv_path)], capsys)
+        assert code == 0
+        lines = csv_path.read_text().strip().splitlines()
+        assert lines[0] == "re,im,lambda_closed" and len(lines) == 1 + rep["n_points"]
+
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--psi", STABLE_PSI, "--set", TWO_POINT_1D],
+        ["capacity", "--set", CUBE_16],
+        ["classify", "--stable", "1.5,1.5"],
+        ["dimension", "--stable", "1.5,1.5"],
+        ["simulate", "--mode", "boxdim", "--stable", "0.7", "--n-steps", "100"],
+    ])
+    def test_refused_without_a_table(self, argv, capsys, tmp_path):
+        # only lambda and equilibrium have rows to write
+        csv_path = tmp_path / "out.csv"
+        code, rep = run_cli([*argv, "--csv", str(csv_path)], capsys)
+        assert code == 1
+        assert rep["kind"] == "invalid-input" and "--csv" in rep["error"]
+        assert not csv_path.exists()
+
+    def test_command_line_error_exits_one(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(addlevy.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "addlevy.cli", "capacity", "--set", CUBE_16,
+                               "--csv", str(tmp_path / "out.csv")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["kind"] == "invalid-input"
+
+
 class TestCapacity:
     def test_point_test(self, capsys):
         code, rep = run_cli(["capacity", "--point-test", "--psi", STABLE_PSI], capsys)
@@ -284,6 +326,13 @@ class TestDimension:
         assert code == 0
         assert rep["analytic_dimension"] == pytest.approx(0.0)
         assert rep["range_dimension"] == pytest.approx(2.0)
+
+    def test_numeric_beyond_three_dimensions_is_invalid_input(self, capsys):
+        # the probe is defined in d <= 3 only: a refusal, not a failed probe
+        code, rep = run_cli(["dimension", "--stable", "1.5,1.5", "--dim", "4", "--numeric"],
+                            capsys)
+        assert code == 1
+        assert rep["kind"] == "invalid-input" and "--dim <= 3" in rep["error"]
 
 
 class TestSimulateAndRun:
@@ -359,6 +408,13 @@ class TestSimulateAndRun:
         assert rep == {"error": f"simulate --mode {mode} does not use {flag[0]}",
                        "kind": "invalid-input"}
 
+    @pytest.mark.parametrize("mode", ["boxdim", "sojourn"])
+    def test_one_index_modes_refuse_two(self, mode, capsys):
+        # only the first index ran, while the report named both
+        code, rep = run_cli(["simulate", "--mode", mode, "--stable", "0.7,1.9"], capsys)
+        assert code == 1
+        assert rep == {"error": f"{mode} mode needs one --stable index", "kind": "invalid-input"}
+
     def test_run_rejects_unknown_keys(self, capsys, tmp_path):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps({"command": "classify", "params": {},
@@ -366,10 +422,6 @@ class TestSimulateAndRun:
         code, rep = run_cli(["run", "--config", str(cfg)], capsys)
         assert code == 1
         assert "bogus" in rep["error"]
-
-
-CUBE_16 = '{"kind":"CubeGrid","bounds":[[0.0,1.0]],"n_per_axis":16}'
-TWO_POINT_1D = '{"kind":"TwoPoint","separation":1.0,"d":1}'
 
 
 class TestFlagTable:

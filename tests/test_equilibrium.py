@@ -90,7 +90,7 @@ class TestAssembleMatrix:
 def tilted_kernel(d):
     """A gauge that is not even: kappa(x) != kappa(-x)."""
     return Kernel(eval=lambda x: np.exp(-np.linalg.norm(x, axis=-1)) * (1.5 + np.tanh(x[..., 0])),
-                  dim=d, meta={"name": "tilted"})
+                  dim=d)
 
 
 def double_evaluation_matrix(gauge, disc):
@@ -390,6 +390,25 @@ class TestSolveEquilibrium:
         mat = EnergyMatrix(entries=np.array([[np.inf, 1.0], [1.0, np.inf]]))
         res = solve_equilibrium(mat)
         assert res.capacity == 0.0
+
+
+class TestBrownianInterval:
+    def test_equilibrium_approaches_closed_form_at_order_one_over_n(self):
+        # [DERIVED] the Brownian one-potential density is v(x) = e^{-sqrt2 |x|} / sqrt2;
+        # on [0, 1] its equilibrium measure is a flat density C = 1 / (1 + sqrt2)
+        # plus an atom C / sqrt2 at each end, and the capacity is 1 + sqrt2
+        psi = ExponentVector((BrownianIsotropic(dim=1),))
+        c = 1.0 / (1.0 + math.sqrt(2.0))
+        errors = []
+        for n in (100, 200, 400):
+            res = solve_equilibrium(assemble_matrix(psi, cube_grid([(0.0, 1.0)], n)))
+            assert res.converged
+            w = np.asarray(res.weights)
+            errors.append([res.capacity / (1.0 + math.sqrt(2.0)) - 1.0,
+                           n * w[n // 2] / c - 1.0,  # the density at the midpoint
+                           w[:n // 20].sum() / (c / math.sqrt(2.0) + c / 20.0) - 1.0])
+            assert np.all(np.abs(errors[-1]) <= 0.4 / n), (n, errors[-1])
+        assert np.all(np.diff(np.abs(errors), axis=0) < 0.0), errors
 
 
 class TestBesselRieszCapacity:

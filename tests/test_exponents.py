@@ -12,8 +12,6 @@ from addlevy import (
     PureDrift,
     Skewed1DStable,
     SumOf,
-    eval_exponent,
-    k_psi,
     sector_constant,
 )
 from addlevy.exponents import DimensionMismatchError, exponent_from_json
@@ -22,41 +20,40 @@ from addlevy.exponents import DimensionMismatchError, exponent_from_json
 class TestEvalExponent:
     def test_stable_at_origin_is_zero(self):
         # [TRIVIAL] Psi(0) = 0 for every Levy exponent
-        assert eval_exponent(IsotropicStable(alpha=2.0, dim=1), 0.0) == 0.0
+        assert IsotropicStable(alpha=2.0, dim=1)(0.0) == 0.0
 
     def test_brownian_plane(self):
         # [TRIVIAL] Psi(xi) = ||xi||^2 / 2 at xi = (1, 1)
-        val = eval_exponent(BrownianIsotropic(dim=2, diffusivity=1.0),
-                            np.array([1.0, 1.0]))
+        val = BrownianIsotropic(dim=2, diffusivity=1.0)(np.array([1.0, 1.0]))
         assert val == pytest.approx(1.0 + 0.0j, abs=1e-14)
 
     def test_skewed_stable(self):
         # [DERIVED] standard skewed-stable exponent at xi=1:
         # |xi|^a (1 - i b sign(xi) tan(pi a / 2)) = 1 - i tan(3 pi / 4) = 1 + i
-        val = eval_exponent(Skewed1DStable(alpha=1.5, beta=1.0), 1.0)
+        val = Skewed1DStable(alpha=1.5, beta=1.0)(1.0)
         assert val == pytest.approx(1.0 + 1.0j, abs=1e-12)
 
     def test_isotropic_stable_scaling(self):
         # [DERIVED] Psi(xi) = (scale |xi|)^alpha
-        val = eval_exponent(IsotropicStable(alpha=1.5, scale=2.0), 3.0)
+        val = IsotropicStable(alpha=1.5, scale=2.0)(3.0)
         assert val == pytest.approx(6.0 ** 1.5, rel=1e-12)
 
     def test_pure_drift_imaginary(self):
         # [TRIVIAL] drift exponent is -i b.xi
-        val = eval_exponent(PureDrift(dim=1, b=(3.0,)), 2.0)
+        val = PureDrift(dim=1, b=(3.0,))(2.0)
         assert val.real == 0.0
         assert val.imag == pytest.approx(-6.0)
 
     def test_sum_of_adds(self):
         # [TRIVIAL] exponents of independent summands add
         parts = (IsotropicStable(alpha=2.0), PureDrift(b=(1.0,)))
-        total = eval_exponent(SumOf(dim=1, components=parts), 1.5)
-        expected = sum(eval_exponent(p, 1.5) for p in parts)
+        total = SumOf(dim=1, components=parts)(1.5)
+        expected = sum(p(1.5) for p in parts)
         assert total == pytest.approx(expected, abs=1e-14)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
-            eval_exponent(BrownianIsotropic(dim=2), np.array([1.0, 2.0, 3.0]))
+            BrownianIsotropic(dim=2)(np.array([1.0, 2.0, 3.0]))
 
     @given(st.floats(min_value=-50.0, max_value=50.0),
            st.floats(min_value=0.1, max_value=2.0))
@@ -65,8 +62,8 @@ class TestEvalExponent:
         # Psi(-xi) = conj(Psi(xi)) for every Levy exponent
         beta = 0.0 if abs(alpha - 1.0) < 0.05 or alpha > 1.99 else 0.5
         exp = Skewed1DStable(alpha=min(alpha, 2.0), beta=beta)
-        a = eval_exponent(exp, xi)
-        b = eval_exponent(exp, -xi)
+        a = exp(xi)
+        b = exp(-xi)
         assert b == pytest.approx(np.conj(a), abs=1e-10)
 
     @given(st.floats(min_value=-50.0, max_value=50.0))
@@ -74,26 +71,26 @@ class TestEvalExponent:
     def test_nonnegative_real_part(self, xi):
         for exp in (IsotropicStable(alpha=1.3), BrownianIsotropic(),
                     Skewed1DStable(alpha=1.7, beta=-0.8)):
-            assert eval_exponent(exp, xi).real >= -1e-12
+            assert exp(xi).real >= -1e-12
 
 
 class TestKPsi:
     def test_single_brownian_origin(self):
         # [TRIVIAL] Psi(0)=0 so every factor is 1
         psi = ExponentVector((BrownianIsotropic(dim=1),))
-        assert k_psi(psi, np.zeros(1)) == pytest.approx(1.0)
+        assert psi.kernel_values(0.0) == pytest.approx(1.0)
 
     def test_two_cauchy_quarter(self):
         # [TRIVIAL] each factor Re 1/(1+|1|) = 1/2, product 0.25
         psi = ExponentVector((IsotropicStable(alpha=1.0, dim=1),
                               IsotropicStable(alpha=1.0, dim=1)))
-        assert k_psi(psi, 1.0) == pytest.approx(0.25)
+        assert psi.kernel_values(1.0) == pytest.approx(0.25)
 
     def test_cauchy_with_drift(self):
         # [DERIVED] Psi(1) = 1 - i, factor Re 1/(2 - i) = 2/5
         psi = ExponentVector((SumOf(dim=1, components=(
             IsotropicStable(alpha=1.0), PureDrift(b=(1.0,)))),))
-        assert k_psi(psi, np.array([1.0])) == pytest.approx(0.4)
+        assert psi.kernel_values(1.0) == pytest.approx(0.4)
 
     @given(st.floats(min_value=-20.0, max_value=20.0))
     @settings(max_examples=50, deadline=None)
@@ -101,7 +98,7 @@ class TestKPsi:
         # K_Psi = prod Re(1/(1+Psi_j)) lies in (0, 1] for these families
         psi = ExponentVector((IsotropicStable(alpha=1.5, dim=1),
                               BrownianIsotropic(dim=1)))
-        assert 0.0 < k_psi(psi, xi) <= 1.0 + 1e-12
+        assert 0.0 < psi.kernel_values(xi) <= 1.0 + 1e-12
 
 
 class TestSectorConstant:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from addlevy import AtomicMeasure, discretize, fourier_measure
+from addlevy import AtomicMeasure, discretize
 from addlevy.measures import (
     cantor_product,
     cell_width,
@@ -59,32 +59,32 @@ class TestFourier:
     def test_normalization_at_zero(self):
         # [TRIVIAL] mu_hat(0) = total mass = 1
         mu = discretize(cube_grid([(0.0, 1.0)], 16))
-        assert fourier_measure(mu, np.zeros(1)) == pytest.approx(1.0 + 0.0j)
+        assert mu.fourier(0.0) == pytest.approx(1.0 + 0.0j)
 
     def test_delta_at_origin(self):
         # [TRIVIAL] point mass at 0 has unit transform
-        assert fourier_measure(delta([0.0]), np.array([3.7])) == pytest.approx(1.0 + 0.0j)
+        assert delta([0.0]).fourier(3.7) == pytest.approx(1.0 + 0.0j)
 
     def test_symmetric_pair_cosine(self):
         # [DERIVED] transform of (delta_{-1} + delta_{+1})/2 is cos(xi)
         mu = AtomicMeasure(points=np.array([[-1.0], [1.0]]),
                            weights=np.array([0.5, 0.5]))
-        val = fourier_measure(mu, np.array([np.pi / 2.0]))
+        val = mu.fourier(np.pi / 2.0)
         assert abs(val) == pytest.approx(0.0, abs=1e-14)
 
     @given(st.floats(min_value=-10.0, max_value=10.0))
     @settings(max_examples=30, deadline=None)
     def test_hermitian_symmetry(self, xi):
         mu = discretize(cube_grid([(0.0, 1.0)], 8))
-        a = fourier_measure(mu, np.array([xi]))
-        b = fourier_measure(mu, np.array([-xi]))
+        a = mu.fourier(xi)
+        b = mu.fourier(-xi)
         assert b == pytest.approx(np.conj(a), abs=1e-12)
 
     @given(st.floats(min_value=-10.0, max_value=10.0))
     @settings(max_examples=30, deadline=None)
     def test_modulus_bounded_by_mass(self, xi):
         mu = discretize(cantor_product(1.0 / 3.0, 3))
-        assert abs(fourier_measure(mu, np.array([xi]))) <= 1.0 + 1e-12
+        assert abs(mu.fourier(xi)) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("d,n_atoms,m", [(1, 64, 20011), (2, 4, 300007), (2, 2 ** 18 + 1, 5)])
     def test_row_blocks_match_one_phase_matrix(self, d, n_atoms, m):

@@ -286,11 +286,6 @@ class TestMCConfig:
         with pytest.raises(ValueError):
             MCConfig(trials=100, **kwargs)
 
-    def test_json_round_trip_shape(self):
-        cfg = MCConfig(trials=500, seed=3)
-        j = cfg.to_json()
-        assert j["trials"] == 500 and j["seed"] == 3
-
 
 class TestBlockSampler:
     @settings(max_examples=40, deadline=None)
