@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from addlevy.exponents import ExponentVector, IsotropicStable
-from addlevy.kernels import _axis_points, potential_density_v
+from addlevy.kernels import _axis_points, _dyadic_radial_inverse
 from addlevy.quadrature import QuadratureSpec, panel_nodes
 
 # Dyadic shells [2^-k-1, 2^-k], k < _PROBE_SHELLS, of the real-side
@@ -62,19 +62,20 @@ class StableSystem:
         Row k holds an 8-node Gauss-Legendre rule on [2^-k-1, 2^-k] and the
         product of the one-potential densities u_j of the components at its
         nodes, inverted with r_max = 400 * 2^k so that every shell sees the
-        same number of oscillations.  It does not depend on the test order
-        s, so it is built once per system and once per distinct alpha, and
-        lives as long as the system.
+        same number of oscillations.  Row k's nodes are 2^-k times row 0's,
+        bit for bit, so under s = 2^k t every shell shares row 0's weight
+        matrix and only K(2^k t) differs: each distinct alpha takes one
+        batched inversion over all shells (kernels._dyadic_radial_inverse).
+        It does not depend on the test order s, so it is built once per
+        system and lives as long as it.
         """
         edges = 2.0 ** -np.arange(_PROBE_SHELLS, -1.0, -1.0)
         x, w = (a.reshape(_PROBE_SHELLS, -1)[::-1] for a in panel_nodes(edges, 8))
         density = np.ones_like(x)
-        for k in range(_PROBE_SHELLS):
-            quad = QuadratureSpec(r_max=400.0 * 2.0 ** k)
-            for alpha in sorted(set(self.alphas)):
-                psi = ExponentVector((IsotropicStable(alpha=alpha, dim=self.d),))
-                u = potential_density_v(psi, _axis_points(x[k], self.d), quad)
-                density[k] *= u ** self.alphas.count(alpha)
+        for alpha in sorted(set(self.alphas)):
+            psi = ExponentVector((IsotropicStable(alpha=alpha, dim=self.d),))
+            u = _dyadic_radial_inverse(psi, x[0], _PROBE_SHELLS, QuadratureSpec(r_max=400.0))
+            density *= u ** self.alphas.count(alpha)
         return x, w, density
 
 
@@ -131,6 +132,8 @@ def intersection_dimension(sys: StableSystem) -> float:
 def multiple_points_allowed(alpha: float, d: int, N: int) -> bool:
     """N-multiple points of one stable process: u ~ ||x||^(alpha-d) must be
     locally L^N, i.e. N (d - alpha) < d; always true when alpha >= d."""
+    if not 0.0 < alpha <= 2.0:
+        raise ValueError(f"stability index must lie in (0, 2], got {alpha}")
     if alpha >= d:
         return True
     return N * (d - alpha) < d

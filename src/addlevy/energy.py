@@ -165,15 +165,12 @@ def energy_identity_check(k: Kernel, nu: AtomicMeasure, mu: AtomicMeasure) -> tu
     k_end = float(np.atleast_1d(k.fourier(np.array([quad.r_max])))[0])
     # transform decay read off numerically over the last octave
     k_mid = float(np.atleast_1d(k.fourier(np.array([quad.r_max / 2.0])))[0])
-    if k_end <= 0.0 or k_mid <= 0.0:
-        decay = None
-        tail_amp = 0.0
-    else:
-        decay = math.log(k_mid / k_end) / math.log(2.0)
-        decay = max(decay, 1.01)
-        tail_amp = amp * k_end
-    rep = _halfline_value(f, quad, _max_frequency(mu, nu), decay, tail_amp)
-    return real_side, rep.value
+    tail = 0.0
+    if k_end > 0.0 and k_mid > 0.0:
+        decay = max(math.log(k_mid / k_end) / math.log(2.0), 1.01)
+        tail = powerlaw_tail(amp * k_end, quad.r_max, decay)
+    main = integrate_panels(f, halfline_edges(quad.r_max, max_freq=_max_frequency(mu, nu)))
+    return real_side, (1.0 / math.pi) * (main + tail)
 
 
 def riesz_identity_sides(mu: AtomicMeasure, s: float, cell: float) -> tuple[float, float]:

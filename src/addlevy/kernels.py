@@ -191,15 +191,45 @@ def _axis_points(s, d: int) -> np.ndarray:
     return pts
 
 
+def _radial_weight(s, r, d: int) -> np.ndarray:
+    """w(s, r) of the radial transform of v at radius r > 0: cos(s r) in
+    d=1, s J0(s r) in d=2, s sin(s r) in d=3."""
+    if d == 1:
+        return np.cos(s * r)
+    if d == 2:
+        from scipy.special import j0
+        return s * j0(s * r)
+    return s * np.sin(s * r)
+
+
+def _radial_norm(radii: np.ndarray, d: int):
+    """c of v = int_0^inf w K ds / c: pi in d=1, 2 pi in d=2, 2 pi^2 r in
+    d=3 (2 pi^2 at r=0)."""
+    if d == 3:
+        return 2.0 * math.pi ** 2 * np.where(radii > 0.0, radii, 1.0)
+    return d * math.pi
+
+
+def _min_scale(r_max: float) -> float:
+    """Depth of the cascade toward 0, relative to r_max.  K bends near 0 on
+    its own scale, not on r_max's: beyond r_max = 400 the cascade still stops
+    at the 4e-7 it reaches at r_max = 400."""
+    return 1e-9 * min(1.0, 400.0 / r_max)
+
+
+def _k_values(psi: ExponentVector, s: np.ndarray) -> np.ndarray:
+    """K at the points (s, 0, ..., 0), in the shape of s."""
+    return psi.kernel_values(_axis_points(s, psi.dim)).reshape(np.shape(s))
+
+
 def _radial_inverse(psi: ExponentVector, radii: np.ndarray, quad: QuadratureSpec,
                     decay: Optional[float]) -> np.ndarray:
     """v at each radius r >= 0: the radial transform int_0^inf w(s) K(s) ds / c.
 
-    w(s) = cos(s r) and c = pi in d=1; w(s) = s J0(s r) and c = 2 pi in d=2;
-    w(s) = s sin(s r) and c = 2 pi^2 r in d=3; at r=0, w(s) = s^(d-1) and
-    c = pi, 2 pi or 2 pi^2.  Beyond r_max the tail is a power law at r=0 and
-    the averaged oscillatory tail elsewhere, which also sums the growing
-    envelopes of d=2 and d=3 when K decays slowly.
+    w and c are _radial_weight and _radial_norm; at r=0, w(s) = s^(d-1).
+    Beyond r_max the tail is a power law at r=0 and the averaged oscillatory
+    tail elsewhere, which also sums the growing envelopes of d=2 and d=3
+    when K decays slowly.
 
     The panels up to r_max depend on r only through their uniform panel
     count, so the radii that share it share one node set and one evaluation
@@ -208,48 +238,54 @@ def _radial_inverse(psi: ExponentVector, radii: np.ndarray, quad: QuadratureSpec
     would alone.
     """
     d = psi.dim
-    if d == 2:
-        from scipy.special import j0
-
-    def weight(s, r):
-        if d == 1:
-            return np.cos(s * r)
-        if d == 2:
-            return s * j0(s * r)
-        return s * np.sin(s * r)
-
-    def k_values(s):
-        return psi.kernel_values(_axis_points(s, d)).reshape(np.shape(s))
-
     pos = radii > 0.0
     # v(0) is finite only when the analytic tail rule makes K integrable
     finite = pos | (decay is not None and decay > d)
-    # K bends near 0 on its own scale, not on r_max's: beyond r_max = 400 the
-    # cascade toward 0 still stops at the 4e-7 it reaches at r_max = 400.
-    min_scale = 1e-9 * min(1.0, 400.0 / quad.r_max)
+    min_scale = _min_scale(quad.r_max)
     counts = uniform_panel_count(quad.r_max, radii)
     main = np.zeros(radii.size)
     for count in np.unique(counts[finite]):
         group = np.flatnonzero(finite & (counts == count))
         nodes, weights = panel_nodes(
             halfline_edges(quad.r_max, max_freq=radii[group[0]], min_scale=min_scale))
-        kv = k_values(nodes)
+        kv = _k_values(psi, nodes)
         for i in group:
-            w_r = weight(nodes, radii[i]) if radii[i] > 0.0 else nodes ** (d - 1)
+            w_r = _radial_weight(nodes, radii[i], d) if radii[i] > 0.0 else nodes ** (d - 1)
             main[i] = np.sum(weights * (w_r * kv))
     tail = np.zeros(radii.size)
     tail[pos] = averaged_oscillatory_tail(
-        lambda s, r: weight(s, r) * k_values(s), quad.r_max, radii[pos],
+        lambda s, r: _radial_weight(s, r, d) * _k_values(psi, s), quad.r_max, radii[pos],
         rel_tol=quad.rel_tol, scale=np.maximum(np.abs(main[pos]), 1.0))
     if finite[~pos].any():
         end = np.array([quad.r_max])
-        tail[~pos] = powerlaw_tail(float((end ** (d - 1) * k_values(end))[0]), quad.r_max,
-                                   decay - (d - 1))
-    if d == 3:
-        norm = 2.0 * math.pi ** 2 * np.where(pos, radii, 1.0)
-    else:
-        norm = d * math.pi
-    return np.where(finite, (main + tail) / norm, np.inf)
+        tail[~pos] = powerlaw_tail(float((end ** (d - 1) * _k_values(psi, end))[0]),
+                                   quad.r_max, decay - (d - 1))
+    return np.where(finite, (main + tail) / _radial_norm(radii, d), np.inf)
+
+
+def _dyadic_radial_inverse(psi: ExponentVector, y: np.ndarray, shells: int,
+                           quad: QuadratureSpec) -> np.ndarray:
+    """Row k < shells: v at the radii 2^-k y > 0, inverted with r_max = 2^k quad.r_max.
+
+    With s = 2^k t, shell k's transform is 2^(k p) int w(t, y) K(2^k t) dt,
+    p = 1 in d=1 and 2 in d=2, 3 (ds and the factor s of w; d=3 keeps its
+    1/r in the norm), so one node set in t and one weight matrix serve every
+    shell and only K differs.  The node set is that of the largest y, with
+    the cascade toward 0 as deep as the last shell's; the tails of all radii
+    run in one call, each from its own r_max.
+    """
+    d = psi.dim
+    scales = 2.0 ** np.arange(shells)
+    nodes, weights = panel_nodes(halfline_edges(
+        quad.r_max, max_freq=y.max(), min_scale=_min_scale(quad.r_max * scales[-1])))
+    weight_matrix = weights * _radial_weight(nodes, y[:, None], d)
+    main = np.array([weight_matrix @ _k_values(psi, c * nodes) for c in scales])
+    main *= (scales ** min(d, 2))[:, None]
+    radii = y / scales[:, None]
+    tail = averaged_oscillatory_tail(
+        lambda s, r: _radial_weight(s, r, d) * _k_values(psi, s), quad.r_max * scales[:, None],
+        radii, rel_tol=quad.rel_tol, scale=np.maximum(np.abs(main), 1.0))
+    return (main + tail) / _radial_norm(radii, d)
 
 
 def potential_density_v(psi: ExponentVector, x, quad: Optional[QuadratureSpec] = None):

@@ -101,9 +101,9 @@ def powerlaw_tail(f_at_rmax: float, r_max: float, decay: float) -> float:
 
 
 def averaged_oscillatory_tail(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                              start: float, omega, rel_tol: float = 1e-8,
+                              start, omega, rel_tol: float = 1e-8,
                               max_half_periods: int = 4000, scale=1.0) -> np.ndarray:
-    """Sum int_{start}^inf f(s, omega_i) ds for every frequency omega_i.
+    """Sum int_{start_i}^inf f(s, omega_i) ds for every frequency omega_i.
 
     Each integrand must oscillate with its angular frequency omega_i (> 0);
     its half-period panels then alternate in sign, and iterated averaging of
@@ -112,7 +112,8 @@ def averaged_oscillatory_tail(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     call f(s, omega): s (rows, 8) holds an 8-node Gauss-Legendre rule per
     row, omega is (rows, 1).  A row stops when its averaged sum changes by
     at most rel_tol * scale_i in one round, so its value does not depend on
-    the other rows.  Returns an array of omega's shape.
+    the other rows.  start and scale broadcast against omega.  Returns an
+    array of omega's shape.
     """
     omega = np.asarray(omega, dtype=float)
     shape = omega.shape
@@ -127,7 +128,7 @@ def averaged_oscillatory_tail(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     # the state of the rows still running; row i of them is row rows[i] of out
     rows = np.arange(omega.size)
     h = np.pi / omega
-    a = np.full(omega.size, float(start))
+    a = np.broadcast_to(start, shape).astype(float).ravel()
     total = np.zeros(omega.size)
     # the last 8 partial sums: 6 averagings of the last 7 give the newest
     # estimate, of the 7 before them the previous one

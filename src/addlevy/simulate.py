@@ -478,6 +478,12 @@ class GaussianDensitySpec:
     sigma: float = 1.0
     mass: float = 1.0
 
+    def __post_init__(self):
+        if not self.sigma > 0.0:
+            raise ValueError("sigma must be positive")
+        if not self.mass > 0.0:
+            raise ValueError("mass must be positive")
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         z = np.asarray(x) / self.sigma
         return self.mass * np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))

@@ -121,6 +121,12 @@ class TestMultiplePoints:
         # [DERIVED] strict inequality fails at 2 * 1 = 2
         assert not multiple_points_allowed(1.0, 2, 2)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 2.5, 3.0])
+    def test_index_outside_zero_two_is_refused(self, alpha):
+        # alpha >= d alone would read True for an index that is not stable
+        with pytest.raises(ValueError, match="stability index"):
+            multiple_points_allowed(alpha, 2, 2)
+
 
 class TestSubordinatorMeet:
     def test_supercritical(self):
@@ -185,6 +191,17 @@ def test_probe_never_contradicts_the_analytic_dimension(sys_):
     s_star = sum(sys_.alphas) - (sys_.n - 1) * sys_.d
     assert probe_intersection_dimension_test(sys_, s_star - 0.15).kind != "Divergent"
     assert probe_intersection_dimension_test(sys_, s_star + 0.15).kind != "Convergent"
+
+
+@settings(max_examples=40, deadline=None)
+@given(stable_systems())
+def test_bisection_finds_the_analytic_dimension(sys_):
+    # the probe is conclusive outside 0.15 of s*, so bisection at tol 0.05
+    # lands within 0.15 + 0.05 of it
+    s_star = sum(sys_.alphas) - (sys_.n - 1) * sys_.d
+    found = dimension_by_bisection(lambda s: probe_intersection_dimension_test(sys_, s),
+                                   0.0, float(sys_.d), tol=0.05)
+    assert abs(found - s_star) <= 0.2
 
 
 class TestBisection:

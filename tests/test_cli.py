@@ -168,6 +168,12 @@ class TestClassify:
         assert rep == {"error": "--multiple needs an integral d >= 1 and an integral N >= 2",
                        "kind": "invalid-input"}
 
+    def test_multiple_with_an_index_above_two_exit_one(self, capsys):
+        code, rep = run_cli(["classify", "--multiple", "3.0,2,2"], capsys)
+        assert code == 1
+        assert rep == {"error": "stability index must lie in (0, 2], got 3.0",
+                       "kind": "invalid-input"}
+
 
 class TestLambda:
     def test_default_grid_agreement(self, capsys):
@@ -334,6 +340,17 @@ class TestDimension:
         assert code == 1
         assert rep["kind"] == "invalid-input" and "--dim <= 3" in rep["error"]
 
+    @pytest.mark.parametrize("stable, dim, expected", [
+        ("1.5,1.5", 2, 0.9762427359819412), ("0.7,0.8", 1, 0.47888243198394775),
+        ("1.2,1.3", 2, 0.47888243198394775), ("0.9,0.9,0.9", 1, 0.667724609375),
+    ])
+    def test_numeric_dimension_of_the_benchmark_systems(self, stable, dim, expected, capsys):
+        # rounding may move the shell densities by ~1e-12, never these results
+        code, rep = run_cli(["dimension", "--stable", stable, "--dim", str(dim), "--numeric"],
+                            capsys)
+        assert code == 0
+        assert rep["numeric_dimension"] == expected
+
 
 class TestSimulateAndRun:
     def test_boxdim_seeded(self, capsys):
@@ -407,6 +424,15 @@ class TestSimulateAndRun:
         assert code == 1
         assert rep == {"error": f"simulate --mode {mode} does not use {flag[0]}",
                        "kind": "invalid-input"}
+
+    @pytest.mark.parametrize("flag, value", [("sigma", "0"), ("sigma", "-1"), ("mass", "-1")])
+    def test_sojourn_density_must_be_positive(self, flag, value, capsys):
+        # refused up front: sigma = 0 divides by zero, sigma < 0 fails the
+        # half-width check with the wrong reason, mass < 0 is no density
+        code, rep = run_cli(["simulate", "--mode", "sojourn", "--stable", "1.5", "--trials", "100",
+                             "--n-steps", "40", f"--{flag}", value], capsys)
+        assert code == 1
+        assert rep == {"error": f"{flag} must be positive", "kind": "invalid-input"}
 
     @pytest.mark.parametrize("mode", ["boxdim", "sojourn"])
     def test_one_index_modes_refuse_two(self, mode, capsys):

@@ -20,6 +20,7 @@ from addlevy import (
     riesz_kernel,
     sojourn_second_moment,
 )
+from addlevy import energy
 from addlevy.energy import riesz_identity_sides
 from addlevy.kernels import Kernel, cauchy_kernel, exponential_kernel, potential_density_v
 from addlevy.measures import (
@@ -214,6 +215,22 @@ class TestIdentityChecks:
         nu = discretize(two_point(0.5))
         real, fourier = energy_identity_check(k, nu, mu)
         assert real == pytest.approx(fourier, rel=0.01)
+
+    @pytest.mark.parametrize("k, nu, mu, expected", [
+        (exponential_kernel(1.0), delta([0.0]), discretize(cube_grid([(0.0, 1.0)], 64)),
+         (0.7358252930188938, 0.7358248199602258)),
+        (cauchy_kernel(1.0), discretize(two_point(0.5)), discretize(two_point(1.0)),
+         (0.7281492109038737, 0.7281492109038739)),
+    ])
+    def test_fourier_side_is_one_resolution(self, k, nu, mu, expected, monkeypatch):
+        # the values of the two-resolution rule's fine half (with and without
+        # a power-law tail), bit for bit, from one quadrature up to r_max
+        ends = []
+        panels = energy.integrate_panels
+        monkeypatch.setattr(energy, "integrate_panels",
+                            lambda f, edges: ends.append(edges[-1]) or panels(f, edges))
+        assert energy_identity_check(k, nu, mu) == expected
+        assert ends == [2000.0]
 
     def test_double_delta_gives_kernel_at_zero(self):
         # [TRIVIAL] point masses collapse both sides to kappa(0)

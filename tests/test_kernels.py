@@ -316,6 +316,40 @@ class TestPotentialDensity:
             kernels._radial_inverse(Resonant(), np.array([0.5, 1.0, 2.0, 5.0]), quad, None)
 
 
+class TestDyadicRadialInverse:
+    """v at 2^-k y with r_max = 400 * 2^k, all shells k in one inversion."""
+
+    Y = 0.75 + 0.25 * np.polynomial.legendre.leggauss(8)[0]  # the probe's outer shell
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.floats(0.3, 2.0))
+    def test_matches_one_inversion_per_shell(self, d, alpha):
+        psi = ExponentVector((IsotropicStable(alpha=alpha, dim=d),))
+        shells = kernels._dyadic_radial_inverse(psi, self.Y, 36, QuadratureSpec(r_max=400.0))
+        assert shells.shape == (36, 8)
+        for k in (0, 13, 35):
+            pts = np.zeros((8, d))
+            pts[:, 0] = self.Y / 2.0 ** k
+            alone = potential_density_v(psi, pts, QuadratureSpec(r_max=400.0 * 2.0 ** k))
+            np.testing.assert_allclose(shells[k], alone, rtol=1e-10, atol=0.0)
+
+    def test_unconverged_tail_raises(self):
+        # [DERIVED] K(s) = cos(s)/s resonates with the radius 1 of shell 0;
+        # the radii 0.5 and 0.25 of both shells converge
+        class Resonant:
+            dim = 1
+
+            def kernel_values(self, xi):
+                s = np.asarray(xi)[:, 0]
+                return np.cos(s) / s
+
+        quad = QuadratureSpec(r_max=40.0)
+        converging = kernels._dyadic_radial_inverse(Resonant(), np.array([0.5]), 2, quad)
+        assert np.all(np.isfinite(converging))
+        with pytest.raises(QuadratureError, match="1 of 4"):
+            kernels._dyadic_radial_inverse(Resonant(), np.array([0.5, 1.0]), 2, quad)
+
+
 class TestKernelSupCheck:
     def test_riesz_true(self):
         # [TRIVIAL] value at 0 is +inf, trivially the supremum

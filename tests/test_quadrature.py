@@ -137,6 +137,17 @@ class TestOscillatoryTail:
             assert averaged_oscillatory_tail(self.f, 40.0, self.OMEGA[i], rel_tol=1e-10,
                                              scale=scale[i]) == tails[i]
 
+    def test_array_start_equals_one_call_per_row(self):
+        # each row integrates from its own start, with the bits of a scalar call
+        start = np.array([40.0, 3.0, 120.0, 40.0, 7.5])
+        scale = np.array([1.0, 0.5, 3.0, 1e-3, 2.0])
+        tails = averaged_oscillatory_tail(self.f, start[:, None], self.OMEGA[:, None],
+                                          rel_tol=1e-10, scale=scale[:, None])
+        assert tails.shape == (5, 1)
+        for i in range(self.OMEGA.size):
+            assert tails[i, 0] == averaged_oscillatory_tail(
+                self.f, start[i], self.OMEGA[i], rel_tol=1e-10, scale=scale[i])
+
     def test_one_call_of_f_per_round(self):
         # every row starts at `start`, so round k is the k-th half period of
         # every row still running, and one call of f serves them all
