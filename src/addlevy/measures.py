@@ -3,12 +3,14 @@
 An :class:`AtomicMeasure` stands in for a compactly supported probability
 measure; discretizers turn simple set descriptions (cube grids, Cantor
 products, point pairs, circles) into equal-weight atomic measures supported
-inside the set.
+inside the set, with the closed-form transform where one exists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -20,10 +22,16 @@ _PHASE_BLOCK = 2 ** 18  # elements of one block of the phase matrix in fourier
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Probability measure sum_k w_k * delta_{x_k}."""
+    """Probability measure sum_k w_k * delta_{x_k}.
+
+    ``transform``, when set, maps frequencies (m, d) to the m values of
+    mu_hat in closed form; ``discretize`` sets it for the sets that have one.
+    """
 
     points: np.ndarray  # (n, d)
     weights: np.ndarray  # (n,)
+    transform: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -50,11 +58,22 @@ class AtomicMeasure:
         return self.points.shape[0]
 
     def fourier(self, xi) -> np.ndarray:
-        """mu_hat(xi) = sum_k w_k exp(i xi . x_k), vectorized over xi in row blocks.
+        """mu_hat(xi) = sum_k w_k exp(i xi . x_k).
 
         One point gives a complex number, an array of points (..., d) an array.
+        A measure that carries a closed-form ``transform`` (``discretize`` of
+        a grid, a Cantor product or a point pair) evaluates it: a Dirichlet
+        kernel per axis, a Riesz product of ``level`` cosines per axis, or
+        one cosine, each elementwise in xi.  Any other measure forms the
+        complex phase matrix of frequencies x atoms, in row blocks.
         """
         pts, lead = _as_points(xi, self.dim)
+        if self.transform is not None:
+            vals = np.asarray(self.transform(pts), dtype=complex)
+            return complex(vals[0]) if lead == () else vals.reshape(lead)
+        return self._phase_sums(pts, lead)
+
+    def _phase_sums(self, pts: np.ndarray, lead: tuple):
         if lead == ():
             phases = pts[0] @ self.points.T
             return complex(np.sum(self.weights * np.exp(1j * phases)))
@@ -118,41 +137,91 @@ def _cantor_intervals_1d(ratio: float, level: int) -> np.ndarray:
     return np.array([(a + b) / 2.0 for a, b in intervals])
 
 
+def _dirichlet(a: float, b: float, n: int, x: np.ndarray) -> np.ndarray:
+    """D_n(hx/2), the transform of n equal atoms at the cell centres of [a, b]
+    about their centre (b + a)/2, with h = (b - a)/n.
+
+    D_n(t) = sin(nt) / (n sin t) = (-1)^(m(n-1)) sinc(nt'/pi) / sinc(t'/pi)
+    with m = rint(t / pi) and t' = t - m pi; |t'| <= pi/2 keeps the
+    denominator >= 2/pi, so no branch is needed at the poles of 1/sin t.
+    """
+    t = x * ((b - a) / (2 * n))
+    m = np.rint(t / np.pi)
+    t = t - m * np.pi
+    return (1.0 - 2.0 * (m * (n - 1) % 2.0)) * np.sinc(n * t / np.pi) / np.sinc(t / np.pi)
+
+
+def _riesz_product(ratio: float, level: int, x: np.ndarray) -> np.ndarray:
+    """prod_j cos(x (1-r) r^(j-1) / 2), the transform of the level-k Cantor
+    midpoints 1/2 + sum_j +-(1-r) r^(j-1)/2 about 1/2."""
+    out = np.ones_like(x)
+    for j in range(level):
+        out *= np.cos(x * ((1.0 - ratio) * ratio ** j / 2.0))
+    return out
+
+
+def _product_transform(centre, axes) -> Callable[[np.ndarray], np.ndarray]:
+    """exp(i xi . centre) prod_k f_k(xi_k) for a product of measures symmetric
+    about ``centre`` with real transforms f_k.  One complex product per value:
+    numpy's complex multiply rounds differently by array length."""
+    def transform(xi):
+        phase = sum(xi[:, k] * c for k, c in enumerate(centre))
+        return np.exp(1j * phase) * np.prod([f(xi[:, k]) for k, f in enumerate(axes)], axis=0)
+    return transform
+
+
 def discretize(spec: SetDiscretization) -> AtomicMeasure:
-    """Deterministic equal-weight point cloud for the described set."""
+    """Deterministic equal-weight point cloud for the described set.
+
+    Grids, Cantor products and point pairs carry their closed-form transform.
+    """
     kind, p = spec.kind, spec.params
+    transform = None
     if kind == "CubeGrid":
-        n = int(p["n_per_axis"])
+        n, bounds = int(p["n_per_axis"]), p["bounds"]
         if n < 1:
             raise ValueError("n_per_axis must be >= 1")
+        # a == b is a point, and one cell is the only grid that keeps it one
+        if len(bounds) < 1 or not all(a < b or (a == b and n == 1) for a, b in bounds):
+            raise ValueError("bounds need a < b on every axis (a == b only with n_per_axis 1)")
         axes = []
-        for a, b in p["bounds"]:
+        for a, b in bounds:
             h = (b - a) / n
             axes.append(a + h * (np.arange(n) + 0.5))
         grids = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
+        transform = _product_transform([(a + b) / 2.0 for a, b in bounds],
+                                       [partial(_dirichlet, a, b, n) for a, b in bounds])
     elif kind == "CantorProduct":
         ratio, level, d = p["ratio"], int(p["level"]), int(p["d"])
         if not 0.0 < ratio < 0.5:
             raise ValueError("ratio must lie in (0, 1/2)")
+        if level < 0 or d < 1:
+            raise ValueError("level must be >= 0 and d >= 1")
         axis = _cantor_intervals_1d(ratio, level)
         grids = np.meshgrid(*([axis] * d), indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
+        transform = _product_transform([0.5] * d, [partial(_riesz_product, ratio, level)] * d)
     elif kind == "TwoPoint":
         sep, d = p["separation"], int(p["d"])
         if sep <= 0.0:
             raise ValueError("separation must be positive")
+        if d < 1:
+            raise ValueError("d must be >= 1")
         pts = np.zeros((2, d))
         pts[0, 0] = -sep / 2.0
         pts[1, 0] = sep / 2.0
+        transform = lambda xi: np.cos(xi[:, 0] * (sep / 2.0))
     elif kind == "Circle":
         radius, n = p["radius"], int(p["n"])
+        if n < 1:
+            raise ValueError("n must be >= 1")
         theta = 2.0 * np.pi * np.arange(n) / n
         pts = radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     else:
         raise ValueError(f"unknown discretization kind: {kind!r}")
     n_pts = pts.shape[0]
-    return AtomicMeasure(points=pts, weights=np.full(n_pts, 1.0 / n_pts))
+    return AtomicMeasure(points=pts, weights=np.full(n_pts, 1.0 / n_pts), transform=transform)
 
 
 def cell_width(spec: SetDiscretization) -> float:

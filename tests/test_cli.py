@@ -234,6 +234,24 @@ class TestEnergy:
                        "kind": "not-converged"}
 
 
+    @pytest.mark.parametrize("spec, psi, error", [
+        ('{"kind":"Circle","radius":1.0,"n":0}', STABLE_2D, "n must be >= 1"),
+        ('{"kind":"CantorProduct","ratio":0.3,"level":-1,"d":1}', STABLE_PSI,
+         "level must be >= 0 and d >= 1"),
+        ('{"kind":"CantorProduct","ratio":0.3,"level":2,"d":0}', STABLE_PSI,
+         "level must be >= 0 and d >= 1"),
+        ('{"kind":"TwoPoint","separation":1.0,"d":0}', STABLE_PSI, "d must be >= 1"),
+        ('{"kind":"CubeGrid","bounds":[[1.0,0.0]],"n_per_axis":64}', STABLE_PSI,
+         "bounds need a < b on every axis (a == b only with n_per_axis 1)"),
+        ('{"kind":"CubeGrid","bounds":[[0.0,0.0]],"n_per_axis":64}', STABLE_PSI,
+         "bounds need a < b on every axis (a == b only with n_per_axis 1)"),
+    ])
+    def test_bad_set_spec_exit_one(self, spec, psi, error, capsys):
+        code, rep = run_cli(["energy", "--psi", psi, "--set", spec], capsys)
+        assert code == 1
+        assert rep == {"error": error, "kind": "invalid-input"}
+
+
 class TestEquilibrium:
     def test_two_point_even_split(self, capsys):
         code, rep = run_cli([

@@ -25,6 +25,7 @@ from addlevy.energy import riesz_identity_sides
 from addlevy.kernels import Kernel, cauchy_kernel, exponential_kernel, potential_density_v
 from addlevy.measures import (
     AtomicMeasure,
+    cantor_product,
     cell_width,
     circle,
     cube_grid,
@@ -35,6 +36,7 @@ from addlevy.measures import (
 from addlevy.quadrature import QuadratureSpec
 
 UNIFORM_HALF_ENERGY = 8.0 / 3.0  # int_0^1 int_0^1 |x-y|^{-1/2} dx dy
+GRID_64 = discretize(cube_grid([(0.0, 1.0)], 64))
 
 
 class TestMutualEnergyReal:
@@ -100,6 +102,17 @@ class TestEnergyFourier:
         v0 = energy_fourier(psi, base).value
         v1 = energy_fourier(psi, shifted).value
         assert v1 == pytest.approx(v0, abs=1e-10)
+
+    @pytest.mark.parametrize("spec", [cube_grid([(0.0, 1.0)], 96), cantor_product(1.0 / 3.0, 10),
+                                      two_point(1.0)])
+    def test_structured_sets_form_no_phase_matrix(self, spec, monkeypatch):
+        # grids, Cantor products and point pairs take their closed-form transform
+        def refuse(*args):
+            raise AssertionError("phase matrix formed")
+
+        monkeypatch.setattr(AtomicMeasure, "_phase_sums", refuse)
+        psi = ExponentVector((IsotropicStable(alpha=1.5, dim=1),))
+        assert 0.0 < energy_fourier(psi, discretize(spec)).value < np.inf
 
     def test_energy_positive(self):
         psi = ExponentVector((IsotropicStable(alpha=1.5, dim=1),))
@@ -217,10 +230,13 @@ class TestIdentityChecks:
         assert real == pytest.approx(fourier, rel=0.01)
 
     @pytest.mark.parametrize("k, nu, mu, expected", [
-        (exponential_kernel(1.0), delta([0.0]), discretize(cube_grid([(0.0, 1.0)], 64)),
+        (exponential_kernel(1.0), delta([0.0]), AtomicMeasure(GRID_64.points, GRID_64.weights),
          (0.7358252930188938, 0.7358248199602258)),
         (cauchy_kernel(1.0), discretize(two_point(0.5)), discretize(two_point(1.0)),
          (0.7281492109038737, 0.7281492109038739)),
+        # the grid's closed form gives the phase matrix's bits here
+        (exponential_kernel(1.0), delta([0.0]), GRID_64,
+         (0.7358252930188938, 0.7358248199602258)),
     ])
     def test_fourier_side_is_one_resolution(self, k, nu, mu, expected, monkeypatch):
         # the values of the two-resolution rule's fine half (with and without

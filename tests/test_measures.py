@@ -98,6 +98,73 @@ class TestFourier:
         assert np.array_equal(mu.fourier(xi), whole)
 
 
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def closed_form_cases(draw):
+    """A set with a closed-form transform and frequencies (m, d) to take it at.
+
+    Grid frequencies include points within a few ulps of 2 pi m / h, where
+    the Dirichlet kernel's numerator and denominator both vanish.
+    """
+    kind = draw(st.sampled_from(["CubeGrid", "CantorProduct", "TwoPoint"]))
+    if kind == "CubeGrid":
+        d = draw(st.integers(1, 2))
+        n = draw(st.integers(1, 64 if d == 1 else 10))
+        bounds = []
+        for _ in range(d):
+            a = draw(st.floats(-50.0, 50.0))
+            bounds.append((a, a + draw(st.floats(1e-3, 20.0))))
+        spec = cube_grid(bounds, n)
+    elif kind == "CantorProduct":
+        d = draw(st.integers(1, 2))
+        ratio = draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+        spec = cantor_product(ratio, draw(st.integers(0, 10 if d == 1 else 5)), d)
+    else:
+        d = draw(st.integers(1, 3))
+        spec = two_point(draw(st.floats(1e-3, 10.0)), d)
+    m = draw(st.integers(1, 40))
+    xi = np.array(draw(st.lists(st.floats(-4000.0, 4000.0), min_size=m * d, max_size=m * d)))
+    xi = xi.reshape(m, d)
+    if kind == "CubeGrid":
+        for k, (a, b) in enumerate(bounds):
+            orders = draw(st.lists(st.integers(-300, 300), min_size=m // 2, max_size=m // 2))
+            poles = 2.0 * np.pi * np.array(orders, dtype=float) * n / (b - a)
+            for _ in range(draw(st.integers(0, 4))):
+                poles = np.nextafter(poles, draw(st.sampled_from([-np.inf, np.inf])))
+            xi[: m // 2, k] = poles
+    return spec, xi
+
+
+class TestClosedFormTransforms:
+    @given(closed_form_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_matches_the_phase_matrix(self, case):
+        spec, xi = case
+        mu = discretize(spec)
+        assert mu.transform is not None
+        matrix = AtomicMeasure(mu.points, mu.weights).fourier(xi)
+        reach = np.linalg.norm(xi, axis=1) * np.linalg.norm(mu.points, axis=1).max()
+        assert np.all(np.abs(mu.fourier(xi) - matrix) <= 64 * EPS * (1.0 + reach))
+
+    @given(closed_form_cases(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_closed_form_is_blockwise_deterministic(self, case, data):
+        # a value does not depend on the array it is evaluated in
+        spec, xi = case
+        mu = discretize(spec)
+        if mu.dim == 1:
+            xi = xi[:, 0]
+        i = data.draw(st.integers(0, xi.shape[0] - 1))
+        one = mu.fourier(xi[i])
+        assert isinstance(one, complex)
+        assert one == mu.fourier(xi)[i]
+
+    def test_circle_keeps_the_phase_matrix(self):
+        assert discretize(circle(1.0, 8)).transform is None
+
+
 class TestValidation:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
