@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from addlevy.exponents import ExponentVector, IsotropicStable
-from addlevy.kernels import _axis_points, _dyadic_radial_inverse
+from addlevy.kernels import _axis_points, _radial_inverse
 from addlevy.quadrature import QuadratureSpec, panel_nodes
 
 # Dyadic shells [2^-k-1, 2^-k], k < _PROBE_SHELLS, of the real-side
@@ -63,18 +63,19 @@ class StableSystem:
         product of the one-potential densities u_j of the components at its
         nodes, inverted with r_max = 400 * 2^k so that every shell sees the
         same number of oscillations.  Row k's nodes are 2^-k times row 0's,
-        bit for bit, so under s = 2^k t every shell shares row 0's weight
-        matrix and only K(2^k t) differs: each distinct alpha takes one
-        batched inversion over all shells (kernels._dyadic_radial_inverse).
-        It does not depend on the test order s, so it is built once per
-        system and lives as long as it.
+        bit for bit, so each distinct alpha takes one radial inversion
+        (kernels._radial_inverse) of row 0's nodes with all shells: they lie
+        in one octave, (1/2, 1), so they share one node set, and under
+        s = 2^k t one weight matrix, and only K(2^k t) differs by shell.  It
+        does not depend on the test order s, so it is built once per system
+        and lives as long as it.
         """
         edges = 2.0 ** -np.arange(_PROBE_SHELLS, -1.0, -1.0)
         x, w = (a.reshape(_PROBE_SHELLS, -1)[::-1] for a in panel_nodes(edges, 8))
         density = np.ones_like(x)
         for alpha in sorted(set(self.alphas)):
             psi = ExponentVector((IsotropicStable(alpha=alpha, dim=self.d),))
-            u = _dyadic_radial_inverse(psi, x[0], _PROBE_SHELLS, QuadratureSpec(r_max=400.0))
+            u = _radial_inverse(psi, x[0], QuadratureSpec(r_max=400.0), shells=_PROBE_SHELLS)
             density *= u ** self.alphas.count(alpha)
         return x, w, density
 

@@ -64,10 +64,13 @@ def _cell_average(k: Kernel, h: float) -> float:
     """Average of the gauge over the ball of diameter h around the origin.
 
     Closed form d (h/2)^-s / (d - s) for the Riesz gauge ||x||^-s; a radial
-    quadrature along the first axis otherwise.
+    quadrature along the first axis otherwise.  At h = 0 it is the limit,
+    the gauge at the origin (np.inf for the Riesz gauge).
     """
     meta = k.meta.get("riesz")
     d = k.dim
+    if h == 0.0:
+        return float(k.eval(np.zeros((1, d)))[0])
     half = h / 2.0
     if meta is not None:
         s = d - meta["alpha"]

@@ -82,9 +82,6 @@ class LevyExponent:
         g_re, g_abs = g
         return 2.0 * max(0.0, g_abs) - max(0.0, g_re)
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True, kw_only=True)
 class IsotropicStable(LevyExponent):
@@ -107,10 +104,6 @@ class IsotropicStable(LevyExponent):
     def _growth(self):
         return (self.alpha, self.alpha)
 
-    def to_json(self):
-        return {"family": "IsotropicStable", "dim": self.dim,
-                "params": {"alpha": self.alpha, "scale": self.scale}}
-
 
 @dataclass(frozen=True, kw_only=True)
 class BrownianIsotropic(LevyExponent):
@@ -129,10 +122,6 @@ class BrownianIsotropic(LevyExponent):
 
     def _growth(self):
         return (2.0, 2.0)
-
-    def to_json(self):
-        return {"family": "BrownianIsotropic", "dim": self.dim,
-                "params": {"diffusivity": self.diffusivity}}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -175,10 +164,6 @@ class Skewed1DStable(LevyExponent):
     def _growth(self):
         return (self.alpha, self.alpha)
 
-    def to_json(self):
-        return {"family": "Skewed1DStable", "dim": 1,
-                "params": {"alpha": self.alpha, "beta": self.beta, "scale": self.scale}}
-
 
 @dataclass(frozen=True, kw_only=True)
 class PureDrift(LevyExponent):
@@ -201,9 +186,6 @@ class PureDrift(LevyExponent):
 
     def _real_growth(self):
         return -math.inf
-
-    def to_json(self):
-        return {"family": "PureDrift", "dim": self.dim, "params": {"b": list(self.b)}}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -239,10 +221,6 @@ class SumOf(LevyExponent):
 
     def _real_growth(self):
         return max(c._real_growth() for c in self.components)
-
-    def to_json(self):
-        return {"family": "SumOf", "dim": self.dim,
-                "params": {"components": [c.to_json() for c in self.components]}}
 
 
 _FAMILIES = {

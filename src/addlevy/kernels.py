@@ -222,70 +222,59 @@ def _k_values(psi: ExponentVector, s: np.ndarray) -> np.ndarray:
     return psi.kernel_values(_axis_points(s, psi.dim)).reshape(np.shape(s))
 
 
-def _radial_inverse(psi: ExponentVector, radii: np.ndarray, quad: QuadratureSpec,
-                    decay: Optional[float]) -> np.ndarray:
-    """v at each radius r >= 0: the radial transform int_0^inf w(s) K(s) ds / c.
+def _radial_inverse(psi: ExponentVector, y: np.ndarray, quad: QuadratureSpec,
+                    shells: int = 1) -> np.ndarray:
+    """Row k < shells: v at the radii 2^-k y (y >= 0), inverted with r_max = 2^k quad.r_max.
 
-    w and c are _radial_weight and _radial_norm; at r=0, w(s) = s^(d-1).
-    Beyond r_max the tail is a power law at r=0 and the averaged oscillatory
-    tail elsewhere, which also sums the growing envelopes of d=2 and d=3
-    when K decays slowly.
+    v(r) is the radial transform int_0^inf w(s) K(s) ds / c, with w and c
+    from _radial_weight and _radial_norm, and w(s) = s^(d-1) at r = 0.  With
+    s = 2^k t, shell k's transform up to its r_max is
+    2^(k p) int_0^quad.r_max w(t) K(2^k t) dt at the radius y, p = 1 in d=1
+    and 2 in d=2, 3 (ds and the factor s of w; d=3 keeps its 1/r in the
+    norm), and p = d at y = 0: one node set in t and one weight matrix serve
+    every shell, and only K differs.
 
-    The panels up to r_max depend on r only through their uniform panel
-    count, so the radii that share it share one node set and one evaluation
-    of K; the tails of all r > 0 run together, one evaluation of K per
-    half period.  Each radius sums the same terms in the same order as it
-    would alone.
-    """
-    d = psi.dim
-    pos = radii > 0.0
-    # v(0) is finite only when the analytic tail rule makes K integrable
-    finite = pos | (decay is not None and decay > d)
-    min_scale = _min_scale(quad.r_max)
-    counts = uniform_panel_count(quad.r_max, radii)
-    main = np.zeros(radii.size)
-    for count in np.unique(counts[finite]):
-        group = np.flatnonzero(finite & (counts == count))
-        nodes, weights = panel_nodes(
-            halfline_edges(quad.r_max, max_freq=radii[group[0]], min_scale=min_scale))
-        kv = _k_values(psi, nodes)
-        for i in group:
-            w_r = _radial_weight(nodes, radii[i], d) if radii[i] > 0.0 else nodes ** (d - 1)
-            main[i] = np.sum(weights * (w_r * kv))
-    tail = np.zeros(radii.size)
-    tail[pos] = averaged_oscillatory_tail(
-        lambda s, r: _radial_weight(s, r, d) * _k_values(psi, s), quad.r_max, radii[pos],
-        rel_tol=quad.rel_tol, scale=np.maximum(np.abs(main[pos]), 1.0))
-    if finite[~pos].any():
-        end = np.array([quad.r_max])
-        tail[~pos] = powerlaw_tail(float((end ** (d - 1) * _k_values(psi, end))[0]),
-                                   quad.r_max, decay - (d - 1))
-    return np.where(finite, (main + tail) / _radial_norm(radii, d), np.inf)
-
-
-def _dyadic_radial_inverse(psi: ExponentVector, y: np.ndarray, shells: int,
-                           quad: QuadratureSpec) -> np.ndarray:
-    """Row k < shells: v at the radii 2^-k y > 0, inverted with r_max = 2^k quad.r_max.
-
-    With s = 2^k t, shell k's transform is 2^(k p) int w(t, y) K(2^k t) dt,
-    p = 1 in d=1 and 2 in d=2, 3 (ds and the factor s of w; d=3 keeps its
-    1/r in the norm), so one node set in t and one weight matrix serve every
-    shell and only K differs.  The node set is that of the largest y, with
-    the cascade toward 0 as deep as the last shell's; the tails of all radii
-    run in one call, each from its own r_max.
+    The node set of y is that of its octave top 2^ceil(log2 y), whose
+    uniform panels are no wider than y's own, with the cascade toward 0 as
+    deep as the last shell's.  The radii whose tops share a panel count
+    share it.  It depends on y alone, and each row is reduced on its own, so
+    a value does not depend on the other radii of the call.  Beyond r_max
+    the tail is a power law at y = 0 and the averaged oscillatory tail
+    elsewhere, which also sums the growing envelopes of d=2 and d=3 when K
+    decays slowly; the tails of all rows run in one call, each from its own
+    r_max.
     """
     d = psi.dim
     scales = 2.0 ** np.arange(shells)
-    nodes, weights = panel_nodes(halfline_edges(
-        quad.r_max, max_freq=y.max(), min_scale=_min_scale(quad.r_max * scales[-1])))
-    weight_matrix = weights * _radial_weight(nodes, y[:, None], d)
-    main = np.array([weight_matrix @ _k_values(psi, c * nodes) for c in scales])
-    main *= (scales ** min(d, 2))[:, None]
+    pos = y > 0.0
+    # v(0) is finite only when the analytic tail rule makes K integrable
+    decay = None if pos.all() else psi.kernel_decay_exponent()
+    finite = pos | (decay is not None and decay > d)
+    mantissa, exponent = np.frexp(y)  # y = m 2^e, m in [1/2, 1); 0 at y = 0
+    top = np.ldexp(np.ceil(2.0 * mantissa), exponent - 1)
+    counts = uniform_panel_count(quad.r_max, top)
+    min_scale = _min_scale(quad.r_max * scales[-1])
+    main = np.zeros((shells, y.size))
+    for count in np.unique(counts[finite]):
+        group = np.flatnonzero(finite & (counts == count))
+        nodes, weights = panel_nodes(
+            halfline_edges(quad.r_max, max_freq=top[group[0]], min_scale=min_scale))
+        w = weights * np.where(pos[group, None], _radial_weight(nodes, y[group, None], d),
+                               nodes ** (d - 1))
+        for k, c in enumerate(scales):
+            # row by row: a matrix product would round each row by the group's size
+            main[k, group] = np.einsum("ij,j->i", w, _k_values(psi, c * nodes))
+    main *= scales[:, None] ** np.where(pos, min(d, 2), d)
     radii = y / scales[:, None]
-    tail = averaged_oscillatory_tail(
+    tail = np.zeros_like(main)
+    tail[:, pos] = averaged_oscillatory_tail(
         lambda s, r: _radial_weight(s, r, d) * _k_values(psi, s), quad.r_max * scales[:, None],
-        radii, rel_tol=quad.rel_tol, scale=np.maximum(np.abs(main), 1.0))
-    return (main + tail) / _radial_norm(radii, d)
+        radii[:, pos], rel_tol=quad.rel_tol, scale=np.maximum(np.abs(main[:, pos]), 1.0))
+    if finite[~pos].any():
+        ends = quad.r_max * scales
+        tail[:, ~pos] = powerlaw_tail(ends ** (d - 1) * _k_values(psi, ends), ends,
+                                      decay - (d - 1))[:, None]
+    return np.where(finite, (main + tail) / _radial_norm(radii, d), np.inf)
 
 
 def potential_density_v(psi: ExponentVector, x, quad: Optional[QuadratureSpec] = None):
@@ -310,7 +299,7 @@ def potential_density_v(psi: ExponentVector, x, quad: Optional[QuadratureSpec] =
     unit = 10.0 ** (np.floor(np.log10(np.where(r > 0.0, r, 1.0))) - 13.0)
     r = np.round(r / unit) * unit
     radii, inverse = np.unique(r, return_inverse=True)
-    out = _radial_inverse(psi, radii, quad, psi.kernel_decay_exponent())[inverse].reshape(r.shape)
+    out = _radial_inverse(psi, radii, quad)[0, inverse].reshape(r.shape)
     return float(out) if out.ndim == 0 else out
 
 

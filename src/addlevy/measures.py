@@ -18,6 +18,13 @@ from addlevy.exponents import _as_points
 
 _WEIGHT_TOL = 1e-12
 _PHASE_BLOCK = 2 ** 18  # elements of one block of the phase matrix in fourier
+# the parameters each kind of set reads, all of them required
+_SET_PARAMS = {
+    "CubeGrid": {"bounds", "n_per_axis"},
+    "CantorProduct": {"ratio", "level", "d"},
+    "TwoPoint": {"separation", "d"},
+    "Circle": {"radius", "n"},
+}
 
 
 @dataclass(frozen=True)
@@ -174,8 +181,16 @@ def discretize(spec: SetDiscretization) -> AtomicMeasure:
     """Deterministic equal-weight point cloud for the described set.
 
     Grids, Cantor products and point pairs carry their closed-form transform.
+    A missing parameter, or one the kind does not read, is a ValueError.
     """
     kind, p = spec.kind, spec.params
+    if kind not in _SET_PARAMS:
+        raise ValueError(f"unknown discretization kind: {kind!r}")
+    missing, extra = sorted(_SET_PARAMS[kind] - set(p)), sorted(set(p) - _SET_PARAMS[kind])
+    if missing:
+        raise ValueError(f"{kind} set needs {missing}")
+    if extra:
+        raise ValueError(f"{kind} set does not read {extra}")
     transform = None
     if kind == "CubeGrid":
         n, bounds = int(p["n_per_axis"]), p["bounds"]
@@ -212,14 +227,12 @@ def discretize(spec: SetDiscretization) -> AtomicMeasure:
         pts[0, 0] = -sep / 2.0
         pts[1, 0] = sep / 2.0
         transform = lambda xi: np.cos(xi[:, 0] * (sep / 2.0))
-    elif kind == "Circle":
+    else:  # Circle
         radius, n = p["radius"], int(p["n"])
         if n < 1:
             raise ValueError("n must be >= 1")
         theta = 2.0 * np.pi * np.arange(n) / n
         pts = radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    else:
-        raise ValueError(f"unknown discretization kind: {kind!r}")
     n_pts = pts.shape[0]
     return AtomicMeasure(points=pts, weights=np.full(n_pts, 1.0 / n_pts), transform=transform)
 

@@ -94,7 +94,8 @@ def integrate_panels(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray,
 
 
 def powerlaw_tail(f_at_rmax: float, r_max: float, decay: float) -> float:
-    """Tail of int_{r_max}^inf f assuming f ~ c r^-decay, matched at r_max."""
+    """Tail of int_{r_max}^inf f assuming f ~ c r^-decay, matched at r_max;
+    elementwise in f_at_rmax and r_max."""
     if decay <= 1.0:
         return np.inf
     return abs(f_at_rmax) * r_max / (decay - 1.0)

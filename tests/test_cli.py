@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import addlevy
+from addlevy import ExponentVector, IsotropicStable, potential_density_v
 from addlevy.cli import main
 
 STABLE_PSI = '{"family":"IsotropicStable","dim":1,"params":{"alpha":1.5}}'
@@ -245,6 +246,9 @@ class TestEnergy:
          "bounds need a < b on every axis (a == b only with n_per_axis 1)"),
         ('{"kind":"CubeGrid","bounds":[[0.0,0.0]],"n_per_axis":64}', STABLE_PSI,
          "bounds need a < b on every axis (a == b only with n_per_axis 1)"),
+        ('{"kind":"Circle","radius":1.0}', STABLE_2D, "Circle set needs ['n']"),
+        ('{"kind":"CubeGrid","bounds":[[0.0,1.0]],"n_per_axis":4,"extra":1}', STABLE_PSI,
+         "CubeGrid set does not read ['extra']"),
     ])
     def test_bad_set_spec_exit_one(self, spec, psi, error, capsys):
         code, rep = run_cli(["energy", "--psi", psi, "--set", spec], capsys)
@@ -253,6 +257,27 @@ class TestEnergy:
 
 
 class TestEquilibrium:
+    POINT = '{"kind":"CubeGrid","bounds":[[0.5,0.5]],"n_per_axis":1}'
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--set", POINT],
+        ["equilibrium", "--set", '{"kind":"Circle","radius":0.0,"n":4}'],
+    ])
+    def test_riesz_capacity_of_a_point_is_zero(self, argv, capsys):
+        # [DERIVED] a cell of width 0 averages the gauge to its value at the
+        # origin, infinite for the Riesz gauge
+        code, rep = run_cli(argv, capsys)
+        assert code == 0
+        assert rep["capacity"] == 0.0 and rep["energy"] == math.inf
+
+    def test_potential_capacity_of_a_point(self, capsys):
+        # [DERIVED] the point mass is the only measure on a point: energy v(0)
+        code, rep = run_cli(["equilibrium", "--set", self.POINT, "--gauge", "potential",
+                             "--psi", STABLE_PSI], capsys)
+        assert code == 0
+        psi = ExponentVector((IsotropicStable(alpha=1.5, dim=1),))
+        assert rep["capacity"] == pytest.approx(1.0 / potential_density_v(psi, 0.0), rel=1e-12)
+
     def test_two_point_even_split(self, capsys):
         code, rep = run_cli([
             "equilibrium", "--set", '{"kind":"TwoPoint","separation":1.0,"d":1}',

@@ -1,4 +1,5 @@
 """Exponent algebra: evaluation, product kernel, sector constants."""
+import json
 import math
 
 import numpy as np
@@ -120,15 +121,25 @@ class TestSectorConstant:
 
 
 class TestJsonRoundTrip:
+    # each exponent JSON form of the README, as text, parses to the object it describes
     @pytest.mark.parametrize("exp", [
-        IsotropicStable(dim=2, alpha=1.3, scale=0.7),
-        BrownianIsotropic(dim=3, diffusivity=2.0),
-        Skewed1DStable(alpha=0.9, beta=-0.4, scale=1.1),
-        PureDrift(dim=2, b=(1.0, -2.0)),
-        SumOf(dim=1, components=(IsotropicStable(alpha=1.0), PureDrift(b=(1.0,)))),
+        ('{"family": "IsotropicStable", "dim": 2, "params": {"alpha": 1.3, "scale": 0.7}}',
+         IsotropicStable(dim=2, alpha=1.3, scale=0.7)),
+        ('{"family": "BrownianIsotropic", "dim": 3, "params": {"diffusivity": 2.0}}',
+         BrownianIsotropic(dim=3, diffusivity=2.0)),
+        ('{"family": "Skewed1DStable", "dim": 1,'
+         ' "params": {"alpha": 0.9, "beta": -0.4, "scale": 1.1}}',
+         Skewed1DStable(alpha=0.9, beta=-0.4, scale=1.1)),
+        ('{"family": "PureDrift", "dim": 2, "params": {"b": [1.0, -2.0]}}',
+         PureDrift(dim=2, b=(1.0, -2.0))),
+        ('{"family": "SumOf", "dim": 1, "params": {"components": ['
+         '{"family": "IsotropicStable", "dim": 1, "params": {"alpha": 1.0}},'
+         ' {"family": "PureDrift", "dim": 1, "params": {"b": [1.0]}}]}}',
+         SumOf(dim=1, components=(IsotropicStable(alpha=1.0), PureDrift(b=(1.0,))))),
     ])
     def test_round_trip(self, exp):
-        assert exponent_from_json(exp.to_json()) == exp
+        text, expected = exp
+        assert exponent_from_json(json.loads(text)) == expected
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="family"):

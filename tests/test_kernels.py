@@ -269,10 +269,12 @@ class TestPotentialDensity:
     def test_array_call_equals_scalar_calls(self, psi, monkeypatch):
         # one batched inversion per call, of the distinct rounded radii, and
         # the value of a radius does not depend on the other points of the
-        # call or their order
+        # call or their order: not at an octave top (0.5) and below it, nor
+        # under the floor of 16 uniform panels (1/64)
         d = psi.dim
         near = np.nextafter(0.3, 1.0)  # a different radius with the same 14-digit key
-        radii = np.array([0.3, -0.75, 0.0, near, 1.25, 0.75, -0.3, 0.0, 2.0])
+        radii = np.array([0.3, -0.75, 0.0, near, 1.25, 0.75, -0.3, 0.0, 2.0,
+                          0.5, np.nextafter(0.5, 0.0), 1.0 / 64.0])
         rng = np.random.default_rng(3)
         if d == 1:
             pts = radii[:, None]
@@ -288,14 +290,29 @@ class TestPotentialDensity:
         for perm in (np.arange(radii.size), rng.permutation(radii.size),
                      rng.permutation(radii.size)):
             calls.clear()
-            batch = potential_density_v(psi, pts[perm].reshape(3, 3, d))
-            assert batch.shape == (3, 3)
+            batch = potential_density_v(psi, pts[perm].reshape(3, 4, d))
+            assert batch.shape == (3, 4)
             assert np.array_equal(batch.ravel(), scalar[perm])
             assert len(calls) == 1
             inversions = calls[0]
-            assert len(inversions) == 5  # 0, 0.3 (and near), 0.75, 1.25, 2
+            # 0, 1/64, 0.3 (and near), 0.5 (and its neighbour, by the 14-digit
+            # key), 0.75, 1.25, 2
+            assert len(inversions) == 7
         assert scalar[0] == scalar[3]
         assert np.array_equal(PotentialDensity(psi).as_kernel().eval(pts), scalar)
+
+    def test_one_node_set_per_octave(self, monkeypatch):
+        # the 128 x 128 differences of a 128-cell grid on [0, 1] take 128
+        # distinct radii k/128 in 9 octaves (0 among them), and the octave
+        # tops up to 1/16 all take the floor of 16 uniform panels: 5 node sets
+        psi = ExponentVector((IsotropicStable(alpha=1.2, dim=1),))
+        x = (np.arange(128) + 0.5) / 128.0
+        calls = []
+        real_nodes = kernels.panel_nodes
+        monkeypatch.setattr(kernels, "panel_nodes",
+                            lambda *a: calls.append(a) or real_nodes(*a))
+        potential_density_v(psi, (x[:, None] - x[None, :])[..., None])
+        assert len(calls) <= 6
 
 
     def test_unconverged_tail_raises_in_a_batch(self):
@@ -310,10 +327,10 @@ class TestPotentialDensity:
                 return np.cos(s) / s
 
         quad = QuadratureSpec(r_max=40.0)
-        converging = kernels._radial_inverse(Resonant(), np.array([0.5, 2.0, 5.0]), quad, None)
+        converging = kernels._radial_inverse(Resonant(), np.array([0.5, 2.0, 5.0]), quad)
         assert np.all(np.isfinite(converging))
         with pytest.raises(QuadratureError, match="1 of 4"):
-            kernels._radial_inverse(Resonant(), np.array([0.5, 1.0, 2.0, 5.0]), quad, None)
+            kernels._radial_inverse(Resonant(), np.array([0.5, 1.0, 2.0, 5.0]), quad)
 
 
 class TestDyadicRadialInverse:
@@ -325,7 +342,7 @@ class TestDyadicRadialInverse:
     @given(st.sampled_from([1, 2, 3]), st.floats(0.3, 2.0))
     def test_matches_one_inversion_per_shell(self, d, alpha):
         psi = ExponentVector((IsotropicStable(alpha=alpha, dim=d),))
-        shells = kernels._dyadic_radial_inverse(psi, self.Y, 36, QuadratureSpec(r_max=400.0))
+        shells = kernels._radial_inverse(psi, self.Y, QuadratureSpec(r_max=400.0), shells=36)
         assert shells.shape == (36, 8)
         for k in (0, 13, 35):
             pts = np.zeros((8, d))
@@ -344,10 +361,10 @@ class TestDyadicRadialInverse:
                 return np.cos(s) / s
 
         quad = QuadratureSpec(r_max=40.0)
-        converging = kernels._dyadic_radial_inverse(Resonant(), np.array([0.5]), 2, quad)
+        converging = kernels._radial_inverse(Resonant(), np.array([0.5]), quad, shells=2)
         assert np.all(np.isfinite(converging))
         with pytest.raises(QuadratureError, match="1 of 4"):
-            kernels._dyadic_radial_inverse(Resonant(), np.array([0.5, 1.0]), 2, quad)
+            kernels._radial_inverse(Resonant(), np.array([0.5, 1.0]), quad, shells=2)
 
 
 class TestKernelSupCheck:
