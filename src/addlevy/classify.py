@@ -33,6 +33,10 @@ _SLOPE_SPAN = 4  # shells per block slope, and the offset of the second depth
 _SLOPE_BAND = 0.03  # half-width of the slope region left Inconclusive
 
 
+class InconclusiveError(RuntimeError):
+    """A numeric probe could not reach a verdict."""
+
+
 @dataclass(frozen=True)
 class StableSystem:
     """N independent isotropic stable processes in R^d with indices alphas."""
@@ -63,20 +67,21 @@ class StableSystem:
         product of the one-potential densities u_j of the components at its
         nodes, inverted with r_max = 400 * 2^k so that every shell sees the
         same number of oscillations.  Row k's nodes are 2^-k times row 0's,
-        bit for bit, so each distinct alpha takes one radial inversion
-        (kernels._radial_inverse) of row 0's nodes with all shells: they lie
-        in one octave, (1/2, 1), so they share one node set, and under
-        s = 2^k t one weight matrix, and only K(2^k t) differs by shell.  It
+        bit for bit, so one radial inversion (kernels._radial_inverse) of row
+        0's nodes serves all shells of all distinct alphas: the nodes lie in
+        one octave, (1/2, 1), so they share one node set, and under s = 2^k t
+        one weight matrix, and only K(2^k t) differs by shell and alpha.  It
         does not depend on the test order s, so it is built once per system
         and lives as long as it.
         """
         edges = 2.0 ** -np.arange(_PROBE_SHELLS, -1.0, -1.0)
         x, w = (a.reshape(_PROBE_SHELLS, -1)[::-1] for a in panel_nodes(edges, 8))
+        alphas = sorted(set(self.alphas))
+        psis = [ExponentVector((IsotropicStable(alpha=a, dim=self.d),)) for a in alphas]
+        u = _radial_inverse(psis, x[0], QuadratureSpec(r_max=400.0), shells=_PROBE_SHELLS)
         density = np.ones_like(x)
-        for alpha in sorted(set(self.alphas)):
-            psi = ExponentVector((IsotropicStable(alpha=alpha, dim=self.d),))
-            u = _radial_inverse(psi, x[0], QuadratureSpec(r_max=400.0), shells=_PROBE_SHELLS)
-            density *= u ** self.alphas.count(alpha)
+        for alpha, u_alpha in zip(alphas, u):
+            density *= u_alpha ** self.alphas.count(alpha)
         return x, w, density
 
 
@@ -299,41 +304,41 @@ def probe_planar_point_test(psi: ExponentVector) -> ConvergenceVerdict:
 
 def dimension_by_bisection(test: Callable[[float], ConvergenceVerdict],
                            lo: float, hi: float, tol: float = 0.05) -> float:
-    """sup of s with a Convergent verdict, by bisection.
+    """sup of s with a Convergent verdict, by bisection to a bracket of width tol.
 
     The test must be monotone (Convergent below the threshold, Divergent
-    above); a Convergent verdict above a Divergent one raises.  Inconclusive
-    verdicts shrink the bracket conservatively toward the midpoint and are
-    tolerated as long as a conclusive verdict eventually lands.  Each s is
+    above).  Every probe lies inside the bracket the earlier verdicts left,
+    so no verdict can contradict another, and a non-monotone test is not
+    detected.  Inconclusive verdicts shrink the bracket conservatively
+    toward the midpoint and are tolerated as long as a conclusive verdict
+    eventually lands.  InconclusiveError when the bracket is still wider than
+    tol after 21 of them, or is down to two neighbouring floats.  Each s is
     probed once: a shrink can leave the midpoint where it was, and the
-    verdict there is remembered.
+    verdict there is remembered.  tol must be positive and finite.
     """
     if hi <= lo:
         raise ValueError("need lo < hi")
-    max_convergent = -math.inf
-    min_divergent = math.inf
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"bisection tolerance must be positive and finite, got {tol}")
     inconclusive = 0
     verdicts = {}
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are neighbouring floats
+            raise InconclusiveError(f"bisection cannot narrow [{lo}, {hi}] to the tolerance {tol}")
         if mid not in verdicts:
             verdicts[mid] = test(mid)
         verdict = verdicts[mid]
         if verdict.kind == "Convergent":
-            max_convergent = max(max_convergent, mid)
             lo = mid
         elif verdict.kind == "Divergent":
-            min_divergent = min(min_divergent, mid)
             hi = mid
         else:
             inconclusive += 1
             lo = lo + 0.25 * (mid - lo)
             hi = hi - 0.25 * (hi - mid)
-            if inconclusive > 20:
-                break
-        if max_convergent > min_divergent:
-            raise ValueError(
-                f"non-monotone verdicts: Convergent at s={max_convergent} "
-                f"above Divergent at s={min_divergent}"
-            )
+            if inconclusive > 20 and hi - lo > tol:
+                raise InconclusiveError(
+                    f"bisection stalled: {inconclusive} Inconclusive verdicts left "
+                    f"[{lo}, {hi}], wider than the tolerance {tol}")
     return lo

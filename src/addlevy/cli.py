@@ -29,6 +29,7 @@ import sys
 import numpy as np
 
 from addlevy.classify import (
+    InconclusiveError,
     StableSystem,
     dimension_by_bisection,
     intersection_dimension,
@@ -41,7 +42,6 @@ from addlevy.classify import (
 )
 from addlevy.energy import energy_fourier, sojourn_second_moment
 from addlevy.equilibrium import (
-    InconclusiveError,
     assemble_matrix,
     bessel_riesz_capacity,
     point_capacity_test,
@@ -345,7 +345,7 @@ def cmd_dimension(p) -> tuple:
             report["numeric_dimension"] = dimension_by_bisection(
                 lambda s: probe_intersection_dimension_test(sys_, s),
                 0.0, float(p["dim"]), tol=p["bisect_tol"])
-        except (ValueError, QuadratureError) as exc:
+        except (InconclusiveError, QuadratureError) as exc:
             raise NotConverged(f"numeric dimension probe failed: {exc}")
     return report, None
 

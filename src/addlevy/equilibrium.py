@@ -18,15 +18,11 @@ from typing import Union
 
 import numpy as np
 
-from addlevy.classify import probe_planar_point_test
+from addlevy.classify import InconclusiveError, probe_planar_point_test
 from addlevy.exponents import ExponentVector
 from addlevy.kernels import Kernel, PotentialDensity, _axis_points, riesz_kernel
 from addlevy.measures import SetDiscretization, cell_width, discretize
 from addlevy.quadrature import halfline_edges, integrate_panels
-
-
-class InconclusiveError(RuntimeError):
-    """The point test could not decide whether the kernel integral is finite."""
 
 
 @dataclass(frozen=True)

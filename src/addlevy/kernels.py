@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -191,14 +192,92 @@ def _axis_points(s, d: int) -> np.ndarray:
     return pts
 
 
+# J0 below _J0_TABLE_END: a polynomial of degree _J0_DEGREE on each piece
+# [j - 1/2, j + 1/2] / _J0_PIECES_PER_UNIT, fitted at first use.
+_J0_PIECES_PER_UNIT = 16
+_J0_DEGREE = 6
+_J0_TABLE_END = 512.0
+_J0_HANKEL_FROM = 40.0  # the series' first omitted term is below 1e-20 there
+# |a_k| = prod_{j <= k} (2j - 1)^2 / (8 j) of the Hankel expansion of J0
+_HANKEL_A = np.cumprod([1.0] + [(2 * k - 1) ** 2 / (8.0 * k) for k in range(1, 18)])
+
+
+def _j0_hankel(x: np.ndarray) -> np.ndarray:
+    """J0(x) for x >= _J0_HANKEL_FROM, by the Hankel asymptotic series.
+
+    J0 = sqrt(2 / (pi x)) (P cos(x - pi/4) - Q sin(x - pi/4)), with 9 terms
+    each of P = sum_k (-1)^k |a_2k| x^-2k and Q = -sum_k (-1)^k |a_2k+1|
+    x^-(2k+1), is evaluated as ((P + Q) cos x + (P - Q) sin x) / sqrt(pi x):
+    the cosine and sine of x itself, so no rounding of x - pi/4 enters.
+    """
+    signs = (-1.0) ** np.arange(9)
+    z = 1.0 / (x * x)
+    p = np.polynomial.polynomial.polyval(z, signs * _HANKEL_A[0::2])
+    q = -np.polynomial.polynomial.polyval(z, signs * _HANKEL_A[1::2]) / x
+    return ((p + q) * np.cos(x) + (p - q) * np.sin(x)) / np.sqrt(np.pi * x)
+
+
+@lru_cache(maxsize=None)
+def _j0_table() -> np.ndarray:
+    """Coefficients (degree + 1, pieces) of J0 on each piece j, in the
+    variable t = _J0_PIECES_PER_UNIT x - j of [-1/2, 1/2].
+
+    Piece j interpolates at the Chebyshev points of t, rounded to multiples
+    of 2^-24 so that each abscissa x is exact.  The middle one is t = 0, and
+    c_0 is set to the value there, which only rounding separates from the
+    fit: each piece takes its centre value exactly, J0(0) = 1 included.  The
+    values below _J0_HANKEL_FROM come from the midpoint rule for
+    (1/pi) int_0^pi cos(x sin u) du with 64 nodes, whose error is about
+    2 J_128(x), taken on the half [0, pi/2] by symmetry; above, from
+    _j0_hankel.  Built once, on the first call, and read-only.
+    """
+    k = np.arange(_J0_DEGREE + 1)
+    t = np.ldexp(np.round(np.ldexp(0.5 * np.cos(np.pi * (k + 0.5) / k.size), 24)), -24)
+    pieces = np.arange(_J0_TABLE_END * _J0_PIECES_PER_UNIT + 1)
+    x = np.abs(pieces[:, None] + t) / _J0_PIECES_PER_UNIT
+    near = x < _J0_HANKEL_FROM
+    values = np.empty_like(x)
+    u = (np.arange(32) + 0.5) * (np.pi / 64)
+    values[near] = np.cos(np.multiply.outer(x[near], np.sin(u))).mean(axis=-1)
+    values[~near] = _j0_hankel(x[~near])
+    coefs = np.linalg.solve(np.vander(t, increasing=True), values.T)
+    coefs[0] = values[:, _J0_DEGREE // 2]
+    coefs.setflags(write=False)
+    return coefs
+
+
+def _j0(x) -> np.ndarray:
+    """The Bessel function J0, elementwise, for finite x.
+
+    Below _J0_TABLE_END from the piecewise polynomials of _j0_table, beyond
+    from _j0_hankel.  Against 30-digit values it is within 7e-16 below 40,
+    where the midpoint rule rounds x sin u, and 5e-17 from there to 1e6; a
+    value does not depend on the other elements of x.
+    """
+    shape = np.shape(x)
+    x = np.abs(np.ravel(np.asarray(x, dtype=float)))
+    coefs = _j0_table()
+    u = np.fmin(x, _J0_TABLE_END) * _J0_PIECES_PER_UNIT
+    piece = np.rint(u)
+    t = u - piece  # exact: u is within a factor 2 of its nearest integer, or that is 0
+    piece = piece.astype(np.intp)
+    out = coefs[-1].take(piece)
+    for c in coefs[-2::-1]:
+        out *= t
+        out += c.take(piece)
+    near = x < _J0_TABLE_END  # False at NaN, which the series returns
+    if not near.all():
+        out[~near] = _j0_hankel(x[~near])
+    return out.reshape(shape)
+
+
 def _radial_weight(s, r, d: int) -> np.ndarray:
     """w(s, r) of the radial transform of v at radius r > 0: cos(s r) in
     d=1, s J0(s r) in d=2, s sin(s r) in d=3."""
     if d == 1:
         return np.cos(s * r)
     if d == 2:
-        from scipy.special import j0
-        return s * j0(s * r)
+        return s * _j0(s * r)
     return s * np.sin(s * r)
 
 
@@ -222,59 +301,63 @@ def _k_values(psi: ExponentVector, s: np.ndarray) -> np.ndarray:
     return psi.kernel_values(_axis_points(s, psi.dim)).reshape(np.shape(s))
 
 
-def _radial_inverse(psi: ExponentVector, y: np.ndarray, quad: QuadratureSpec,
-                    shells: int = 1) -> np.ndarray:
-    """Row k < shells: v at the radii 2^-k y (y >= 0), inverted with r_max = 2^k quad.r_max.
+def _radial_inverse(psis, y: np.ndarray, quad: QuadratureSpec, shells: int = 1) -> np.ndarray:
+    """Row [i, k], k < shells: v of psis[i] at the radii 2^-k y (y >= 0),
+    inverted with r_max = 2^k quad.r_max.
 
-    v(r) is the radial transform int_0^inf w(s) K(s) ds / c, with w and c
-    from _radial_weight and _radial_norm, and w(s) = s^(d-1) at r = 0.  With
-    s = 2^k t, shell k's transform up to its r_max is
-    2^(k p) int_0^quad.r_max w(t) K(2^k t) dt at the radius y, p = 1 in d=1
-    and 2 in d=2, 3 (ds and the factor s of w; d=3 keeps its 1/r in the
-    norm), and p = d at y = 0: one node set in t and one weight matrix serve
-    every shell, and only K differs.
+    The exponent vectors psis share one dimension d.  v(r) is the radial
+    transform int_0^inf w(s) K(s) ds / c, with w and c from _radial_weight
+    and _radial_norm, and w(s) = s^(d-1) at r = 0.  With s = 2^k t, shell
+    k's transform up to its r_max is 2^(k p) int_0^quad.r_max w(t) K(2^k t) dt
+    at the radius y, p = 1 in d=1 and 2 in d=2, 3 (ds and the factor s of w;
+    d=3 keeps its 1/r in the norm), and p = d at y = 0: one node set in t and
+    one weight matrix serve every shell of every exponent, and only K
+    differs.
 
     The node set of y is that of its octave top 2^ceil(log2 y), whose
     uniform panels are no wider than y's own, with the cascade toward 0 as
     deep as the last shell's.  The radii whose tops share a panel count
     share it.  It depends on y alone, and each row is reduced on its own, so
-    a value does not depend on the other radii of the call.  Beyond r_max
-    the tail is a power law at y = 0 and the averaged oscillatory tail
-    elsewhere, which also sums the growing envelopes of d=2 and d=3 when K
-    decays slowly; the tails of all rows run in one call, each from its own
-    r_max.
+    a value does not depend on the other radii or exponents of the call.
+    Beyond r_max the tail is a power law at y = 0 and the averaged
+    oscillatory tail elsewhere, which also sums the growing envelopes of d=2
+    and d=3 when K decays slowly; the tails of all rows of an exponent run
+    in one call, each from its own r_max.
     """
-    d = psi.dim
+    d = psis[0].dim
     scales = 2.0 ** np.arange(shells)
     pos = y > 0.0
     # v(0) is finite only when the analytic tail rule makes K integrable
-    decay = None if pos.all() else psi.kernel_decay_exponent()
-    finite = pos | (decay is not None and decay > d)
+    decays = [None if pos.all() else psi.kernel_decay_exponent() for psi in psis]
+    finite = np.array([pos | (decay is not None and decay > d) for decay in decays])
     mantissa, exponent = np.frexp(y)  # y = m 2^e, m in [1/2, 1); 0 at y = 0
     top = np.ldexp(np.ceil(2.0 * mantissa), exponent - 1)
     counts = uniform_panel_count(quad.r_max, top)
     min_scale = _min_scale(quad.r_max * scales[-1])
-    main = np.zeros((shells, y.size))
-    for count in np.unique(counts[finite]):
-        group = np.flatnonzero(finite & (counts == count))
+    main = np.zeros((len(psis), shells, y.size))
+    wanted = finite.any(axis=0)
+    for count in np.unique(counts[wanted]):
+        group = np.flatnonzero(wanted & (counts == count))
         nodes, weights = panel_nodes(
             halfline_edges(quad.r_max, max_freq=top[group[0]], min_scale=min_scale))
         w = weights * np.where(pos[group, None], _radial_weight(nodes, y[group, None], d),
                                nodes ** (d - 1))
-        for k, c in enumerate(scales):
-            # row by row: a matrix product would round each row by the group's size
-            main[k, group] = np.einsum("ij,j->i", w, _k_values(psi, c * nodes))
+        for i, psi in enumerate(psis):
+            for k, c in enumerate(scales):
+                # row by row: a matrix product would round each row by the group's size
+                main[i, k, group] = np.einsum("ij,j->i", w, _k_values(psi, c * nodes))
     main *= scales[:, None] ** np.where(pos, min(d, 2), d)
     radii = y / scales[:, None]
+    ends = quad.r_max * scales
     tail = np.zeros_like(main)
-    tail[:, pos] = averaged_oscillatory_tail(
-        lambda s, r: _radial_weight(s, r, d) * _k_values(psi, s), quad.r_max * scales[:, None],
-        radii[:, pos], rel_tol=quad.rel_tol, scale=np.maximum(np.abs(main[:, pos]), 1.0))
-    if finite[~pos].any():
-        ends = quad.r_max * scales
-        tail[:, ~pos] = powerlaw_tail(ends ** (d - 1) * _k_values(psi, ends), ends,
-                                      decay - (d - 1))[:, None]
-    return np.where(finite, (main + tail) / _radial_norm(radii, d), np.inf)
+    for psi, decay, part, rows in zip(psis, decays, main, tail):
+        rows[:, pos] = averaged_oscillatory_tail(
+            lambda s, r: _radial_weight(s, r, d) * _k_values(psi, s), ends[:, None],
+            radii[:, pos], rel_tol=quad.rel_tol, scale=np.maximum(np.abs(part[:, pos]), 1.0))
+        if decay is not None and decay > d:
+            rows[:, ~pos] = powerlaw_tail(ends ** (d - 1) * _k_values(psi, ends), ends,
+                                          decay - (d - 1))[:, None]
+    return np.where(finite[:, None, :], (main + tail) / _radial_norm(radii, d), np.inf)
 
 
 def potential_density_v(psi: ExponentVector, x, quad: Optional[QuadratureSpec] = None):
@@ -299,7 +382,7 @@ def potential_density_v(psi: ExponentVector, x, quad: Optional[QuadratureSpec] =
     unit = 10.0 ** (np.floor(np.log10(np.where(r > 0.0, r, 1.0))) - 13.0)
     r = np.round(r / unit) * unit
     radii, inverse = np.unique(r, return_inverse=True)
-    out = _radial_inverse(psi, radii, quad)[0, inverse].reshape(r.shape)
+    out = _radial_inverse((psi,), radii, quad)[0, 0, inverse].reshape(r.shape)
     return float(out) if out.ndim == 0 else out
 
 

@@ -17,6 +17,7 @@ from addlevy import (
     subordinator_meet,
 )
 from addlevy.classify import (
+    InconclusiveError,
     _ridge_rule,
     planar_averaged_kernel,
     probe_intersection_dimension_test,
@@ -233,6 +234,27 @@ class TestBisection:
         val = dimension_by_bisection(inconclusive, 0.0, 2.0)
         assert probed == [1.0]
         assert 1.0 - 0.05 <= val < 1.0
+
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        always_conv = lambda s: ConvergenceVerdict(kind="Convergent")
+        with pytest.raises(ValueError, match="positive and finite"):
+            dimension_by_bisection(always_conv, 0.0, 2.0, tol=tol)
+
+    def test_stalled_bisection_raises(self):
+        # [DERIVED] 21 Inconclusive shrinks leave 2 * 0.75^21 = 0.0063 > 1e-3
+        inconclusive = lambda s: ConvergenceVerdict(kind="Inconclusive")
+        with pytest.raises(InconclusiveError, match="21 Inconclusive"):
+            dimension_by_bisection(inconclusive, 0.0, 2.0, tol=1e-3)
+
+    def test_tolerance_below_float_spacing_raises(self):
+        # the bracket stops at two neighbouring floats around 0.3 instead of
+        # probing their midpoint, one of them, forever
+        threshold = lambda s: (ConvergenceVerdict(kind="Convergent") if s < 0.3
+                               else ConvergenceVerdict(kind="Divergent", slope=1.0))
+        with pytest.raises(InconclusiveError, match="cannot narrow"):
+            dimension_by_bisection(threshold, 0.0, 1.0, tol=1e-300)
 
 
 class TestValidation:

@@ -40,12 +40,10 @@ def assert_replays(argv, capsys, tmp_path):
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
-    # each of these scipy modules adds to the start-up time of every subcommand;
-    # nothing on the import path may need them
-    heavy = ("scipy.stats", "scipy.integrate", "scipy.spatial", "scipy.special",
-             "scipy.linalg", "scipy.optimize")
+    # scipy adds to the start-up time of every subcommand, and the runtime
+    # needs none of it: no scipy module at all may be loaded
     probe = ("import sys, addlevy.cli; "
-             f"print([m for m in {heavy!r} if m in sys.modules])")
+             "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])")
     env = {**os.environ, "PYTHONPATH": str(Path(addlevy.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True, timeout=120).stdout
@@ -88,6 +86,29 @@ def test_planar_monte_carlo_leaves_scipy_spatial_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True, timeout=120).stdout
     assert out.strip() == "[0, 0, 0] False"
+
+
+def test_planar_jobs_leave_scipy_unloaded():
+    # J0, the d = 2 radial weight, is evaluated in the repository: the jobs
+    # that invert in the plane must not import any scipy module
+    psi = json.dumps([json.loads(STABLE_2D)] * 2)
+    grid = json.dumps({"kind": "CubeGrid", "bounds": [[0.0, 1.0]] * 2, "n_per_axis": 3})
+    drifts = json.dumps([{"family": "PureDrift", "dim": 2, "params": {"b": b}}
+                         for b in ([1.0, 0.0], [0.0, 1.0])])
+    jobs = [["energy", "--psi", psi, "--set", TWO_POINT_2D],
+            ["dimension", "--stable", "1.5,1.5", "--dim", "2", "--numeric"],
+            ["capacity", "--point-test", "--psi", STABLE_2D],
+            ["capacity", "--point-test", "--psi", drifts],
+            ["equilibrium", "--set", grid, "--gauge", "potential", "--psi", psi]]
+    probe = ("import contextlib, io, sys\n"
+             "from addlevy.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    codes = [main(argv, _exit=False) for argv in {jobs!r}]\n"
+             "print(codes, [m for m in sys.modules if m.partition('.')[0] == 'scipy'])\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(addlevy.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True, timeout=120).stdout
+    assert out.strip() == "[0, 0, 0, 0, 0] []"
 
 
 def test_repeated_main_calls_print_what_fresh_processes_print(tmp_path):
@@ -382,6 +403,20 @@ class TestDimension:
                             capsys)
         assert code == 1
         assert rep["kind"] == "invalid-input" and "--dim <= 3" in rep["error"]
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bisection_tolerance_must_be_positive_and_finite(self, tol, capsys):
+        code, rep = run_cli(["dimension", "--stable", "1.5,1.5", "--dim", "2", "--numeric",
+                             f"--bisect-tol={tol}"], capsys)
+        assert code == 1
+        assert rep["kind"] == "invalid-input" and "positive and finite" in rep["error"]
+
+    def test_stalled_bisection_is_not_converged(self, capsys):
+        # a tolerance far below the probe's Inconclusive band around s* = 1
+        code, rep = run_cli(["dimension", "--stable", "1.5,1.5", "--dim", "2", "--numeric",
+                             "--bisect-tol", "1e-300"], capsys)
+        assert code == 2
+        assert rep["kind"] == "not-converged" and "stalled" in rep["error"]
 
     @pytest.mark.parametrize("stable, dim, expected", [
         ("1.5,1.5", 2, 0.9762427359819412), ("0.7,0.8", 1, 0.47888243198394775),

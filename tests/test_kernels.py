@@ -11,6 +11,7 @@ from addlevy import (
     BrownianIsotropic,
     PotentialDensity,
     Skewed1DStable,
+    StableSystem,
     kernel_sup_check,
     lambda_bruteforce,
     lambda_closed,
@@ -327,10 +328,40 @@ class TestPotentialDensity:
                 return np.cos(s) / s
 
         quad = QuadratureSpec(r_max=40.0)
-        converging = kernels._radial_inverse(Resonant(), np.array([0.5, 2.0, 5.0]), quad)
+        converging = kernels._radial_inverse((Resonant(),), np.array([0.5, 2.0, 5.0]), quad)
         assert np.all(np.isfinite(converging))
         with pytest.raises(QuadratureError, match="1 of 4"):
-            kernels._radial_inverse(Resonant(), np.array([0.5, 1.0, 2.0, 5.0]), quad)
+            kernels._radial_inverse((Resonant(),), np.array([0.5, 1.0, 2.0, 5.0]), quad)
+
+
+class TestJ0:
+    """The in-repository Bessel function J0 of the d = 2 radial weight."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1e6))
+    def test_agrees_with_scipy(self, x):
+        # scipy (a test-only oracle) rounds x - pi/4 before its cosine and
+        # sine, an error of up to 2^-53 x sqrt(2 / (pi x)) < 1e-16 sqrt(x);
+        # _j0 takes cos and sin of x itself and is within 7e-16 of J0
+        from scipy.special import j0
+
+        assert abs(kernels._j0(x) - j0(x)) <= 2e-15 + 1e-16 * math.sqrt(x)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))
+    def test_even_with_one_at_zero(self, xs):
+        x = np.array(xs)
+        assert kernels._j0(0.0) == 1.0
+        assert np.array_equal(kernels._j0(-x), kernels._j0(x))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.floats(500.0, 525.0) | st.floats(0.0, 1e4), min_size=2, max_size=40))
+    def test_value_does_not_depend_on_the_other_elements(self, xs):
+        # the arrays straddle the end of the table at 512
+        x = np.array(xs)
+        whole = kernels._j0(x)
+        for i in range(x.size):
+            assert kernels._j0(x[i:i + 1])[0] == whole[i]
 
 
 class TestDyadicRadialInverse:
@@ -342,13 +373,34 @@ class TestDyadicRadialInverse:
     @given(st.sampled_from([1, 2, 3]), st.floats(0.3, 2.0))
     def test_matches_one_inversion_per_shell(self, d, alpha):
         psi = ExponentVector((IsotropicStable(alpha=alpha, dim=d),))
-        shells = kernels._radial_inverse(psi, self.Y, QuadratureSpec(r_max=400.0), shells=36)
+        shells = kernels._radial_inverse((psi,), self.Y, QuadratureSpec(r_max=400.0), shells=36)[0]
         assert shells.shape == (36, 8)
         for k in (0, 13, 35):
             pts = np.zeros((8, d))
             pts[:, 0] = self.Y / 2.0 ** k
             alone = potential_density_v(psi, pts, QuadratureSpec(r_max=400.0 * 2.0 ** k))
             np.testing.assert_allclose(shells[k], alone, rtol=1e-10, atol=0.0)
+
+    def test_exponents_of_one_call_match_their_own_calls(self):
+        # bit for bit, v(0) finite for one exponent and infinite for the other
+        psis = [ExponentVector((IsotropicStable(alpha=1.5, dim=2),) * 2),
+                ExponentVector((IsotropicStable(alpha=1.2, dim=2),))]
+        y = np.concatenate(([0.0], self.Y))
+        quad = QuadratureSpec(r_max=400.0)
+        both = kernels._radial_inverse(psis, y, quad, shells=3)
+        assert np.isfinite(both[0, :, 0]).all() and np.isinf(both[1, :, 0]).all()
+        for psi, rows in zip(psis, both):
+            assert np.array_equal(rows, kernels._radial_inverse((psi,), y, quad, shells=3)[0])
+
+    def test_one_weight_matrix_per_system(self, monkeypatch):
+        # the probe's shells of alpha = 1.2 and 1.3 share one node set and
+        # one weight matrix (one per alpha, 2, before)
+        calls = []
+        real_nodes = kernels.panel_nodes
+        monkeypatch.setattr(kernels, "panel_nodes",
+                            lambda *a: calls.append(a) or real_nodes(*a))
+        StableSystem(alphas=(1.2, 1.3), d=2)._potential_shells
+        assert len(calls) == 1
 
     def test_unconverged_tail_raises(self):
         # [DERIVED] K(s) = cos(s)/s resonates with the radius 1 of shell 0;
@@ -361,10 +413,10 @@ class TestDyadicRadialInverse:
                 return np.cos(s) / s
 
         quad = QuadratureSpec(r_max=40.0)
-        converging = kernels._radial_inverse(Resonant(), np.array([0.5]), quad, shells=2)
+        converging = kernels._radial_inverse((Resonant(),), np.array([0.5]), quad, shells=2)
         assert np.all(np.isfinite(converging))
         with pytest.raises(QuadratureError, match="1 of 4"):
-            kernels._radial_inverse(Resonant(), np.array([0.5, 1.0]), quad, shells=2)
+            kernels._radial_inverse((Resonant(),), np.array([0.5, 1.0]), quad, shells=2)
 
 
 class TestKernelSupCheck:
