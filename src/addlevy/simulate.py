@@ -16,6 +16,15 @@ The uniforms become variates by exact transforms: v = pi (u - 1/2) and
 w = -log1p(-u) for the CMS pair, Box-Muller for normals, and
 tan(pi (u - 1/2)) for the d = 1 Cauchy step.
 
+The tangent is the only trigonometric function these transforms call: the
+CMS sine comes from its half-angle tangent and each cosine from the secant
+sqrt(1 + tan^2), and Box-Muller takes (cos, sin)(2 pi u) from t = tan(pi u)
+as (1 - t^2, 2 t) / (1 + t^2).  numpy evaluates float64 tan with SIMD code,
+several times faster than its sin and cos, which may run scalar libm (on
+AVX-512, about 4 against 15 ns per value).  So the bits of a variate follow
+numpy's SIMD dispatch of tan and log1p: results are deterministic on one
+machine and numpy build, and may differ in the last bits on another.
+
 Hitting and intersection need only whether some pair of points is closer
 than epsilon, and no KD-tree is built.  In d = 1 nearest distances come from
 one sort per row.  In d >= 2 one side of a block of trials is hashed into
@@ -105,17 +114,50 @@ def _blocks(cfg: MCConfig, alphas, d: int, extra: int = 0):
 # samplers
 # ---------------------------------------------------------------------------
 
-def _cms(alpha: float, beta: float, v, w):
+def _secant(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """sec x = sqrt(1 + tan(x)^2) for x in (-pi/2, pi/2), into `out`."""
+    x = np.tan(x, out=out)
+    x *= x
+    x += 1.0
+    return np.sqrt(x, out=x)
+
+
+def _cms(alpha: float, beta: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Chambers-Mallows-Stuck transform of v uniform on (-pi/2, pi/2) and w
-    standard exponential into unit stable variates."""
+    standard exponential into unit stable variates.
+
+    With theta = alpha (v + b) and r = v - theta the transform is
+    S sin(theta) cos(v)^(-1/alpha) (cos(r) / w)^((1 - alpha) / alpha).  It
+    is evaluated from tangents alone: sin(theta) = 2 t / (1 + t^2) with
+    t = tan(theta / 2), and each cosine as 1 / sec, since v and r lie in
+    (-pi/2, pi/2) for every alpha in (0, 2] and beta in [-1, 1].  As
+    1/alpha = 1 + (1 - alpha)/alpha, one power remains:
+    S sin(theta) sec(v) (sec(v) / (sec(r) w))^((1 - alpha) / alpha).
+    Three arrays of v's shape hold every intermediate.
+    """
     if beta == 0.0:
-        return (np.sin(alpha * v) / np.cos(v) ** (1.0 / alpha)
-                * (np.cos(v - alpha * v) / w) ** ((1.0 - alpha) / alpha))
-    tan_half = math.tan(math.pi * alpha / 2.0)
-    b = math.atan(beta * tan_half) / alpha
-    s = (1.0 + beta ** 2 * tan_half ** 2) ** (1.0 / (2.0 * alpha))
-    return (s * np.sin(alpha * (v + b)) / np.cos(v) ** (1.0 / alpha)
-            * (np.cos(v - alpha * (v + b)) / w) ** ((1.0 - alpha) / alpha))
+        s = 1.0
+        theta = np.multiply(v, alpha)
+    else:
+        tan_half = math.tan(math.pi * alpha / 2.0)
+        s = (1.0 + beta ** 2 * tan_half ** 2) ** (1.0 / (2.0 * alpha))
+        theta = np.add(v, math.atan(beta * tan_half) / alpha)
+        theta *= alpha
+    x = np.subtract(v, theta)
+    _secant(x, out=x)
+    sec_v = _secant(v)
+    x *= w
+    np.divide(sec_v, x, out=x)
+    np.power(x, (1.0 - alpha) / alpha, out=x)
+    x *= sec_v
+    theta *= 0.5
+    t = np.tan(theta, out=theta)
+    np.multiply(t, t, out=sec_v)
+    sec_v += 1.0
+    t /= sec_v
+    t *= 2.0 * s
+    x *= t
+    return x
 
 
 def sample_stable_increment(alpha: float, beta: float = 0.0, scale: float = 1.0,
@@ -127,7 +169,8 @@ def sample_stable_increment(alpha: float, beta: float = 0.0, scale: float = 1.0,
     (scale |xi|)^alpha (1 - i beta sgn(xi) tan(pi alpha / 2)), of the pair
     v = pi (u - 1/2), w = -log1p(-u) read from rng.random as the estimators
     read it; alpha = 2 gives N(0, 2 scale^2 dt) and alpha = 1 the Cauchy
-    law tan(v).  alpha = 1 with nonzero skew is unsupported.
+    law tan(v).  alpha = 1 with nonzero skew is unsupported, and dt and
+    scale must be finite and positive.  size=None returns one float.
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
@@ -135,11 +178,17 @@ def sample_stable_increment(alpha: float, beta: float = 0.0, scale: float = 1.0,
         raise ValueError("beta must lie in [-1, 1]")
     if alpha == 1.0 and beta != 0.0:
         raise ValueError("alpha=1 with nonzero skew is unsupported")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be finite and positive, got {scale}")
     if rng is None:
         rng = np.random.default_rng()
-    v = math.pi * (rng.random(size) - 0.5)
-    w = -np.log1p(-rng.random(size))
-    return scale * dt ** (1.0 / alpha) * _cms(alpha, beta, v, w)
+    shape = 1 if size is None else size  # rng.random(1) reads what rng.random() does
+    v = math.pi * (rng.random(shape) - 0.5)
+    w = -np.log1p(-rng.random(shape))
+    x = scale * dt ** (1.0 / alpha) * _cms(alpha, beta, v, w)
+    return float(x[0]) if size is None else x
 
 
 def _path_width(alpha: float, d: int, n_steps: int) -> int:
@@ -166,11 +215,25 @@ def _trial_width(alphas, d: int, n_steps: int) -> int:
 
 def _normals(u: np.ndarray, count: int) -> np.ndarray:
     """Box-Muller: the first `count` standard normals of each row of an even
-    number of uniforms, radii from the first half and angles from the second."""
+    number of uniforms, radii from the first half and angles 2 pi u from the
+    second, each (cos, sin) pair from t = tan(pi u) as
+    ((1 - t^2), 2 t) / (1 + t^2)."""
     half = u.shape[1] // 2
-    radius = np.sqrt(-2.0 * np.log1p(-u[:, :half]))
-    angle = 2.0 * math.pi * u[:, half:]
-    return np.concatenate((radius * np.cos(angle), radius * np.sin(angle)), axis=1)[:, :count]
+    z = np.empty((u.shape[0], 2 * half))
+    cos, sin = z[:, :half], z[:, half:]
+    radius = np.log1p(-u[:, :half])
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    t = np.multiply(u[:, half:], math.pi)
+    np.tan(t, out=t)
+    np.multiply(t, t, out=cos)
+    np.add(cos, 1.0, out=sin)
+    radius /= sin
+    np.subtract(1.0, cos, out=cos)
+    cos *= radius
+    np.multiply(t, 2.0, out=sin)
+    sin *= radius
+    return z[:, :count]
 
 
 def _increments(alpha: float, d: int, dt: float, n_steps: int, u: np.ndarray) -> np.ndarray:
@@ -182,18 +245,31 @@ def _increments(alpha: float, d: int, dt: float, n_steps: int, u: np.ndarray) ->
     """
     rows = u.shape[0]
     if alpha == 2.0:
-        return math.sqrt(2.0 * dt) * _normals(u, n_steps * d).reshape(rows, n_steps, d)
+        z = _normals(u, n_steps * d).reshape(rows, n_steps, d)
+        z *= math.sqrt(2.0 * dt)
+        return z
     if d == 1 and alpha == 1.0:
-        return (dt * np.tan(math.pi * (u - 0.5)))[..., None]
-    v = math.pi * (u[:, :n_steps] - 0.5)
-    w = -np.log1p(-u[:, n_steps:2 * n_steps])
+        x = np.subtract(u, 0.5)
+        x *= math.pi
+        np.tan(x, out=x)
+        x *= dt
+        return x[..., None]
+    v = np.subtract(u[:, :n_steps], 0.5)
+    v *= math.pi
+    w = np.negative(u[:, n_steps:2 * n_steps])
+    np.log1p(w, out=w)
+    np.negative(w, out=w)
     if d == 1:
-        return (dt ** (1.0 / alpha) * _cms(alpha, 0.0, v, w))[..., None]
+        x = _cms(alpha, 0.0, v, w)
+        x *= dt ** (1.0 / alpha)
+        return x[..., None]
     alpha_half = alpha / 2.0
-    k = 2.0 * (dt * math.cos(math.pi * alpha_half / 2.0)) ** (1.0 / alpha_half)
-    tau = k * _cms(alpha_half, 1.0, v, w)
+    tau = _cms(alpha_half, 1.0, v, w)
+    tau *= 2.0 * (dt * math.cos(math.pi * alpha_half / 2.0)) ** (1.0 / alpha_half)
+    np.sqrt(tau, out=tau)
     z = _normals(u[:, 2 * n_steps:], n_steps * d).reshape(rows, n_steps, d)
-    return z * np.sqrt(tau)[..., None]
+    z *= tau[..., None]
+    return z
 
 
 def _sample_paths(alphas, d: int, T: float, n_steps: int, u: np.ndarray) -> list:
@@ -208,9 +284,10 @@ def _sample_paths(alphas, d: int, T: float, n_steps: int, u: np.ndarray) -> list
     offset = 0
     for alpha in alphas:
         width = _path_width(alpha, d, n_steps)
-        path = np.zeros((u.shape[0], n_steps + 1, d))
-        path[:, 1:] = np.cumsum(_increments(alpha, d, dt, n_steps, u[:, offset:offset + width]),
-                                axis=1)
+        path = np.empty((u.shape[0], n_steps + 1, d))
+        path[:, 0] = 0.0
+        np.cumsum(_increments(alpha, d, dt, n_steps, u[:, offset:offset + width]), axis=1,
+                  out=path[:, 1:])
         paths.append(path)
         offset += width
     return paths

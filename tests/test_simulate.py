@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 from scipy.spatial import cKDTree
 
@@ -53,8 +53,10 @@ def reference_path(alpha, d, T, n_steps, u):
     def normals(uu):
         half = uu.size // 2
         radius = np.sqrt(-2.0 * np.log1p(-uu[:half]))
-        angle = 2.0 * math.pi * uu[half:]
-        z = np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))
+        # half-angle Box-Muller: t = tan(pi u), (cos, sin)(2 pi u) = (1 - t^2, 2 t) / (1 + t^2)
+        t = np.tan(math.pi * uu[half:])
+        q = radius / (1.0 + t * t)
+        z = np.concatenate(((1.0 - t * t) * q, 2.0 * t * q))
         return z[:n_steps * d].reshape(n_steps, d)
 
     if alpha == 2.0:
@@ -145,6 +147,27 @@ def reference_box_dimension(points, scales):
 ALPHA = st.one_of(st.sampled_from((0.5, 1.0, 1.5, 2.0)), st.floats(0.4, 2.0))
 
 
+def cms_oracle(alpha, beta, v, w):
+    """The Chambers-Mallows-Stuck transform as written in the paper, with
+    sin and cos."""
+    tan_half = math.tan(math.pi * alpha / 2.0)
+    b = math.atan(beta * tan_half) / alpha
+    s = (1.0 + beta ** 2 * tan_half ** 2) ** (1.0 / (2.0 * alpha))
+    return (s * np.sin(alpha * (v + b)) / np.cos(v) ** (1.0 / alpha)
+            * (np.cos(v - alpha * (v + b)) / w) ** ((1.0 - alpha) / alpha))
+
+
+# v = pi (u - 1/2) and w = -log1p(-u) for u = k 2^-53, the values the
+# sampler makes, but for w = 0 (u = 0)
+U_STEP = 2.0 ** -53
+V_EDGE = math.pi * (0.5 - U_STEP)
+W_MIN = -math.log1p(-U_STEP)
+W_MAX = -math.log1p(-(1.0 - U_STEP))
+CMS_V = st.integers(0, 2 ** 53 - 1).map(lambda k: math.pi * (k * U_STEP - 0.5))
+CMS_W = st.integers(1, 2 ** 53 - 1).map(lambda k: -math.log1p(-k * U_STEP))
+CMS_PAIRS = st.lists(st.tuples(CMS_V, CMS_W), min_size=1, max_size=16)
+
+
 class TestStableSampler:
     def test_gaussian_reduction(self):
         # [DERIVED] alpha = 2 is N(0, 2 scale^2 dt)
@@ -177,6 +200,66 @@ class TestStableSampler:
     def test_alpha_one_skew_rejected(self):
         with pytest.raises(ValueError):
             sample_stable_increment(1.0, beta=0.5, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("alpha, beta", [(1.5, 0.5), (1.5, -1.0), (0.7, 0.5), (1.2, 1.0)])
+    def test_skewed_characteristic_function(self, alpha, beta):
+        # [DERIVED] E exp(i xi X) = exp(-|xi|^alpha (1 - i beta sgn(xi) tan(pi alpha / 2)))
+        rng = np.random.default_rng(40)
+        x = sample_stable_increment(alpha, beta=beta, rng=rng, size=400_000)
+        for xi in (-1.0, 0.5, 1.3):
+            emp = np.mean(np.exp(1j * xi * x))
+            expected = np.exp(-abs(xi) ** alpha
+                              * (1.0 - 1j * beta * math.copysign(1.0, xi)
+                                 * math.tan(math.pi * alpha / 2.0)))
+            assert abs(emp - expected) < 0.01, (alpha, beta, xi)
+
+    @pytest.mark.parametrize("kwargs", [{"dt": -1.0}, {"dt": 0.0}, {"dt": float("nan")},
+                                        {"dt": float("inf")}, {"scale": -1.0, "beta": 1.0},
+                                        {"scale": 0.0}, {"scale": float("nan")},
+                                        {"scale": float("inf")}])
+    def test_bad_dt_and_scale_rejected(self, kwargs):
+        # dt < 0 gave complex variates, scale < 0 negative subordinator steps
+        with pytest.raises(ValueError):
+            sample_stable_increment(0.7, rng=np.random.default_rng(0), size=10, **kwargs)
+
+    def test_scalar_draw(self):
+        # [TRIVIAL] size=None is one finite float, the first of the size-1 draw
+        for alpha, beta in ((0.7, 1.0), (1.0, 0.0), (1.5, -0.5), (2.0, 0.0)):
+            x = sample_stable_increment(alpha, beta=beta, rng=np.random.default_rng(41))
+            assert isinstance(x, float) and math.isfinite(x)
+            same = sample_stable_increment(alpha, beta=beta, rng=np.random.default_rng(41), size=1)
+            assert x == same[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.floats(0.4, 2.0), beta=st.floats(-1.0, 1.0), pairs=CMS_PAIRS)
+    @example(alpha=0.4, beta=1.0, pairs=[(-V_EDGE, W_MIN), (V_EDGE, W_MIN), (0.0, W_MIN)])
+    @example(alpha=0.4, beta=-1.0, pairs=[(-V_EDGE, W_MAX), (V_EDGE, W_MIN)])
+    @example(alpha=2.0, beta=1.0, pairs=[(-V_EDGE, W_MIN), (V_EDGE, W_MAX)])
+    @example(alpha=1.0, beta=0.0, pairs=[(-V_EDGE, W_MIN), (V_EDGE, W_MAX), (0.0, 1.0)])
+    @example(alpha=1.25, beta=-1.0, pairs=[(V_EDGE, W_MIN), (-V_EDGE, W_MIN)])
+    @example(alpha=1.5, beta=1.0, pairs=[(-math.pi / 2, W_MIN), (V_EDGE, W_MAX)])
+    @example(alpha=0.7, beta=0.5, pairs=[(math.pi * U_STEP, W_MAX), (-math.pi * U_STEP, W_MIN)])
+    def test_tangent_transform_matches_sin_cos_oracle(self, alpha, beta, pairs):
+        # [DERIVED] the tangent-only transform is the sin/cos one to rounding
+        if alpha == 1.0:
+            beta = 0.0
+        v, w = (np.array(c) for c in zip(*pairs))
+        # a subnormal angle alpha (v + b) loses bits when either form rounds it
+        theta = alpha * (v + math.atan(beta * math.tan(math.pi * alpha / 2.0)) / alpha)
+        assume(np.all((theta == 0.0) | (np.abs(theta) >= np.finfo(float).tiny)))
+        got = simulate._cms(alpha, beta, v, w)
+        with np.errstate(invalid="ignore"):
+            want = cms_oracle(alpha, beta, v, w)
+        # at an edge of v with |beta| = 1, r = v - theta may round past
+        # +-pi/2: the oracle's cos(r) turns negative and its power nan, while
+        # the secant stays positive
+        past = np.abs(v - theta) > math.pi / 2
+        assert np.all(np.isfinite(got[past]))
+        got, want = got[~past], want[~past]
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        finite = np.isfinite(want)
+        assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
+        assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * np.abs(want[finite]))
 
 
 class TestStablePath:
