@@ -217,15 +217,6 @@ def probe_intersection_dimension_test(sys: StableSystem, s: float) -> Convergenc
     return _shell_verdict(radii, increments)
 
 
-def probe_intersections_exist(sys: StableSystem) -> ConvergenceVerdict:
-    """Existence probe: the dimension test at s just above 0.
-
-    Convergence there means some measure of positive energy lives on the
-    intersection set, i.e. the processes meet.
-    """
-    return probe_intersection_dimension_test(sys, 1e-3)
-
-
 def _ridge_rule(ridges: np.ndarray, width: np.ndarray):
     """Gauss-Legendre rule on the half circle [0, pi), graded toward ridges.
 

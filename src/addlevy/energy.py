@@ -9,6 +9,13 @@ equals ``sum_ij w_i w_j v(x_i - x_j)`` with v the one-potential density,
 one radial inversion per distinct pair distance and no phase matrix.  The
 module also carries the Parseval-type identity checks and the sojourn
 second-moment formula built from the Lambda kernel.
+
+The d = 1 energy, the Fourier sides of both identity checks and the
+sojourn moment are one half-line integral, _halfline: panels up to r and a
+power-law tail beyond.  Its error, like that of the d = 2, 3 energies, is
+the change of the value from r = r_max / 2 to r_max (_two_resolution): it
+covers the truncation and the tail as far as halving r moves them, not the
+panel rule.
 """
 
 from __future__ import annotations
@@ -71,31 +78,27 @@ def _max_frequency(*measures: AtomicMeasure) -> float:
     return max(spans + [0.0])
 
 
-def _two_resolution(upto: Callable[[float], float], quad: QuadratureSpec) -> EnergyReport:
-    """The value upto(r_max), certified by its distance to upto(r_max / 2)."""
-    value = upto(quad.r_max)
-    residual = abs(value - upto(quad.r_max / 2.0))
-    return EnergyReport(value=value, tail_estimate=residual,
-                        converged=residual <= quad.rel_tol * max(abs(value), 1e-300))
+def _two_resolution(upto: Callable[[float], float], r_max: float) -> tuple[float, float]:
+    """upto(r_max), with its distance to upto(r_max / 2) as its error."""
+    value = upto(r_max)
+    return value, abs(value - upto(r_max / 2.0))
 
 
-def _halfline_value(f: Callable[[np.ndarray], np.ndarray], quad: QuadratureSpec,
-                    max_freq: float, decay: Optional[float], tail_amp: float) -> EnergyReport:
-    """(2 pi)^-1 * 2 * int_0^inf f, with power-law tail handling (d=1)."""
-    norm = 1.0 / math.pi
+def _halfline(f: Callable[[np.ndarray], np.ndarray], r_max: float, norm: float,
+              max_freq: float = 0.0, decay: float = 0.0, amp: float = 0.0) -> tuple[float, float]:
+    """norm * int_0^inf f and its error, for an f ~ amp (s / r_max)^-decay beyond r_max.
 
-    def main(r):
-        return integrate_panels(f, halfline_edges(r, max_freq=max_freq))
+    The panels are period-matched to max_freq.  amp = 0 adds no tail; a tail
+    with decay <= 1 is not integrable and gives value and error inf.
+    """
+    if amp and decay <= 1.0:
+        return np.inf, np.inf
 
-    if decay is None or decay <= 1.0:
-        # no certified tail model; report the truncation as unconverged
-        return EnergyReport(value=norm * main(quad.r_max), tail_estimate=np.inf, converged=False)
-
-    # tail_amp is the integrand amplitude at r_max; f ~ tail_amp (s/r_max)^-decay
     def upto(r):
-        return norm * (main(r) + powerlaw_tail(tail_amp * (quad.r_max / r) ** decay, r, decay))
+        tail = powerlaw_tail(amp * (r_max / r) ** decay, r, decay) if amp else 0.0
+        return norm * (integrate_panels(f, halfline_edges(r, max_freq=max_freq)) + tail)
 
-    return _two_resolution(upto, quad)
+    return _two_resolution(upto, r_max)
 
 
 def energy_fourier(psi: ExponentVector, mu: AtomicMeasure,
@@ -121,33 +124,38 @@ def energy_fourier(psi: ExponentVector, mu: AtomicMeasure,
         def f(s):
             return np.abs(mu.fourier(s)) ** 2 * psi.kernel_values(s)
 
-        amp = float(np.sum(mu.weights ** 2))  # mean |mu_hat|^2 at large xi
-        k_end = float(psi.kernel_values(np.array([quad.r_max]))[0])
-        return _halfline_value(f, quad, _max_frequency(mu), decay, amp * k_end)
-    if d > 3:
+        # the mean |mu_hat|^2 at large xi, times K at r_max
+        amp = float(np.sum(mu.weights ** 2)) * float(psi.kernel_values(np.array([quad.r_max]))[0])
+        value, error = _halfline(f, quad.r_max, 1.0 / math.pi, _max_frequency(mu), decay, amp)
+    elif d > 3:
         raise ValueError("energy supports d <= 3")
-    if decay is None:
+    elif decay is None:
         return EnergyReport(value=np.nan, tail_estimate=np.inf, converged=False)
-    diffs = mu.points[:, None, :] - mu.points[None, :, :]
+    else:
+        diffs = mu.points[:, None, :] - mu.points[None, :, :]
 
-    def upto(r):
-        v = potential_density_v(psi, diffs, QuadratureSpec(r_max=r, rel_tol=quad.rel_tol))
-        return float(mu.weights @ v @ mu.weights)
+        def upto(r):
+            v = potential_density_v(psi, diffs, QuadratureSpec(r_max=r, rel_tol=quad.rel_tol))
+            return float(mu.weights @ v @ mu.weights)
 
-    return _two_resolution(upto, quad)
+        value, error = _two_resolution(upto, quad.r_max)
+    return EnergyReport(value=value, tail_estimate=error,
+                        converged=error <= quad.rel_tol * max(abs(value), 1e-300))
 
 
-def energy_identity_check(k: Kernel, nu: AtomicMeasure, mu: AtomicMeasure) -> tuple[float, float]:
-    """Both sides of the convolved-gauge identity; returns (real, fourier).
+def energy_identity_check(k: Kernel, nu: AtomicMeasure,
+                          mu: AtomicMeasure) -> tuple[float, float, float]:
+    """Both sides of the convolved-gauge identity; returns (real, fourier, error).
 
     Real side: mutual energy of mu against itself in the convolved gauge
     (kappa * nu)(x) = sum_k w_k kappa(x - y_k).  Fourier side:
     (2 pi)^-d int kappa_hat Re(nu_hat) |mu_hat|^2 dxi up to 2000, plus a
-    power-law tail.
+    power-law tail whose decay is read off kappa_hat over the last octave;
+    error is the Fourier side's (_halfline).  A transform decaying no faster
+    than 1/xi gives an infinite Fourier side and error.
     """
     if k.fourier is None:
         raise ValueError("kernel must carry a Fourier transform")
-    quad = QuadratureSpec(r_max=2000.0)
     if k.dim != 1:
         raise ValueError("identity check supports d=1 in v1")
     # real side
@@ -161,26 +169,25 @@ def energy_identity_check(k: Kernel, nu: AtomicMeasure, mu: AtomicMeasure) -> tu
     def f(s):
         return k.fourier(s) * np.real(nu.fourier(s)) * np.abs(mu.fourier(s)) ** 2
 
-    amp = float(np.sum(mu.weights ** 2))
-    k_end = float(np.atleast_1d(k.fourier(np.array([quad.r_max])))[0])
-    # transform decay read off numerically over the last octave
-    k_mid = float(np.atleast_1d(k.fourier(np.array([quad.r_max / 2.0])))[0])
-    tail = 0.0
+    r_max = 2000.0
+    k_mid, k_end = (float(v) for v in np.atleast_1d(k.fourier(np.array([r_max / 2.0, r_max]))))
+    amp = decay = 0.0
     if k_end > 0.0 and k_mid > 0.0:
-        decay = max(math.log(k_mid / k_end) / math.log(2.0), 1.01)
-        tail = powerlaw_tail(amp * k_end, quad.r_max, decay)
-    main = integrate_panels(f, halfline_edges(quad.r_max, max_freq=_max_frequency(mu, nu)))
-    return real_side, (1.0 / math.pi) * (main + tail)
+        amp = float(np.sum(mu.weights ** 2)) * k_end
+        decay = math.log(k_mid / k_end) / math.log(2.0)
+    fourier_side, error = _halfline(f, r_max, 1.0 / math.pi, _max_frequency(mu, nu), decay, amp)
+    return real_side, fourier_side, error
 
 
-def riesz_identity_sides(mu: AtomicMeasure, s: float, cell: float) -> tuple[float, float]:
+def riesz_identity_sides(mu: AtomicMeasure, s: float, cell: float) -> tuple[float, float, float]:
     """Both sides of the Riesz energy identity for a grid discretization.
 
     Real side drops exact-diagonal terms; the Fourier side integrates the
     atomic |mu_hat|^2 up to the grid Nyquist frequency pi/cell (where the
-    atomic transform tracks the continuum one) plus a power-law tail.
-    Returns (real, fourier), both estimating the continuum energy
-    ``int int ||x-y||^-s dmu dmu``.
+    atomic transform tracks the continuum one) plus the tail of an
+    interval's |mu_hat|^2 ~ 2 xi^-2.  Returns (real, fourier, error): both
+    sides estimate the continuum energy ``int int ||x-y||^-s dmu dmu``, and
+    error is the Fourier side's (_halfline).
     """
     d = mu.dim
     if d != 1:
@@ -193,26 +200,22 @@ def riesz_identity_sides(mu: AtomicMeasure, s: float, cell: float) -> tuple[floa
     diag_avg = 2.0 * cell ** (-s) / ((1.0 - s) * (2.0 - s))
     real_side += diag_avg * float(np.sum(mu.weights ** 2))
 
-    c = riesz_constant(d, alpha)
-    cutoff = math.pi / cell
-
     def f(x):
         return np.abs(mu.fourier(x)) ** 2 * x ** (-s)
 
-    edges = halfline_edges(cutoff, max_freq=_max_frequency(mu))
-    main = integrate_panels(f, edges)
-    # continuum |mu_hat|^2 decays like 2 xi^-2 for an interval; tail decay 2+s
-    tail = 2.0 * cutoff ** (-1.0 - s) / (1.0 + s)
-    fourier_side = (c / math.pi) * (main + tail)
-    return real_side, fourier_side
+    cutoff = math.pi / cell
+    fourier_side, error = _halfline(f, cutoff, riesz_constant(d, alpha) / math.pi,
+                                    _max_frequency(mu), 2.0 + s, 2.0 * cutoff ** (-2.0 - s))
+    return real_side, fourier_side, error
 
 
 def sojourn_second_moment(psi: ExponentVector,
-                          fhat: Callable[[np.ndarray], np.ndarray]) -> float:
-    """E|Sf|^2 = 4^-N (2 pi)^-d int |f_hat|^2 prod_j Lambda(Psi_j) dxi (d=1),
-    the integral taken up to 60.
+                          fhat: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
+    """E|Sf|^2 = 4^-N (2 pi)^-d int |f_hat|^2 prod_j Lambda(Psi_j) dxi (d=1).
 
-    fhat is the closed-form transform of the test function f.
+    fhat is the closed-form transform of the test function f.  The integral
+    is taken up to 60 with no tail; returns (value, error), the error being
+    the change from a cut at 30 (_halfline).
     """
     if psi.dim != 1:
         raise ValueError("sojourn second moment supports d=1 in v1")
@@ -224,5 +227,4 @@ def sojourn_second_moment(psi: ExponentVector,
             prod *= lambda_closed(comp._eval(pts))
         return np.abs(np.asarray(fhat(sgrid))) ** 2 * prod
 
-    main = integrate_panels(f, halfline_edges(60.0))
-    return float((4.0 ** (-psi.n)) * (2.0 / (2.0 * math.pi)) * main)
+    return _halfline(f, 60.0, 4.0 ** (-psi.n) / math.pi)

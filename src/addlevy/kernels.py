@@ -85,34 +85,6 @@ def riesz_kernel(d: int, alpha: float) -> Kernel:
                   meta={"riesz": {"d": d, "alpha": alpha, "constant": c}})
 
 
-def exponential_kernel(rate: float = 1.0) -> Kernel:
-    """kappa(x) = exp(-rate |x|) in d=1; transform 2 rate / (rate^2 + xi^2)."""
-    return Kernel(
-        eval=lambda x: np.exp(-rate * _radius(x, 1)),
-        dim=1,
-        fourier=lambda xi: 2.0 * rate / (rate ** 2 + _radius(xi, 1) ** 2),
-    )
-
-
-def gaussian_kernel(width: float = 1.0) -> Kernel:
-    """kappa(x) = exp(-x^2 / (2 w^2)) in d=1; transform w sqrt(2 pi) e^{-w^2 xi^2/2}."""
-    return Kernel(
-        eval=lambda x: np.exp(-_radius(x, 1) ** 2 / (2.0 * width ** 2)),
-        dim=1,
-        fourier=lambda xi: width * math.sqrt(2.0 * math.pi)
-        * np.exp(-(width * _radius(xi, 1)) ** 2 / 2.0),
-    )
-
-
-def cauchy_kernel(scale: float = 1.0) -> Kernel:
-    """kappa(x) = 1 / (1 + (x/s)^2) in d=1; transform pi s e^{-s |xi|}."""
-    return Kernel(
-        eval=lambda x: 1.0 / (1.0 + (_radius(x, 1) / scale) ** 2),
-        dim=1,
-        fourier=lambda xi: math.pi * scale * np.exp(-scale * _radius(xi, 1)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # the Lambda kernel
 # ---------------------------------------------------------------------------

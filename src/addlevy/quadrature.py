@@ -9,6 +9,7 @@ convergent oscillatory half-line integrals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -29,8 +30,12 @@ class QuadratureSpec:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.r_max <= 0.0:
-            raise ValueError("r_max must be positive")
+        for name in ("r_max", "rel_tol"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0.0:
+                raise ValueError(f"{name} must be positive")
 
 
 @lru_cache(maxsize=None)

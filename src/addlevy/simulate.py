@@ -63,10 +63,12 @@ class MCConfig:
     def __post_init__(self):
         if self.trials < 100:
             raise ValueError("at least 100 trials are required for any estimate")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if not self.time_horizon > 0.0:
-            raise ValueError("time_horizon must be positive")
+        for name in ("epsilon", "time_horizon"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0.0:
+                raise ValueError(f"{name} must be positive")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
 

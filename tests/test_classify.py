@@ -21,10 +21,10 @@ from addlevy.classify import (
     _ridge_rule,
     planar_averaged_kernel,
     probe_intersection_dimension_test,
-    probe_intersections_exist,
     probe_planar_point_test,
 )
 from addlevy.exponents import ExponentVector, IsotropicStable, PureDrift, SumOf
+from helpers import probe_intersections_exist
 
 
 class TestRangeMeasure:

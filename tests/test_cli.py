@@ -243,6 +243,21 @@ class TestEnergy:
         else:
             assert rep["kind"] == "not-converged"
 
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--r-max", "nan", "r_max must be finite, got nan"),
+        ("--r-max", "inf", "r_max must be finite, got inf"),
+        ("--rel-tol", "nan", "rel_tol must be finite, got nan"),
+        ("--rel-tol", "inf", "rel_tol must be finite, got inf"),
+        ("--rel-tol", "0", "rel_tol must be positive"),
+    ])
+    def test_non_finite_quadrature_plan_exit_one(self, flag, value, error, capsys):
+        # a nan or inf radius asked numpy for -2^63 panels; a nan tolerance
+        # passed for a quadrature that never converged
+        code, rep = run_cli(["energy", "--psi", STABLE_PSI, "--set", TWO_POINT_1D,
+                             flag, value], capsys)
+        assert code == 1
+        assert rep == {"error": error, "kind": "invalid-input"}
+
     def test_planar_drift_energy_exit_two_without_quadrature(self, capsys):
         # a drift's kernel decays by direction: nothing certifies it, and
         # nothing is integrated before saying so
@@ -445,6 +460,26 @@ class TestSimulateAndRun:
                             capsys)
         assert code == 1
         assert rep == {"error": "time_horizon must be positive", "kind": "invalid-input"}
+
+    @pytest.mark.parametrize("flag, value", [("epsilon", "nan"), ("epsilon", "inf"),
+                                             ("time_horizon", "inf"), ("time_horizon", "nan")])
+    def test_non_finite_mc_config_is_invalid_input(self, flag, value, capsys):
+        # a nan epsilon reported a frequency of 0.0 and a bare NaN, which is
+        # not JSON; an inf epsilon hit every time, an inf horizon ran on
+        code, rep = run_cli(["simulate", "--mode", "hitting", "--stable", "1.5",
+                             "--set", TWO_POINT_1D, "--trials", "100", "--n-steps", "20",
+                             f"--{flag.replace('_', '-')}", value], capsys)
+        assert code == 1
+        assert rep == {"error": f"{flag} must be finite, got {value}", "kind": "invalid-input"}
+
+    def test_sojourn_reports_the_error_of_its_prediction(self, capsys):
+        code, rep = run_cli(["simulate", "--mode", "sojourn", "--stable", "1.5", "--trials",
+                             "100", "--n-steps", "20", "--sigma", "0.02", "--half-width", "1.0"],
+                            capsys)
+        assert code == 0
+        # the cut at 60 loses 0.22% of the formula value here, the error covers it
+        assert 0.0022 * rep["predicted_second_moment"] < rep["predicted_second_moment_error"]
+        assert rep["predicted_second_moment_error"] < 0.05 * rep["predicted_second_moment"]
 
     def test_oversize_job_is_invalid_input(self, capsys):
         # [TRIVIAL] a budget refusal is an error report, not a traceback

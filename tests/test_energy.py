@@ -22,7 +22,7 @@ from addlevy import (
 )
 from addlevy import energy
 from addlevy.energy import riesz_identity_sides
-from addlevy.kernels import Kernel, cauchy_kernel, exponential_kernel, potential_density_v
+from addlevy.kernels import Kernel, potential_density_v
 from addlevy.measures import (
     AtomicMeasure,
     cantor_product,
@@ -34,6 +34,7 @@ from addlevy.measures import (
     two_point,
 )
 from addlevy.quadrature import QuadratureSpec
+from helpers import cauchy_kernel, exponential_kernel
 
 UNIFORM_HALF_ENERGY = 8.0 / 3.0  # int_0^1 int_0^1 |x-y|^{-1/2} dx dy
 GRID_64 = discretize(cube_grid([(0.0, 1.0)], 64))
@@ -218,7 +219,7 @@ class TestIdentityChecks:
         # [DERIVED] nu = delta_0: E_kappa(mu) vs (2pi)^-d int kappa_hat |mu_hat|^2
         k = exponential_kernel(1.0)
         mu = discretize(cube_grid([(0.0, 1.0)], 64))
-        real, fourier = energy_identity_check(k, delta([0.0]), mu)
+        real, fourier, _ = energy_identity_check(k, delta([0.0]), mu)
         assert real == pytest.approx(fourier, rel=0.01)
 
     def test_two_point_measures(self):
@@ -226,7 +227,7 @@ class TestIdentityChecks:
         k = cauchy_kernel(1.0)
         mu = discretize(two_point(1.0))
         nu = discretize(two_point(0.5))
-        real, fourier = energy_identity_check(k, nu, mu)
+        real, fourier, _ = energy_identity_check(k, nu, mu)
         assert real == pytest.approx(fourier, rel=0.01)
 
     @pytest.mark.parametrize("k, nu, mu, expected", [
@@ -239,19 +240,36 @@ class TestIdentityChecks:
          (0.7358252930188938, 0.7358248199602258)),
     ])
     def test_fourier_side_is_one_resolution(self, k, nu, mu, expected, monkeypatch):
-        # the values of the two-resolution rule's fine half (with and without
-        # a power-law tail), bit for bit, from one quadrature up to r_max
+        # the values at r_max of the two-resolution rule (with and without a
+        # power-law tail), bit for bit; the error takes a second quadrature
+        # up to r_max / 2
         ends = []
         panels = energy.integrate_panels
         monkeypatch.setattr(energy, "integrate_panels",
                             lambda f, edges: ends.append(edges[-1]) or panels(f, edges))
-        assert energy_identity_check(k, nu, mu) == expected
-        assert ends == [2000.0]
+        assert energy_identity_check(k, nu, mu)[:2] == expected
+        assert ends == [2000.0, 1000.0]
+
+    def test_slowly_decaying_transform_gives_infinite_fourier_side(self):
+        # [DERIVED] kappa_hat = 1/(1 + |xi|) decays like xi^-1 and |mu_hat|^2
+        # of an atomic mu does not decay, so the Fourier side diverges
+        k = Kernel(eval=lambda x: np.ones(np.shape(x)[:-1]), dim=1,
+                   fourier=lambda xi: 1.0 / (1.0 + np.abs(xi)))
+        mu = discretize(cube_grid([(0.0, 1.0)], 8))
+        real, fourier, error = energy_identity_check(k, delta([0.0]), mu)
+        assert real == pytest.approx(1.0)
+        assert fourier == np.inf and error == np.inf
+
+    def test_error_covers_the_gap_to_the_real_side(self):
+        # [DERIVED] for an atomic mu both sides are the same sum, so their
+        # gap (4.7e-7 here) is the Fourier side's truncation and tail error
+        real, fourier, error = energy_identity_check(exponential_kernel(1.0), delta([0.0]), GRID_64)
+        assert 0.0 < abs(real - fourier) <= error < 1e-5 * fourier
 
     def test_double_delta_gives_kernel_at_zero(self):
         # [TRIVIAL] point masses collapse both sides to kappa(0)
         k = exponential_kernel(1.0)
-        real, fourier = energy_identity_check(k, delta([0.0]), delta([0.0]))
+        real, fourier, _ = energy_identity_check(k, delta([0.0]), delta([0.0]))
         k0 = float(np.atleast_1d(k.eval(np.array([0.0])))[0])
         assert real == pytest.approx(k0, rel=1e-9)
         assert fourier == pytest.approx(k0, rel=0.01)
@@ -263,7 +281,7 @@ class TestRieszIdentity:
         # Fourier side
         spec = cube_grid([(0.0, 1.0)], 512)
         mu = discretize(spec)
-        real, fourier = riesz_identity_sides(mu, 0.5, cell_width(spec))
+        real, fourier, _ = riesz_identity_sides(mu, 0.5, cell_width(spec))
         assert real == pytest.approx(UNIFORM_HALF_ENERGY, rel=0.02)
         assert real == pytest.approx(fourier, rel=0.02)
 
@@ -275,11 +293,24 @@ class TestSojournSecondMoment:
         alpha = 1.5
         psi = ExponentVector((IsotropicStable(alpha=alpha, dim=1),))
         fhat = lambda xi: np.exp(-0.5 * np.asarray(xi) ** 2)
-        val = sojourn_second_moment(psi, fhat)
+        val, _ = sojourn_second_moment(psi, fhat)
         oracle = 0.25 / (2.0 * math.pi) * integrate.quad(
             lambda x: math.exp(-x * x) * lambda_closed(abs(x) ** alpha),
             -np.inf, np.inf)[0]
         assert val == pytest.approx(oracle, rel=1e-6)
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.02, 1.0])
+    def test_error_covers_the_cut(self, sigma):
+        # [DERIVED] a narrow density keeps |f_hat|^2 near 1 past the cut at
+        # 60, which loses 1.4% at sigma = 0.01 and 0.22% at 0.02; the
+        # reported error must cover the distance to an independent oracle
+        alpha = 1.5
+        psi = ExponentVector((IsotropicStable(alpha=alpha, dim=1),))
+        val, error = sojourn_second_moment(psi, lambda xi: np.exp(-0.5 * (sigma * xi) ** 2))
+        oracle = 0.25 / math.pi * sum(integrate.quad(
+            lambda x: math.exp(-(sigma * x) ** 2) * lambda_closed(x ** alpha), a, b, limit=200)[0]
+            for a, b in ((0.0, 1.0), (1.0, 60.0), (60.0, np.inf)))
+        assert abs(val - oracle) <= error + 1e-9 * val
 
     def test_bounded_by_energy(self):
         # the sojourn norm is dominated by the energy I_Psi of the density:
@@ -290,7 +321,7 @@ class TestSojournSecondMoment:
             alpha = float(rng.uniform(0.5, 2.0))
             psi = ExponentVector((IsotropicStable(alpha=alpha, dim=1),))
             fhat = lambda xi: np.exp(-0.5 * np.asarray(xi) ** 2)
-            second = sojourn_second_moment(psi, fhat)
+            second, _ = sojourn_second_moment(psi, fhat)
             energy = (1.0 / (2.0 * math.pi)) * integrate.quad(
                 lambda x: math.exp(-x * x) / (1.0 + abs(x) ** alpha),
                 -np.inf, np.inf)[0]

@@ -21,8 +21,9 @@ from addlevy import (
     sector_constant,
 )
 from addlevy import kernels
-from addlevy.kernels import Kernel, cauchy_kernel, exponential_kernel, gaussian_kernel
+from addlevy.kernels import Kernel
 from addlevy.quadrature import QuadratureError, QuadratureSpec
+from helpers import cauchy_kernel, exponential_kernel, gaussian_kernel
 
 
 class TestLambdaClosed:

@@ -213,3 +213,10 @@ class TestSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(r_max=-1.0)
+
+    @pytest.mark.parametrize("kwargs", [{"r_max": math.nan}, {"r_max": math.inf},
+                                        {"rel_tol": math.nan}, {"rel_tol": math.inf},
+                                        {"rel_tol": 0.0}, {"rel_tol": -1e-8}])
+    def test_refuses_non_finite_or_non_positive(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            QuadratureSpec(**kwargs)

@@ -361,6 +361,12 @@ class TestMCConfig:
         with pytest.raises(ValueError):
             MCConfig(epsilon=0.0)
 
+    @pytest.mark.parametrize("field", ["epsilon", "time_horizon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            MCConfig(trials=100, **{field: value})
+
     @pytest.mark.parametrize("kwargs", [{"time_horizon": -1.0}, {"time_horizon": 0.0},
                                         {"time_horizon": float("nan")}, {"n_steps": 0},
                                         {"n_steps": -5}])
