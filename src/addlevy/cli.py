@@ -375,7 +375,7 @@ def cmd_simulate(p) -> tuple:
         f = GaussianDensitySpec(sigma=p["sigma"], mass=p["mass"])
         first, second = sojourn_mc(alphas[0], f, cfg, half_width=p["half_width"])
         psi = ExponentVector((IsotropicStable(alpha=alphas[0], dim=1),))
-        predicted, predicted_error = sojourn_second_moment(psi, f.fourier)
+        predicted, predicted_error = sojourn_second_moment(psi, f.fourier, f.sigma)
         body = {"first_moment": first.to_json(),
                 "second_moment": second.to_json(),
                 "predicted_first_moment": f.mass,

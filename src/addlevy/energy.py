@@ -209,13 +209,15 @@ def riesz_identity_sides(mu: AtomicMeasure, s: float, cell: float) -> tuple[floa
     return real_side, fourier_side, error
 
 
-def sojourn_second_moment(psi: ExponentVector,
-                          fhat: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
+def sojourn_second_moment(psi: ExponentVector, fhat: Callable[[np.ndarray], np.ndarray],
+                          sigma: float = 1.0) -> tuple[float, float]:
     """E|Sf|^2 = 4^-N (2 pi)^-d int |f_hat|^2 prod_j Lambda(Psi_j) dxi (d=1).
 
-    fhat is the closed-form transform of the test function f.  The integral
-    is taken up to 60 with no tail; returns (value, error), the error being
-    the change from a cut at 30 (_halfline).
+    fhat is the closed-form transform of the test function f, and sigma the
+    width of f.  The integral is taken up to 60 / sigma with no tail, where
+    |f_hat|^2 = exp(-sigma^2 xi^2) of a Gaussian f has fallen to e^-3600;
+    returns (value, error), the error being the change from a cut at
+    30 / sigma (_halfline).
     """
     if psi.dim != 1:
         raise ValueError("sojourn second moment supports d=1 in v1")
@@ -227,4 +229,4 @@ def sojourn_second_moment(psi: ExponentVector,
             prod *= lambda_closed(comp._eval(pts))
         return np.abs(np.asarray(fhat(sgrid))) ** 2 * prod
 
-    return _halfline(f, 60.0, 4.0 ** (-psi.n) / math.pi)
+    return _halfline(f, 60.0 / sigma, 4.0 ** (-psi.n) / math.pi)

@@ -10,11 +10,16 @@ All estimators are deterministic functions of (config, seed).  Each
 estimator seeds one generator, and every trial reads the same fixed number
 K of uniforms, which depends only on the stable indices, d and the number of
 steps (plus one for a sojourn's start point): trial i reads uniforms
-[iK, (i+1)K) of the stream.  A block of trials is one `rng.random((count,
-K))` call, consumed row by row, so the block size cannot change a result.
+[iK, (i+1)K) of the stream.  A block of trials is one draw of (count, K)
+uniforms, consumed row by row, so the block size cannot change a result.
 The uniforms become variates by exact transforms: v = pi (u - 1/2) and
 w = -log1p(-u) for the CMS pair, Box-Muller for normals, and
 tan(pi (u - 1/2)) for the d = 1 Cauchy step.
+
+An estimator call allocates its block arrays once (_Scratch): uniforms,
+transform intermediates, paths and search buffers are carved from one
+arena and reused by every block, so no block allocates, frees and faults
+its pages in again.
 
 The tangent is the only trigonometric function these transforms call: the
 CMS sine comes from its half-angle tangent and each cosine from the secant
@@ -26,10 +31,12 @@ numpy's SIMD dispatch of tan and log1p: results are deterministic on one
 machine and numpy build, and may differ in the last bits on another.
 
 Hitting and intersection need only whether some pair of points is closer
-than epsilon, and no KD-tree is built.  In d = 1 nearest distances come from
-one sort per row.  In d >= 2 one side of a block of trials is hashed into
-epsilon-cells, with the 3^d neighbour cells of each point, and sorted once;
-each point of the other side looks up its own cell there with searchsorted.
+than epsilon, and no KD-tree is built.  In d = 1 a target shared by every
+trial, of at most _SWEEP_POINTS points, is swept point by point; any other
+set takes one sort per row.  In d >= 2 one side of a block of trials is
+hashed into epsilon-cells, with the 3^d neighbour cells of each point, and
+sorted once; each point of the other side looks up its own cell there with
+searchsorted.
 Only the pairs so found have their distances computed, by the KD-tree's own
 float expression, so every hit flag is the one a tree would give.
 """
@@ -100,16 +107,58 @@ def _block_trials(n_paths: int, n_steps: int, d: int) -> int:
     return max(1, _BLOCK_VALUES // max(1, n_paths * n_steps * d))
 
 
-def _blocks(cfg: MCConfig, alphas, d: int, extra: int = 0):
-    """Yield (first trial, uniforms) per block of trials, all from one
-    generator seeded by cfg.seed.  A trial reads K uniforms, `extra` of its
-    own and then its paths'; row r of a block is trial first + r's, the
-    stream's [(first + r) K, (first + r + 1) K)."""
+class _Scratch:
+    """The work arrays of one estimator call, carved from one allocation.
+
+    take(name, shape) returns the array kept under `name`, an uninitialised
+    float array of `shape`.  It is carved at its first use and reused by
+    every later block, which takes its leading rows, since a call's blocks
+    only shrink.  So a call allocates once, not once per block, and glibc
+    does not trim and fault the pages back in between blocks.  An array
+    that does not fit what is left of the arena is allocated on its own.
+    """
+
+    def __init__(self, floats: int = 0):
+        self._free = np.empty(floats)
+        self._arrays = {}
+
+    def take(self, name, shape) -> np.ndarray:
+        buf = self._arrays.get(name)
+        if buf is None or buf.shape[0] < shape[0] or buf.shape[1:] != tuple(shape[1:]):
+            size = math.prod(shape)
+            if size <= self._free.size:
+                buf, self._free = self._free[:size].reshape(shape), self._free[size:]
+            else:
+                buf = np.empty(shape)
+            self._arrays[name] = buf
+        return buf[:shape[0]]
+
+
+def _blocks(cfg: MCConfig, alphas, d: int, time_horizon: float, extra: int = 0,
+            work: int = 0):
+    """Yield (trials, uniforms, paths, scratch) per block of trials, all from
+    one generator seeded by cfg.seed.
+
+    A trial reads K uniforms, `extra` of its own and then its paths'; row r
+    of a block is trial first + r's, the stream's [(first + r) K,
+    (first + r + 1) K).  `trials` is the block's slice of trial indices,
+    `paths` its paths (_sample_paths), one per alpha, and `scratch` the
+    call's _Scratch, which every block reuses.  The uniforms are drawn into
+    it with rng.random(out=...), which reads the stream as
+    rng.random((count, K)) does.  Its arena holds per trial the uniforms,
+    the paths, the paths' intermediates (at most twice their uniforms, see
+    _increments) and `work` floats for the caller.
+    """
     width = extra + _trial_width(alphas, d, cfg.n_steps)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     size = _block_trials(len(alphas), cfg.n_steps, d)
+    per_trial = 3 * width + len(alphas) * (cfg.n_steps + 1) * d + work
+    scratch = _Scratch(min(size, cfg.trials) * per_trial)
     for start in range(0, cfg.trials, size):
-        yield start, rng.random((min(size, cfg.trials - start), width))
+        count = min(size, cfg.trials - start)
+        u = rng.random(out=scratch.take("uniforms", (count, width)))
+        paths = _sample_paths(alphas, d, time_horizon, cfg.n_steps, u[:, extra:], scratch)
+        yield slice(start, start + count), u, paths, scratch
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +173,8 @@ def _secant(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return np.sqrt(x, out=x)
 
 
-def _cms(alpha: float, beta: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _cms(alpha: float, beta: float, v: np.ndarray, w: np.ndarray,
+         scratch: _Scratch) -> np.ndarray:
     """Chambers-Mallows-Stuck transform of v uniform on (-pi/2, pi/2) and w
     standard exponential into unit stable variates.
 
@@ -135,31 +185,34 @@ def _cms(alpha: float, beta: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     (-pi/2, pi/2) for every alpha in (0, 2] and beta in [-1, 1].  As
     1/alpha = 1 + (1 - alpha)/alpha, one power remains:
     S sin(theta) sec(v) (sec(v) / (sec(r) w))^((1 - alpha) / alpha).
-    Three arrays of v's shape hold every intermediate.
+
+    The transform runs in place: v and w are overwritten, the variates
+    are returned in w, and theta and r take two arrays of the scratch.
     """
+    theta = scratch.take("theta", v.shape)
     if beta == 0.0:
         s = 1.0
-        theta = np.multiply(v, alpha)
+        np.multiply(v, alpha, out=theta)
     else:
         tan_half = math.tan(math.pi * alpha / 2.0)
         s = (1.0 + beta ** 2 * tan_half ** 2) ** (1.0 / (2.0 * alpha))
-        theta = np.add(v, math.atan(beta * tan_half) / alpha)
+        np.add(v, math.atan(beta * tan_half) / alpha, out=theta)
         theta *= alpha
-    x = np.subtract(v, theta)
-    _secant(x, out=x)
-    sec_v = _secant(v)
-    x *= w
-    np.divide(sec_v, x, out=x)
-    np.power(x, (1.0 - alpha) / alpha, out=x)
-    x *= sec_v
+    r = np.subtract(v, theta, out=scratch.take("r", v.shape))
+    _secant(r, out=r)
+    sec_v = _secant(v, out=v)
+    w *= r
+    np.divide(sec_v, w, out=w)
+    np.power(w, (1.0 - alpha) / alpha, out=w)
+    w *= sec_v
     theta *= 0.5
     t = np.tan(theta, out=theta)
     np.multiply(t, t, out=sec_v)
     sec_v += 1.0
     t /= sec_v
     t *= 2.0 * s
-    x *= t
-    return x
+    w *= t
+    return w
 
 
 def sample_stable_increment(alpha: float, beta: float = 0.0, scale: float = 1.0,
@@ -189,7 +242,7 @@ def sample_stable_increment(alpha: float, beta: float = 0.0, scale: float = 1.0,
     shape = 1 if size is None else size  # rng.random(1) reads what rng.random() does
     v = math.pi * (rng.random(shape) - 0.5)
     w = -np.log1p(-rng.random(shape))
-    x = scale * dt ** (1.0 / alpha) * _cms(alpha, beta, v, w)
+    x = scale * dt ** (1.0 / alpha) * _cms(alpha, beta, v, w, _Scratch())
     return float(x[0]) if size is None else x
 
 
@@ -215,18 +268,19 @@ def _trial_width(alphas, d: int, n_steps: int) -> int:
     return sum(_path_width(alpha, d, n_steps) for alpha in alphas)
 
 
-def _normals(u: np.ndarray, count: int) -> np.ndarray:
+def _normals(u: np.ndarray, count: int, scratch: _Scratch) -> np.ndarray:
     """Box-Muller: the first `count` standard normals of each row of an even
     number of uniforms, radii from the first half and angles 2 pi u from the
     second, each (cos, sin) pair from t = tan(pi u) as
-    ((1 - t^2), 2 t) / (1 + t^2)."""
+    ((1 - t^2), 2 t) / (1 + t^2), all in scratch arrays."""
     half = u.shape[1] // 2
-    z = np.empty((u.shape[0], 2 * half))
+    z = scratch.take("normals", (u.shape[0], 2 * half))
     cos, sin = z[:, :half], z[:, half:]
-    radius = np.log1p(-u[:, :half])
+    radius = np.negative(u[:, :half], out=scratch.take("radius", (u.shape[0], half)))
+    np.log1p(radius, out=radius)
     radius *= -2.0
     np.sqrt(radius, out=radius)
-    t = np.multiply(u[:, half:], math.pi)
+    t = np.multiply(u[:, half:], math.pi, out=scratch.take("t", (u.shape[0], half)))
     np.tan(t, out=t)
     np.multiply(t, t, out=cos)
     np.add(cos, 1.0, out=sin)
@@ -238,8 +292,19 @@ def _normals(u: np.ndarray, count: int) -> np.ndarray:
     return z[:, :count]
 
 
-def _increments(alpha: float, d: int, dt: float, n_steps: int, u: np.ndarray) -> np.ndarray:
-    """Increments (rows, n_steps, d) of one path per row of uniforms.
+def _increments(alpha: float, d: int, dt: float, n_steps: int, u: np.ndarray,
+                scratch: _Scratch) -> np.ndarray:
+    """Increments (rows, n_steps, d) of one path per row of uniforms, in
+    scratch arrays.
+
+    The first operation on each run of columns of u writes a contiguous
+    scratch array, and the rest work there in place: an operation on a
+    column view runs row by row, 30-70% slower, and one that reads a view
+    of u while writing another copies its input first, since numpy cannot
+    tell that they are disjoint.  The scratch arrays hold at most twice
+    the path's uniforms: v, w, theta and r of n_steps each against 2 n_steps
+    CMS uniforms, and the normals, radii and tangents of Box-Muller twice
+    theirs.
 
     For alpha < 2 in d >= 2 the clock tau has E exp(-l tau) =
     exp(-dt (2l)^{alpha/2}), so sqrt(tau) times a standard normal vector is
@@ -247,49 +312,53 @@ def _increments(alpha: float, d: int, dt: float, n_steps: int, u: np.ndarray) ->
     """
     rows = u.shape[0]
     if alpha == 2.0:
-        z = _normals(u, n_steps * d).reshape(rows, n_steps, d)
+        z = _normals(u, n_steps * d, scratch).reshape(rows, n_steps, d)
         z *= math.sqrt(2.0 * dt)
         return z
+    shape = (rows, n_steps)
     if d == 1 and alpha == 1.0:
-        x = np.subtract(u, 0.5)
+        x = np.subtract(u, 0.5, out=scratch.take("v", shape))
         x *= math.pi
         np.tan(x, out=x)
         x *= dt
         return x[..., None]
-    v = np.subtract(u[:, :n_steps], 0.5)
+    v = np.subtract(u[:, :n_steps], 0.5, out=scratch.take("v", shape))
     v *= math.pi
-    w = np.negative(u[:, n_steps:2 * n_steps])
+    w = np.negative(u[:, n_steps:2 * n_steps], out=scratch.take("w", shape))
     np.log1p(w, out=w)
     np.negative(w, out=w)
     if d == 1:
-        x = _cms(alpha, 0.0, v, w)
+        x = _cms(alpha, 0.0, v, w, scratch)
         x *= dt ** (1.0 / alpha)
         return x[..., None]
     alpha_half = alpha / 2.0
-    tau = _cms(alpha_half, 1.0, v, w)
+    tau = _cms(alpha_half, 1.0, v, w, scratch)
     tau *= 2.0 * (dt * math.cos(math.pi * alpha_half / 2.0)) ** (1.0 / alpha_half)
     np.sqrt(tau, out=tau)
-    z = _normals(u[:, 2 * n_steps:], n_steps * d).reshape(rows, n_steps, d)
+    z = _normals(u[:, 2 * n_steps:], n_steps * d, scratch).reshape(rows, n_steps, d)
     z *= tau[..., None]
     return z
 
 
-def _sample_paths(alphas, d: int, T: float, n_steps: int, u: np.ndarray) -> list:
+def _sample_paths(alphas, d: int, T: float, n_steps: int, u: np.ndarray,
+                  scratch: _Scratch) -> list:
     """Independent isotropic stable paths from 0, one per alpha, for a block
     of trials: arrays of shape (len(u), n_steps + 1, d).
 
     Row t of u holds trial t's uniforms, read path by path in the order of
-    alphas; the transforms and cumulative sums run once per block.
+    alphas; the transforms and cumulative sums run once per block.  The
+    paths and every intermediate are arrays of `scratch`, reused by the
+    next block of the call.
     """
     dt = T / n_steps
     paths = []
     offset = 0
-    for alpha in alphas:
+    for i, alpha in enumerate(alphas):
         width = _path_width(alpha, d, n_steps)
-        path = np.empty((u.shape[0], n_steps + 1, d))
+        path = scratch.take(("path", i), (u.shape[0], n_steps + 1, d))
         path[:, 0] = 0.0
-        np.cumsum(_increments(alpha, d, dt, n_steps, u[:, offset:offset + width]), axis=1,
-                  out=path[:, 1:])
+        np.cumsum(_increments(alpha, d, dt, n_steps, u[:, offset:offset + width], scratch),
+                  axis=1, out=path[:, 1:])
         paths.append(path)
         offset += width
     return paths
@@ -306,7 +375,7 @@ def sample_isotropic_stable_path(alpha: float, d: int, T: float, n_steps: int,
     if rng is None:
         rng = np.random.default_rng()
     u = rng.random((1, _trial_width((alpha,), d, n_steps)))
-    return _sample_paths((alpha,), d, T, n_steps, u)[0][0]
+    return _sample_paths((alpha,), d, T, n_steps, u, _Scratch())[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +400,7 @@ def _min_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     not matter, since a run of ties with both sides in it has an adjacent
     pair at distance 0.  Each gap is the float difference of the pair:
     bitwise what a KD-tree returns, except that the tree's squared gap
-    underflows below about 1e-154.
+    underflows below about 1e-154 and overflows above about 1e154.
     """
     rows, p, _ = a.shape
     both = np.concatenate((a[..., 0], np.broadcast_to(b[..., 0], (rows, b.shape[-2]))), axis=1)
@@ -340,6 +409,36 @@ def _min_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     gaps = np.where(side[:, 1:] != side[:, :-1],
                     np.diff(np.take_along_axis(both, order, axis=1), axis=1), np.inf)
     return np.abs(gaps.min(axis=1))  # -0.0 - 0.0 is the only negative gap
+
+
+# A shared d = 1 target of at most this many points is swept point by point
+# (_sweep_distance); a larger one goes through the row sort of _min_distance.
+# On one 81 x 200 block (2-vCPU Xeon VM, AVX-512, min of 300 calls) the sweep
+# took about 30 us per target point and the sort 500-720 us in all: they
+# cross between q = 20 (574 against 674 us) and q = 24 (754 against 675).
+_SWEEP_POINTS = 16
+
+
+def _sweep_distance(a: np.ndarray, b: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    """Row-wise min |a_i - b_j| of d = 1 points a (rows, p, 1) and one (q, 1)
+    set b shared by every row, one point of b at a time, in scratch arrays.
+
+    Float subtraction rounds monotonically, so no gap is less than that of
+    the nearest pair adjacent in sorted order, and the least of all gaps is
+    bitwise _min_distance's.
+    """
+    x = a[..., 0]
+    gap = scratch.take("gap", x.shape)
+    best = scratch.take("best", x.shape[:1])
+    least = scratch.take("least", x.shape[:1])
+    best.fill(np.inf)
+    with np.errstate(over="ignore"):  # a gap beyond the float range: inf, as in the sort
+        for y in b[:, 0]:
+            np.subtract(x, y, out=gap)
+            np.abs(gap, out=gap)
+            np.min(gap, axis=1, out=least)
+            np.minimum(best, least, out=best)
+    return best
 
 
 # Cells are this much wider than epsilon, and cell indices are clipped to
@@ -462,18 +561,23 @@ def _coordinates(points: np.ndarray) -> np.ndarray:
     return coords
 
 
-def _near(a: np.ndarray, b, epsilon: float) -> np.ndarray:
+def _near(a: np.ndarray, b, epsilon: float,
+          scratch: Optional[_Scratch] = None) -> np.ndarray:
     """Hit flag per row: does some point of a (rows, p, d) lie within
     epsilon of b, the row's own points (rows, q, d), one (q, d) set shared by
     every row, or a shared set already hashed into _Cells?
 
     Every flag is `min distance < epsilon` as a KD-tree computes it.  In
-    d = 1 the minimum comes from one sort per row (_min_distance); in d >= 2
-    from the epsilon-cells of _Cells.
+    d = 1 a shared set of at most _SWEEP_POINTS points is swept point by
+    point (_sweep_distance, in `scratch` arrays), and any other set takes
+    one sort per row (_min_distance); in d >= 2 the epsilon-cells of _Cells
+    answer.
     """
     if isinstance(b, _Cells):
         return b.near(a)
     if a.shape[-1] == 1:
+        if b.ndim == 2 and b.shape[0] <= _SWEEP_POINTS:
+            return np.less(_sweep_distance(a, b, scratch or _Scratch()), epsilon)
         return np.less(_min_distance(a, b), epsilon)
     return _Cells(b, epsilon, a.shape[0] * a.shape[1]).near(a)
 
@@ -499,16 +603,18 @@ def hitting_frequency(sys: StableSystem, target: SetDiscretization,
         block_points = _block_trials(1, cfg.n_steps, sys.d) * cfg.n_steps
         target = _Cells(target_pts, cfg.epsilon, block_points)
     hits = np.empty(cfg.trials)
-    for start, u in _blocks(cfg, sys.alphas, sys.d):
-        paths = [p[:, 1:] for p in _sample_paths(sys.alphas, sys.d, cfg.time_horizon,
-                                                 cfg.n_steps, u)]
+    # per trial, the shifted target (N = 2) or the sweep's gaps (_sweep_distance)
+    work = cfg.n_steps * (target_pts.size if sys.n == 2 else 1) + 2
+    for trials, u, paths, scratch in _blocks(cfg, sys.alphas, sys.d, cfg.time_horizon,
+                                             work=work):
+        paths = [p[:, 1:] for p in paths]
         if sys.n == 1:
-            hits[start:start + len(u)] = _near(paths[0], target, cfg.epsilon)
+            hits[trials] = _near(paths[0], target, cfg.epsilon, scratch)
         else:
             x1, x2 = paths
-            shifted = target_pts[:, None, :] - x1[:, None, :, :]
-            hits[start:start + len(u)] = _near(shifted.reshape(len(u), -1, sys.d), x2,
-                                               cfg.epsilon)
+            shifted = scratch.take("shifted", (len(u), target_pts.shape[0]) + x1.shape[1:])
+            np.subtract(target_pts[:, None, :], x1[:, None, :, :], out=shifted)
+            hits[trials] = _near(shifted.reshape(len(u), -1, sys.d), x2, cfg.epsilon)
     return _estimate(hits)
 
 
@@ -517,9 +623,8 @@ def intersection_frequency(alpha1: float, alpha2: float, d: int,
     """Fraction of trials where two independent paths pass within epsilon."""
     _check_budget(cfg.trials * cfg.n_steps)
     hits = np.empty(cfg.trials)
-    for start, u in _blocks(cfg, (alpha1, alpha2), d):
-        p1, p2 = _sample_paths((alpha1, alpha2), d, cfg.time_horizon, cfg.n_steps, u)
-        hits[start:start + len(u)] = _near(p1[:, 1:], p2[:, 1:], cfg.epsilon)
+    for trials, _, (p1, p2), _ in _blocks(cfg, (alpha1, alpha2), d, cfg.time_horizon):
+        hits[trials] = _near(p1[:, 1:], p2[:, 1:], cfg.epsilon)
     return _estimate(hits)
 
 
@@ -601,11 +706,10 @@ def sojourn_mc(alpha: float, f: GaussianDensitySpec, cfg: MCConfig,
     wts[-1] *= 0.5
     first = np.empty(cfg.trials)
     second = np.empty(cfg.trials)
-    for start, u in _blocks(cfg, (alpha, alpha), 1, extra=1):
+    for trials, u, (pos, neg), _ in _blocks(cfg, (alpha, alpha), 1, _SOJOURN_SPAN, extra=1):
         x0 = -half_width + 2.0 * half_width * u[:, :1]
-        pos, neg = _sample_paths((alpha, alpha), 1, _SOJOURN_SPAN, n, u[:, 1:])
         sf = 0.5 * (np.sum(f(x0 + pos[:, :, 0]) * wts, axis=1)
                     + np.sum(f(x0 - neg[:, :, 0]) * wts, axis=1))
-        first[start:start + len(u)] = 2.0 * half_width * sf
-        second[start:start + len(u)] = 2.0 * half_width * sf * sf
+        first[trials] = 2.0 * half_width * sf
+        second[trials] = 2.0 * half_width * sf * sf
     return _estimate(first), _estimate(second)

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import addlevy
-from addlevy import ExponentVector, IsotropicStable, potential_density_v
+from addlevy import ExponentVector, IsotropicStable, potential_density_v, sojourn_second_moment
 from addlevy.cli import main
+from addlevy.simulate import GaussianDensitySpec
 
 STABLE_PSI = '{"family":"IsotropicStable","dim":1,"params":{"alpha":1.5}}'
 STABLE_2D = '{"family":"IsotropicStable","dim":2,"params":{"alpha":1.5}}'
@@ -477,9 +478,14 @@ class TestSimulateAndRun:
                              "100", "--n-steps", "20", "--sigma", "0.02", "--half-width", "1.0"],
                             capsys)
         assert code == 0
-        # the cut at 60 loses 0.22% of the formula value here, the error covers it
-        assert 0.0022 * rep["predicted_second_moment"] < rep["predicted_second_moment_error"]
-        assert rep["predicted_second_moment_error"] < 0.05 * rep["predicted_second_moment"]
+        psi = ExponentVector((IsotropicStable(alpha=1.5, dim=1),))
+        f = GaussianDensitySpec(sigma=0.02)
+        value, error = sojourn_second_moment(psi, f.fourier, 0.02)
+        assert (rep["predicted_second_moment"], rep["predicted_second_moment_error"]) == (value,
+                                                                                          error)
+        # the cut at 60 / sigma keeps the 0.22% that a cut at 60 loses here
+        assert sojourn_second_moment(psi, f.fourier)[0] < (1.0 - 0.002) * value
+        assert 0.0 <= error < 1e-9 * value
 
     def test_oversize_job_is_invalid_input(self, capsys):
         # [TRIVIAL] a budget refusal is an error report, not a traceback

@@ -312,6 +312,19 @@ class TestSojournSecondMoment:
             for a, b in ((0.0, 1.0), (1.0, 60.0), (60.0, np.inf)))
         assert abs(val - oracle) <= error + 1e-9 * val
 
+    @pytest.mark.parametrize("alpha", [0.8, 1.2, 1.5])
+    @pytest.mark.parametrize("sigma", [0.01, 1.0])
+    def test_cut_scales_with_the_density_width(self, sigma, alpha):
+        # [DERIVED] independent oracle, split where |f_hat|^2 and Lambda
+        # change shape: given sigma, the cut at 60 / sigma loses nothing
+        psi = ExponentVector((IsotropicStable(alpha=alpha, dim=1),))
+        val, _ = sojourn_second_moment(psi, lambda xi: np.exp(-0.5 * (sigma * xi) ** 2), sigma)
+        cuts = (0.0, 1.0, 1.0 / sigma, 60.0 / sigma, np.inf)
+        oracle = 0.25 / math.pi * sum(integrate.quad(
+            lambda x: math.exp(-(sigma * x) ** 2) * lambda_closed(x ** alpha), a, b,
+            limit=200, epsabs=0.0, epsrel=1e-12)[0] for a, b in zip(cuts, cuts[1:]) if a < b)
+        assert val == pytest.approx(oracle, rel=1e-9)
+
     def test_bounded_by_energy(self):
         # the sojourn norm is dominated by the energy I_Psi of the density:
         # Lambda(z) <= 4 Re(1/(1+z)) factorwise gives 4^-N prod Lambda <=

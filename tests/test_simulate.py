@@ -67,11 +67,12 @@ def reference_path(alpha, d, T, n_steps, u):
         v = math.pi * (u[:n_steps] - 0.5)
         w = -np.log1p(-u[n_steps:2 * n_steps])
         if d == 1:
-            steps = (dt ** (1.0 / alpha) * simulate._cms(alpha, 0.0, v, w))[:, None]
+            x = simulate._cms(alpha, 0.0, v, w, simulate._Scratch())
+            steps = (dt ** (1.0 / alpha) * x)[:, None]
         else:
             alpha_half = alpha / 2.0
             tau = (2.0 * (dt * math.cos(math.pi * alpha_half / 2.0)) ** (1.0 / alpha_half)
-                   * simulate._cms(alpha_half, 1.0, v, w))
+                   * simulate._cms(alpha_half, 1.0, v, w, simulate._Scratch()))
             steps = normals(u[2 * n_steps:]) * np.sqrt(tau)[:, None]
     path = np.zeros((n_steps + 1, d))
     path[1:] = np.cumsum(steps, axis=0)
@@ -247,7 +248,7 @@ class TestStableSampler:
         # a subnormal angle alpha (v + b) loses bits when either form rounds it
         theta = alpha * (v + math.atan(beta * math.tan(math.pi * alpha / 2.0)) / alpha)
         assume(np.all((theta == 0.0) | (np.abs(theta) >= np.finfo(float).tiny)))
-        got = simulate._cms(alpha, beta, v, w)
+        got = simulate._cms(alpha, beta, v.copy(), w.copy(), simulate._Scratch())
         with np.errstate(invalid="ignore"):
             want = cms_oracle(alpha, beta, v, w)
         # at an edge of v with |beta| = 1, r = v - theta may round past
@@ -387,7 +388,7 @@ class TestBlockSampler:
         width = sum(reference_width(a, d, n_steps) for a in alphas)
         assert simulate._trial_width(alphas, d, n_steps) == width
         u = trial_uniforms(seed, trials, width)
-        paths = simulate._sample_paths(alphas, d, 1.3, n_steps, np.stack(u))
+        paths = simulate._sample_paths(alphas, d, 1.3, n_steps, np.stack(u), simulate._Scratch())
         for t in range(trials):
             refs = reference_paths(alphas, d, 1.3, n_steps, u[t])
             for block, ref in zip(paths, refs):
@@ -420,9 +421,9 @@ class TestUniformTransforms:
         seen = []
         cms = simulate._cms
 
-        def recording(alpha, beta, v, w):
+        def recording(alpha, beta, v, w, scratch):
             seen.append((v.copy(), w.copy()))
-            return cms(alpha, beta, v, w)
+            return cms(alpha, beta, v, w, scratch)
 
         monkeypatch.setattr(simulate, "_cms", recording)
         sample_isotropic_stable_path(1.5, 1, 1.0, 50_000, np.random.default_rng(31))
@@ -448,31 +449,45 @@ class TestUniformTransforms:
 
 ROWS = st.shared(st.integers(1, 4), key="rows")
 # a tree squares each gap, so gaps below 1e-154 would underflow there
-GAP_VALUES = st.one_of(st.integers(-6, 6).map(lambda k: 0.25 * k),
+GAP_VALUES = st.one_of(st.integers(-6, 6).map(lambda k: 0.25 * k), st.sampled_from((0.0, -0.0)),
                        st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) > 1e-100))
+# far outside the other values, and huge: near +-1e300 the tree's squared gap
+# overflows to inf, and across +-1.7e308 the gap itself does
+FAR_VALUES = st.sampled_from((1e9, -1e12, 1e300, -1e300, 1.7e308, -1.7e308))
 
 
-def gap_rows(width):
+def gap_rows(width, values=GAP_VALUES):
     return ROWS.flatmap(lambda rows: st.lists(
-        st.lists(GAP_VALUES, min_size=width, max_size=width), min_size=rows, max_size=rows))
+        st.lists(values, min_size=width, max_size=width), min_size=rows, max_size=rows))
 
 
 class TestNearestDistance:
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), p=st.integers(1, 30), q=st.integers(1, 30), shared=st.booleans())
-    def test_d1_equals_kd_tree_bitwise(self, data, p, q, shared):
-        # [DERIVED] ties, repeated values and one-point targets included
-        a = np.array(data.draw(gap_rows(p)))
-        b = np.array(data.draw(gap_rows(q)))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), p=st.integers(1, 30), q=st.integers(1, 30), shared=st.booleans(),
+           far=st.booleans(), eps=st.sampled_from((1e-3, 0.1, 0.25, 1.0)))
+    def test_d1_equals_kd_tree_bitwise(self, data, p, q, shared, far, eps):
+        # [DERIVED] ties (+-0.0 among them), repeated values and one-point
+        # targets included.  q spans _SWEEP_POINTS, so _near sends shared
+        # targets through both the sweep and the sort; each search is also
+        # checked on its own.
+        assert 1 <= simulate._SWEEP_POINTS < 30
+        values = st.one_of(GAP_VALUES, FAR_VALUES) if far else GAP_VALUES
+        a = np.array(data.draw(gap_rows(p, values)))[..., None]
+        b = np.array(data.draw(gap_rows(q, values)))[..., None]
         if shared:
-            b = b[0][:, None]
-            got = simulate._min_distance(a[..., None], b)
-            want = [cKDTree(b).query(row[:, None], k=1)[0].min() for row in a]
+            b = b[0]
+            tree = cKDTree(b)
+            want = np.array([tree.query(row, k=1)[0].min() for row in a])
+            got = (simulate._min_distance(a, b),
+                   simulate._sweep_distance(a, b, simulate._Scratch()))
         else:
-            got = simulate._min_distance(a[..., None], b[..., None])
-            want = [cKDTree(brow[:, None]).query(arow[:, None], k=1)[0].min()
-                    for arow, brow in zip(a, b)]
-        assert np.array(want).tobytes() == got.tobytes()
+            want = np.array([cKDTree(brow).query(arow, k=1)[0].min() for arow, brow in zip(a, b)])
+            got = (simulate._min_distance(a, b),)
+        overflow = np.isinf(want)  # the tree's squared gap overflowed
+        for dist in got:
+            assert np.all(dist[overflow] > 1e154)
+            assert np.where(overflow, np.inf, dist).tobytes() == want.tobytes()
+        assert np.array_equal(simulate._near(a, b, eps), want < eps)
 
     def test_estimators_build_no_tree(self, monkeypatch):
         import scipy.spatial
@@ -721,6 +736,52 @@ class TestBlockEstimators:
         cfg = MCConfig(trials=trials, n_steps=n_steps, seed=seed)
         f = GaussianDensitySpec(sigma=0.8, mass=1.3)
         assert sojourn_mc(alpha, f, cfg) == reference_sojourn(alpha, f, cfg)
+
+    @pytest.mark.parametrize("above", (0, 1, 8))
+    def test_d1_grid_targets_on_both_sides_of_the_sweep(self, above):
+        # a shared d = 1 target of _SWEEP_POINTS + above points: swept, or sorted per row
+        q = simulate._SWEEP_POINTS + above
+        cfg = MCConfig(trials=130, n_steps=150, epsilon=0.005, seed=23 + above)
+        sys_ = StableSystem(alphas=(1.2,), d=1)
+        target = cube_grid([(0.5, 3.0)], q)
+        assert discretize(target).points.shape == (q, 1)
+        est = hitting_frequency(sys_, target, cfg)
+        assert 0.0 < est.value < 1.0
+        assert est == reference_hitting(sys_, target, cfg)
+
+    @pytest.mark.parametrize("estimator", ("hit N=1 d=1", "hit N=1 d=1 grid", "hit N=1 d=2",
+                                           "hit N=2 d=1", "hit N=2 d=2", "intersection d=1",
+                                           "intersection d=2", "sojourn"))
+    def test_partial_block_after_a_full_one_equals_one_trial_blocks(self, monkeypatch,
+                                                                    estimator):
+        # [DERIVED] the per-call buffers carry nothing from one block into
+        # the next: a full block, then a partial one, give bitwise what
+        # blocks of one trial give
+        n_steps = 50
+        runs = {
+            "hit N=1 d=1": ((1.5,), 1, lambda cfg: hitting_frequency(
+                StableSystem(alphas=(1.5,), d=1), two_point(0.5), cfg)),
+            "hit N=1 d=1 grid": ((1.5,), 1, lambda cfg: hitting_frequency(
+                StableSystem(alphas=(1.5,), d=1), cube_grid([(-1.0, 1.0)], 40), cfg)),
+            "hit N=1 d=2": ((1.5,), 2, lambda cfg: hitting_frequency(
+                StableSystem(alphas=(1.5,), d=2), two_point(0.5, 2), cfg)),
+            "hit N=2 d=1": ((1.5, 1.2), 1, lambda cfg: hitting_frequency(
+                StableSystem(alphas=(1.5, 1.2), d=1), two_point(1.0), cfg)),
+            "hit N=2 d=2": ((2.0, 1.5), 2, lambda cfg: hitting_frequency(
+                StableSystem(alphas=(2.0, 1.5), d=2), two_point(1.0, 2), cfg)),
+            "intersection d=1": ((1.0, 1.8), 1,
+                                 lambda cfg: intersection_frequency(1.0, 1.8, 1, cfg)),
+            "intersection d=2": ((1.5, 2.0), 2,
+                                 lambda cfg: intersection_frequency(1.5, 2.0, 2, cfg)),
+            "sojourn": ((1.5, 1.5), 1, lambda cfg: sojourn_mc(1.5, GaussianDensitySpec(), cfg)),
+        }
+        alphas, d, run = runs[estimator]
+        size = simulate._block_trials(len(alphas), n_steps, d)
+        cfg = MCConfig(trials=size + size // 2, n_steps=n_steps, epsilon=0.05, seed=29)
+        assert cfg.trials % size and cfg.trials > size
+        blocked = run(cfg)
+        monkeypatch.setattr(simulate, "_block_trials", lambda *args: 1)
+        assert blocked == run(cfg)
 
     def test_workload_sized_hitting_pair(self):
         # the benchmark's N = 2 shape: X2 against the m n shifted target points, not n^2 points
