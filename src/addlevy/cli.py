@@ -52,6 +52,7 @@ from addlevy.kernels import lambda_bruteforce, lambda_closed
 from addlevy.measures import SetDiscretization, discretize
 from addlevy.quadrature import QuadratureError, QuadratureSpec
 from addlevy.simulate import (
+    BOX_SCALES,
     BudgetError,
     GaussianDensitySpec,
     MCConfig,
@@ -111,10 +112,7 @@ def _set(data) -> SetDiscretization:
     if not isinstance(data, dict) or "kind" not in data:
         raise CliError('set spec must be {"kind": ..., **params}')
     params = {k: v for k, v in data.items() if k != "kind"}
-    try:
-        return SetDiscretization(kind=data["kind"], params=params)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad set spec: {exc}")
+    return SetDiscretization(kind=data["kind"], params=params)
 
 
 def _write_report(report: dict, output_path, csv_rows=None, csv_path=None):
@@ -239,6 +237,8 @@ def cmd_lambda(p) -> tuple:
         values[f"{z.real:g}{z.imag:+g}j"] = v
         rows.append((z.real, z.imag, v))
     report = {"n_points": len(zs), "values": values}
+    if p["check"] < 0:
+        raise CliError("--check must be >= 0")
     if p["check"]:
         worst = 0.0
         for z in zs[: p["check"]]:
@@ -369,8 +369,8 @@ def cmd_simulate(p) -> tuple:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
         path = sample_isotropic_stable_path(alphas[0], p["dim"],
                                             cfg.time_horizon, cfg.n_steps, rng)
-        dim_est = box_dimension_estimate(path, cfg.box_scales)
-        body = {"box_dimension": dim_est, "scales": list(cfg.box_scales)}
+        dim_est = box_dimension_estimate(path, BOX_SCALES)
+        body = {"box_dimension": dim_est, "scales": list(BOX_SCALES)}
     else:
         f = GaussianDensitySpec(sigma=p["sigma"], mass=p["mass"])
         first, second = sojourn_mc(alphas[0], f, cfg, half_width=p["half_width"])
@@ -400,6 +400,8 @@ _RUN_KEYS = {"command", "params", "output_path", "seed"}
 def cmd_run(args) -> int:
     with open(args.config) as fh:
         job = json.load(fh)
+    if not isinstance(job, dict):
+        raise CliError("config must be a JSON object")
     extra = set(job) - _RUN_KEYS
     if extra:
         raise CliError(f"unknown config keys: {sorted(extra)}")

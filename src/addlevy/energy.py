@@ -179,19 +179,22 @@ def energy_identity_check(k: Kernel, nu: AtomicMeasure,
     return real_side, fourier_side, error
 
 
-def riesz_identity_sides(mu: AtomicMeasure, s: float, cell: float) -> tuple[float, float, float]:
+def riesz_identity_sides(mu: AtomicMeasure, s: float) -> tuple[float, float, float]:
     """Both sides of the Riesz energy identity for a grid discretization.
 
     Real side drops exact-diagonal terms; the Fourier side integrates the
-    atomic |mu_hat|^2 up to the grid Nyquist frequency pi/cell (where the
+    atomic |mu_hat|^2 up to the grid Nyquist frequency pi/mu.cell (where the
     atomic transform tracks the continuum one) plus the tail of an
     interval's |mu_hat|^2 ~ 2 xi^-2.  Returns (real, fourier, error): both
     sides estimate the continuum energy ``int int ||x-y||^-s dmu dmu``, and
-    error is the Fourier side's (_halfline).
+    error is the Fourier side's (_halfline).  mu.cell, the grid's cell
+    width, must be positive.
     """
-    d = mu.dim
+    d, cell = mu.dim, mu.cell
     if d != 1:
         raise ValueError("Riesz identity check supports d=1 in v1")
+    if not cell > 0.0:
+        raise ValueError(f"the measure's cell must be positive, got {cell}")
     alpha = d - s
     gauge = riesz_kernel(d, alpha)
     real_side = mutual_energy_real(gauge, mu, mu, drop_diagonal=True)

@@ -13,6 +13,7 @@ minimal energy is the capacity estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -21,7 +22,7 @@ import numpy as np
 from addlevy.classify import InconclusiveError, probe_planar_point_test
 from addlevy.exponents import ExponentVector
 from addlevy.kernels import Kernel, PotentialDensity, _axis_points, riesz_kernel
-from addlevy.measures import SetDiscretization, cell_width, discretize
+from addlevy.measures import AtomicMeasure, SetDiscretization, discretize
 from addlevy.quadrature import halfline_edges, integrate_panels
 
 
@@ -82,7 +83,7 @@ def _cell_average(k: Kernel, h: float) -> float:
 
 def assemble_matrix(gauge: Union[Kernel, ExponentVector, PotentialDensity],
                     disc: SetDiscretization) -> EnergyMatrix:
-    """Pairwise symmetrized gauge values at atom differences.
+    """Pairwise symmetrized gauge values at the atoms of ``discretize(disc)``.
 
     Entry (i, j) is the mean of the gauge at x_i - x_j and at x_j - x_i; the
     diagonal is the gauge averaged over one cell.
@@ -91,10 +92,12 @@ def assemble_matrix(gauge: Union[Kernel, ExponentVector, PotentialDensity],
         gauge = PotentialDensity(gauge)
     if isinstance(gauge, PotentialDensity):
         gauge = gauge.as_kernel()
-    mu = discretize(disc)
-    h = cell_width(disc)
+    return _energy_matrix(gauge, discretize(disc))
+
+
+def _energy_matrix(gauge: Kernel, mu: AtomicMeasure) -> EnergyMatrix:
     vals = gauge.eval(mu.points[:, None, :] - mu.points[None, :, :])
-    np.fill_diagonal(vals, _cell_average(gauge, h))
+    np.fill_diagonal(vals, _cell_average(gauge, mu.cell))
     # x_j - x_i is exactly -(x_i - x_j), so the transpose holds the gauge at
     # the negated differences; halving in place keeps two n x n arrays alive
     entries = vals + vals.T
@@ -181,7 +184,12 @@ def solve_equilibrium(m: EnergyMatrix, tol: float = 1e-8,
     certifies a minimum only for positive semidefinite M, and the vertex
     test is a necessary condition for a minimum, not a certificate that M
     is PSD: it refuses the stationary point (1/2, 1/2) of [[1, 2], [2, 1]].
+    ``tol`` must be positive and finite, ``max_iter`` nonnegative.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     mat = m.entries
     n = mat.shape[0]
     if not np.all(np.isfinite(mat)):
@@ -254,7 +262,7 @@ def bessel_riesz_capacity(disc: SetDiscretization, s: float, tol: float = 1e-8,
     d = mu.dim
     if not 0.0 < s < d:
         raise ValueError(f"s must lie in (0, {d}), got {s}")
-    mat = assemble_matrix(riesz_kernel(d, d - s), disc)
+    mat = _energy_matrix(riesz_kernel(d, d - s), mu)
     return solve_equilibrium(mat, tol=tol, max_iter=max_iter)
 
 

@@ -67,9 +67,7 @@ def riesz_constant(d: int, alpha: float) -> float:
 
 def riesz_kernel(d: int, alpha: float) -> Kernel:
     """The Riesz kernel ||x||^(alpha-d) with transform c * ||xi||^-alpha."""
-    if not 0.0 < alpha < d:
-        raise ValueError(f"alpha must lie in (0, {d}), got {alpha}")
-    c = riesz_constant(d, alpha)
+    c = riesz_constant(d, alpha)  # refuses an alpha outside (0, d)
 
     # both powers are negative, so r = 0 gives np.inf
     def ev(x):
@@ -338,7 +336,9 @@ def potential_density_v(psi: ExponentVector, x, quad: Optional[QuadratureSpec] =
     v is the inverse Fourier transform of the product kernel K:
     v(x) = (2 pi)^-d int cos(xi.x) K(xi) dxi, reduced to a radial transform
     (see _radial_inverse).  v is np.inf at the origin when the analytic tail
-    test certifies that K is not integrable.
+    test certifies that K is not integrable.  In d >= 2 that reduction needs
+    a rotation-invariant K, one with an analytic tail exponent: a
+    direction-dependent K, such as a drift's, is a ValueError.
 
     x is one point or an array of points (..., d).  Radii are rounded to 14
     significant digits and v is computed once per distinct rounded radius,
@@ -348,6 +348,8 @@ def potential_density_v(psi: ExponentVector, x, quad: Optional[QuadratureSpec] =
     """
     if psi.dim not in (1, 2, 3):
         raise ValueError("numeric inversion supports d in {1, 2, 3} only")
+    if psi.dim > 1 and psi.kernel_decay_exponent() is None:
+        raise ValueError(f"no radial inversion of a direction-dependent kernel in d = {psi.dim}")
     if quad is None:
         quad = QuadratureSpec(r_max=400.0, rel_tol=1e-8)
     r = _radius(x, psi.dim)

@@ -8,6 +8,7 @@ inside the set, with the closed-form transform where one exists.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -25,6 +26,7 @@ _SET_PARAMS = {
     "TwoPoint": {"separation", "d"},
     "Circle": {"radius", "n"},
 }
+_COUNTS = {"n_per_axis", "level", "d", "n"}  # the parameters that must be integral
 
 
 @dataclass(frozen=True)
@@ -32,13 +34,15 @@ class AtomicMeasure:
     """Probability measure sum_k w_k * delta_{x_k}.
 
     ``transform``, when set, maps frequencies (m, d) to the m values of
-    mu_hat in closed form; ``discretize`` sets it for the sets that have one.
+    mu_hat in closed form; ``discretize`` sets it for the sets that have one,
+    and ``cell``, the linear cell size that the energy diagonals read.
     """
 
     points: np.ndarray  # (n, d)
     weights: np.ndarray  # (n,)
     transform: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, compare=False, repr=False)
+    cell: float = field(default=0.0, compare=False, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -177,23 +181,44 @@ def _product_transform(centre, axes) -> Callable[[np.ndarray], np.ndarray]:
     return transform
 
 
+def _param(name: str, value):
+    """A set parameter checked for its type: bounds as [a, b] pairs of
+    numbers, a count as an int, anything else as a number."""
+    def number(v):
+        return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+    if name == "bounds":
+        if not (isinstance(value, (list, tuple)) and all(
+                isinstance(ab, (list, tuple)) and len(ab) == 2 and all(map(number, ab))
+                for ab in value)):
+            raise ValueError(f"bounds must be a list of [a, b] pairs of numbers, got {value!r}")
+        return value
+    count = name in _COUNTS
+    if not number(value) or (count and not float(value).is_integer()):
+        raise ValueError(f"{name} must be {'an integer' if count else 'a number'}, got {value!r}")
+    return int(value) if count else value
+
+
 def discretize(spec: SetDiscretization) -> AtomicMeasure:
     """Deterministic equal-weight point cloud for the described set.
 
-    Grids, Cantor products and point pairs carry their closed-form transform.
-    A missing parameter, or one the kind does not read, is a ValueError.
+    Grids, Cantor products and point pairs carry their closed-form transform,
+    and every measure its linear cell size.  A missing parameter, one the
+    kind does not read, a non-numeric value, a fractional count or a
+    negative radius is a ValueError.
     """
     kind, p = spec.kind, spec.params
-    if kind not in _SET_PARAMS:
+    if not isinstance(kind, str) or kind not in _SET_PARAMS:
         raise ValueError(f"unknown discretization kind: {kind!r}")
     missing, extra = sorted(_SET_PARAMS[kind] - set(p)), sorted(set(p) - _SET_PARAMS[kind])
     if missing:
         raise ValueError(f"{kind} set needs {missing}")
     if extra:
         raise ValueError(f"{kind} set does not read {extra}")
+    p = {name: _param(name, value) for name, value in p.items()}
     transform = None
     if kind == "CubeGrid":
-        n, bounds = int(p["n_per_axis"]), p["bounds"]
+        n, bounds = p["n_per_axis"], p["bounds"]
         if n < 1:
             raise ValueError("n_per_axis must be >= 1")
         # a == b is a point, and one cell is the only grid that keeps it one
@@ -205,10 +230,11 @@ def discretize(spec: SetDiscretization) -> AtomicMeasure:
             axes.append(a + h * (np.arange(n) + 0.5))
         grids = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
+        cell = float(min((b - a) / n for a, b in bounds))
         transform = _product_transform([(a + b) / 2.0 for a, b in bounds],
                                        [partial(_dirichlet, a, b, n) for a, b in bounds])
     elif kind == "CantorProduct":
-        ratio, level, d = p["ratio"], int(p["level"]), int(p["d"])
+        ratio, level, d = p["ratio"], p["level"], p["d"]
         if not 0.0 < ratio < 0.5:
             raise ValueError("ratio must lie in (0, 1/2)")
         if level < 0 or d < 1:
@@ -216,9 +242,10 @@ def discretize(spec: SetDiscretization) -> AtomicMeasure:
         axis = _cantor_intervals_1d(ratio, level)
         grids = np.meshgrid(*([axis] * d), indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
+        cell = float(ratio ** level)
         transform = _product_transform([0.5] * d, [partial(_riesz_product, ratio, level)] * d)
     elif kind == "TwoPoint":
-        sep, d = p["separation"], int(p["d"])
+        sep, d = p["separation"], p["d"]
         if sep <= 0.0:
             raise ValueError("separation must be positive")
         if d < 1:
@@ -226,27 +253,17 @@ def discretize(spec: SetDiscretization) -> AtomicMeasure:
         pts = np.zeros((2, d))
         pts[0, 0] = -sep / 2.0
         pts[1, 0] = sep / 2.0
+        cell = float(sep)
         transform = lambda xi: np.cos(xi[:, 0] * (sep / 2.0))
     else:  # Circle
-        radius, n = p["radius"], int(p["n"])
+        radius, n = p["radius"], p["n"]
         if n < 1:
             raise ValueError("n must be >= 1")
+        if radius < 0.0:
+            raise ValueError("radius must be >= 0")
         theta = 2.0 * np.pi * np.arange(n) / n
         pts = radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        cell = float(2.0 * np.pi * radius / n)
     n_pts = pts.shape[0]
-    return AtomicMeasure(points=pts, weights=np.full(n_pts, 1.0 / n_pts), transform=transform)
-
-
-def cell_width(spec: SetDiscretization) -> float:
-    """Linear cell size of the discretization (used for diagonal averaging)."""
-    kind, p = spec.kind, spec.params
-    if kind == "CubeGrid":
-        widths = [(b - a) / p["n_per_axis"] for a, b in p["bounds"]]
-        return float(min(widths))
-    if kind == "CantorProduct":
-        return float(p["ratio"] ** p["level"])
-    if kind == "TwoPoint":
-        return float(p["separation"])
-    if kind == "Circle":
-        return float(2.0 * np.pi * p["radius"] / p["n"])
-    raise ValueError(f"unknown discretization kind: {kind!r}")
+    return AtomicMeasure(points=pts, weights=np.full(n_pts, 1.0 / n_pts), transform=transform,
+                         cell=cell)

@@ -92,9 +92,8 @@ def halfline_edges(r_max: float, max_freq: float = 0.0, min_scale: float = 1e-9)
     return np.unique(np.concatenate((np.linspace(0.0, r_max, n_uniform + 1), cascade)))
 
 
-def integrate_panels(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray,
-                     n_nodes: int = 12) -> float:
-    nodes, weights = panel_nodes(edges, n_nodes)
+def integrate_panels(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> float:
+    nodes, weights = panel_nodes(edges)
     return float(np.sum(weights * f(nodes)))
 
 

@@ -54,6 +54,10 @@ from addlevy.classify import StableSystem
 from addlevy.measures import SetDiscretization, discretize
 
 
+# Box sizes of the box-counting dimension of a sampled path.
+BOX_SCALES = tuple(2.0 ** (-k) for k in range(8, 15))
+
+
 class BudgetError(RuntimeError):
     """Requested work (query points over all trials) exceeds the budget."""
 
@@ -65,7 +69,6 @@ class MCConfig:
     n_steps: int = 200
     epsilon: float = 0.1
     seed: int = 0
-    box_scales: tuple = tuple(2.0 ** (-k) for k in range(8, 15))
 
     def __post_init__(self):
         if self.trials < 100:
@@ -222,10 +225,13 @@ def sample_stable_increment(alpha: float, beta: float = 0.0, scale: float = 1.0,
 
     Chambers-Mallows-Stuck transform in the parameterization with exponent
     (scale |xi|)^alpha (1 - i beta sgn(xi) tan(pi alpha / 2)), of the pair
-    v = pi (u - 1/2), w = -log1p(-u) read from rng.random as the estimators
-    read it; alpha = 2 gives N(0, 2 scale^2 dt) and alpha = 1 the Cauchy
-    law tan(v).  alpha = 1 with nonzero skew is unsupported, and dt and
-    scale must be finite and positive.  size=None returns one float.
+    v = pi (u - 1/2), w = -log1p(-u): `size` uniforms of rng.random for v,
+    then `size` for w, as a d = 1 path with alpha other than 1 and 2 reads
+    its row.  alpha = 2 gives N(0, 2 scale^2 dt) and alpha = 1 the Cauchy
+    law tan(v), from the same pairs, where paths read Box-Muller pairs and
+    one uniform per Cauchy step.  alpha = 1 with nonzero skew is
+    unsupported, and dt and scale must be finite and positive.  size=None
+    returns one float.
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")

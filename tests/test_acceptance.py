@@ -36,14 +36,13 @@ from addlevy.energy import riesz_identity_sides
 from addlevy.equilibrium import _frank_wolfe, assemble_matrix
 from addlevy.kernels import riesz_kernel
 from addlevy.measures import (
-    cell_width,
     circle,
     cube_grid,
     delta,
     discretize,
     two_point,
 )
-from addlevy.simulate import GaussianDensitySpec
+from addlevy.simulate import BOX_SCALES, GaussianDensitySpec
 from helpers import cauchy_kernel, exponential_kernel, gaussian_kernel, probe_intersections_exist
 
 LAMBDA_GRID = [complex(re, im)
@@ -76,7 +75,7 @@ def test_criterion_02_riesz_energy_identity():
     start = time.time()
     spec = cube_grid([(0.0, 1.0)], 512)
     mu = discretize(spec)
-    real, fourier, _ = riesz_identity_sides(mu, 0.5, cell_width(spec))
+    real, fourier, _ = riesz_identity_sides(mu, 0.5)
     assert real == pytest.approx(8.0 / 3.0, rel=0.02)
     assert real == pytest.approx(fourier, rel=0.02)
     assert time.time() - start < 60.0
@@ -212,7 +211,7 @@ def test_criterion_07_range_box_dimension():
     start = time.time()
     rng = np.random.default_rng(np.random.SeedSequence(123))
     path = sample_isotropic_stable_path(0.7, 1, 1.0, 10_000, rng)
-    est = box_dimension_estimate(path, MCConfig().box_scales)
+    est = box_dimension_estimate(path, BOX_SCALES)
     assert est == pytest.approx(0.7, abs=0.15)
     assert time.time() - start < 60.0
 

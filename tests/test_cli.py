@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import addlevy
+from addlevy import measures
 from addlevy import ExponentVector, IsotropicStable, potential_density_v, sojourn_second_moment
 from addlevy.cli import main
 from addlevy.simulate import GaussianDensitySpec
@@ -20,6 +21,8 @@ TWO_POINT_2D = '{"kind":"TwoPoint","separation":0.25,"d":2}'
 CUBE_64 = '{"kind":"CubeGrid","bounds":[[0.0,1.0]],"n_per_axis":64}'
 CUBE_16 = '{"kind":"CubeGrid","bounds":[[0.0,1.0]],"n_per_axis":16}'
 TWO_POINT_1D = '{"kind":"TwoPoint","separation":1.0,"d":1}'
+DRIFT_2D = '{"family":"PureDrift","dim":2,"params":{"b":[1,0]}}'
+CIRCLE_6 = '{"kind":"Circle","radius":1,"n":6}'
 
 
 def run_cli(argv, capsys):
@@ -191,6 +194,23 @@ class TestClassify:
         assert rep == {"error": "--multiple needs an integral d >= 1 and an integral N >= 2",
                        "kind": "invalid-input"}
 
+    def test_subordinator_ranges_meet(self, capsys):
+        # [DERIVED] 0.5 + 0.7 > 1
+        code, rep = run_cli(["classify", "--subordinators", "0.5,0.7"], capsys)
+        assert code == 0
+        assert rep["subordinator_ranges_meet"] is True
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--subordinators", "0.5,1.5"], "subordinator index must lie in (0, 1), got 1.5"),
+        (["--subordinators", "0.5"], "--subordinators needs alpha1,alpha2"),
+        (["--multiple", "1.5,2"], "--multiple needs alpha,d,N"),
+        ([], "classify: give at least one of --stable/--multiple/--subordinators"),
+    ])
+    def test_refused_input_exit_one(self, argv, error, capsys):
+        code, rep = run_cli(["classify", *argv], capsys)
+        assert code == 1
+        assert rep == {"error": error, "kind": "invalid-input"}
+
     def test_multiple_with_an_index_above_two_exit_one(self, capsys):
         code, rep = run_cli(["classify", "--multiple", "3.0,2,2"], capsys)
         assert code == 1
@@ -205,6 +225,16 @@ class TestLambda:
                              "--check", "4"], capsys)
         assert code == 0
         assert rep["bruteforce_max_abs_diff"] < 1e-6
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--points", "1,2,3"], "each point must be re,im"),
+        # a negative count checked all but the last |k| points
+        (["--points", "1,1;2,2;3,3", "--check", "-1"], "--check must be >= 0"),
+    ])
+    def test_refused_input_exit_one(self, argv, error, capsys):
+        code, rep = run_cli(["lambda", *argv], capsys)
+        assert code == 1
+        assert rep == {"error": error, "kind": "invalid-input"}
 
     def test_known_values(self, capsys):
         code, rep = run_cli(["lambda", "--points", "0,0;1,0;0,1"], capsys)
@@ -286,6 +316,25 @@ class TestEnergy:
         ('{"kind":"Circle","radius":1.0}', STABLE_2D, "Circle set needs ['n']"),
         ('{"kind":"CubeGrid","bounds":[[0.0,1.0]],"n_per_axis":4,"extra":1}', STABLE_PSI,
          "CubeGrid set does not read ['extra']"),
+        ('{"kind":"TwoPoint","separation":"x","d":1}', STABLE_PSI,
+         "separation must be a number, got 'x'"),
+        ('{"kind":"CubeGrid","bounds":[0,1],"n_per_axis":4}', STABLE_PSI,
+         "bounds must be a list of [a, b] pairs of numbers, got [0, 1]"),
+        ('{"kind":"CubeGrid","bounds":[[0,"a"]],"n_per_axis":4}', STABLE_PSI,
+         "bounds must be a list of [a, b] pairs of numbers, got [[0, 'a']]"),
+        ('{"kind":"Circle","radius":-1,"n":6}', STABLE_2D, "radius must be >= 0"),
+        ('{"kind":"CubeGrid","bounds":[[0,1]],"n_per_axis":2.5}', STABLE_PSI,
+         "n_per_axis must be an integer, got 2.5"),
+        ('{"kind":"CantorProduct","ratio":0.3,"level":2.7,"d":1}', STABLE_PSI,
+         "level must be an integer, got 2.7"),
+        ('{"kind":"Circle","radius":1,"n":6.5}', STABLE_2D, "n must be an integer, got 6.5"),
+        ('{"kind":"TwoPoint","separation":1,"d":1.5}', STABLE_PSI, "d must be an integer, got 1.5"),
+        ('{"kind":"TwoPoint","separation":true,"d":1}', STABLE_PSI,
+         "separation must be a number, got True"),
+        ('{"kind":"CubeGrid","bounds":[[0,1,2]],"n_per_axis":4}', STABLE_PSI,
+         "bounds must be a list of [a, b] pairs of numbers, got [[0, 1, 2]]"),
+        ('{"kind":"Circle","radius":1,"n":NaN}', STABLE_2D, "n must be an integer, got nan"),
+        ('{"kind":["Circle"]}', STABLE_2D, "unknown discretization kind: ['Circle']"),
     ])
     def test_bad_set_spec_exit_one(self, spec, psi, error, capsys):
         code, rep = run_cli(["energy", "--psi", psi, "--set", spec], capsys)
@@ -306,6 +355,46 @@ class TestEquilibrium:
         code, rep = run_cli(argv, capsys)
         assert code == 0
         assert rep["capacity"] == 0.0 and rep["energy"] == math.inf
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--set", CUBE_16],
+        ["equilibrium", "--set", CIRCLE_6],
+        ["equilibrium", "--set", CUBE_16, "--gauge", "potential", "--psi", STABLE_PSI],
+    ])
+    def test_one_discretization_per_job(self, argv, capsys, monkeypatch):
+        # the measure carries its cell, so assembly reads the set spec no more
+        specs, discretize = [], measures.discretize
+
+        def counting(spec):
+            specs.append(spec)
+            return discretize(spec)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("addlevy") and \
+                    getattr(module, "discretize", None) is discretize:
+                monkeypatch.setattr(module, "discretize", counting)
+        code, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert len(specs) == 1
+
+    @pytest.mark.parametrize("argv, error", [
+        # the complex diagonal of a negative radius was a TypeError
+        (["capacity", "--set", '{"kind":"Circle","radius":-1,"n":6}'], "radius must be >= 0"),
+        (["capacity", "--set", CUBE_16, "--tol", "-1"], "tol must be positive and finite, got -1.0"),
+        (["capacity", "--set", CUBE_16, "--tol", "0"], "tol must be positive and finite, got 0.0"),
+        (["equilibrium", "--set", CUBE_16, "--tol", "nan"],
+         "tol must be positive and finite, got nan"),
+        (["equilibrium", "--set", CUBE_16, "--gauge", "potential", "--psi", STABLE_PSI,
+          "--tol", "inf"], "tol must be positive and finite, got inf"),
+        (["capacity", "--set", CUBE_16, "--max-iter", "-5"], "max_iter must be >= 0, got -5"),
+        # a drift's kernel was inverted as if it were radial, to uniform weights
+        (["equilibrium", "--gauge", "potential", "--psi", DRIFT_2D, "--set", CIRCLE_6],
+         "no radial inversion of a direction-dependent kernel in d = 2"),
+    ])
+    def test_refused_input_exit_one(self, argv, error, capsys):
+        code, rep = run_cli(argv, capsys)
+        assert code == 1
+        assert rep == {"error": error, "kind": "invalid-input"}
 
     def test_potential_capacity_of_a_point(self, capsys):
         # [DERIVED] the point mass is the only measure on a point: energy v(0)
@@ -553,6 +642,12 @@ class TestSimulateAndRun:
         assert code == 1
         assert rep == {"error": f"{flag} must be positive", "kind": "invalid-input"}
 
+    def test_intersection_needs_two_indices(self, capsys):
+        code, rep = run_cli(["simulate", "--mode", "intersection", "--stable", "1.5"], capsys)
+        assert code == 1
+        assert rep == {"error": "intersection mode needs --stable alpha1,alpha2",
+                       "kind": "invalid-input"}
+
     @pytest.mark.parametrize("mode", ["boxdim", "sojourn"])
     def test_one_index_modes_refuse_two(self, mode, capsys):
         # only the first index ran, while the report named both
@@ -567,6 +662,15 @@ class TestSimulateAndRun:
         code, rep = run_cli(["run", "--config", str(cfg)], capsys)
         assert code == 1
         assert "bogus" in rep["error"]
+
+    @pytest.mark.parametrize("job", [[{"command": "classify"}], "classify"])
+    def test_run_refuses_a_config_that_is_not_an_object(self, job, capsys, tmp_path):
+        # a list was a TypeError, a string an "unknown config key" per letter
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(job))
+        code, rep = run_cli(["run", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert rep == {"error": "config must be a JSON object", "kind": "invalid-input"}
 
 
 class TestFlagTable:
@@ -644,6 +748,24 @@ class TestFlagTable:
         assert code == 0
         assert rep["params"] == {"point_test": False, "set": json.loads(CUBE_16), "s": 0.5,
                                  "tol": 1e-8, "max_iter": 50000}
+
+
+class TestExponentSpec:
+    @pytest.mark.parametrize("psi, error", [
+        ("[]", "exponent spec must be a family object or a list of them"),
+        ('{"family":"Nope","dim":1,"params":{}}', "bad exponent spec: unknown exponent family: 'Nope'"),
+        ('{"family":"PureDrift","dim":1,"params":{}}', "bad exponent spec: 'b'"),
+    ])
+    def test_bad_exponent_spec_exit_one(self, psi, error, capsys):
+        code, rep = run_cli(["capacity", "--point-test", "--psi", psi], capsys)
+        assert code == 1
+        assert rep == {"error": error, "kind": "invalid-input"}
+
+    def test_invalid_json_exit_one(self, capsys):
+        code, rep = run_cli(["capacity", "--point-test", "--psi", "{bad"], capsys)
+        assert code == 1
+        assert rep["kind"] == "invalid-input"
+        assert rep["error"].startswith("invalid JSON argument: ")
 
 
 class TestArgin:

@@ -26,7 +26,6 @@ from addlevy.kernels import Kernel, potential_density_v
 from addlevy.measures import (
     AtomicMeasure,
     cantor_product,
-    cell_width,
     circle,
     cube_grid,
     delta,
@@ -281,9 +280,20 @@ class TestRieszIdentity:
         # Fourier side
         spec = cube_grid([(0.0, 1.0)], 512)
         mu = discretize(spec)
-        real, fourier, _ = riesz_identity_sides(mu, 0.5, cell_width(spec))
+        real, fourier, _ = riesz_identity_sides(mu, 0.5)
         assert real == pytest.approx(UNIFORM_HALF_ENERGY, rel=0.02)
         assert real == pytest.approx(fourier, rel=0.02)
+
+    def test_reads_the_cell_of_the_measure(self):
+        # a hand-built measure has cell 0 unless it is given one; cell 0 was
+        # a ZeroDivisionError
+        grid = discretize(cube_grid([(0.0, 1.0)], 64))
+        bare = AtomicMeasure(points=grid.points, weights=grid.weights)
+        with pytest.raises(ValueError, match="cell must be positive, got 0.0"):
+            riesz_identity_sides(bare, 0.5)
+        given = AtomicMeasure(points=grid.points, weights=grid.weights, cell=1.0 / 64)
+        assert riesz_identity_sides(given, 0.5)[:2] == pytest.approx(
+            riesz_identity_sides(grid, 0.5)[:2], rel=1e-9)
 
 
 class TestSojournSecondMoment:

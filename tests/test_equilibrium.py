@@ -20,7 +20,7 @@ from addlevy import (
 )
 from addlevy.equilibrium import InconclusiveError, _cell_average, _frank_wolfe, _kkt_start
 from addlevy.kernels import Kernel, PotentialDensity
-from addlevy.measures import cantor_product, cell_width, circle, cube_grid, discretize, two_point
+from addlevy.measures import cantor_product, circle, cube_grid, discretize, two_point
 
 
 class TestAssembleMatrix:
@@ -100,7 +100,7 @@ def double_evaluation_matrix(gauge, disc):
     mu = discretize(disc)
     diffs = mu.points[:, None, :] - mu.points[None, :, :]
     vals = 0.5 * (gauge.eval(diffs) + gauge.eval(-diffs))
-    np.fill_diagonal(vals, _cell_average(gauge, cell_width(disc)))
+    np.fill_diagonal(vals, _cell_average(gauge, mu.cell))
     return 0.5 * (vals + vals.T)
 
 

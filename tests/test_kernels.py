@@ -10,6 +10,7 @@ from addlevy import (
     IsotropicStable,
     BrownianIsotropic,
     PotentialDensity,
+    PureDrift,
     Skewed1DStable,
     StableSystem,
     kernel_sup_check,
@@ -189,6 +190,17 @@ class TestPotentialDensity:
         # [DERIVED] v(0) = (1/pi) int_0^inf dxi / (1 + xi^2/2) = sqrt(2)/2
         psi = ExponentVector((BrownianIsotropic(dim=1),))
         assert potential_density_v(psi, 0.0) == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-6)
+
+    @pytest.mark.parametrize("psi", [
+        ExponentVector((PureDrift(b=(1.0, 0.0)),)),
+        ExponentVector((IsotropicStable(alpha=1.5, dim=2), PureDrift(b=(1.0, 0.0)))),
+        ExponentVector((PureDrift(b=(0.0, 1.0, 0.0)),)),
+    ])
+    def test_direction_dependent_kernel_is_refused(self, psi):
+        # a drift's K depends on the direction of xi, so no radial transform
+        # inverts it: v(0.5, 0) and v(0, 0.5) came out equal and wrong
+        with pytest.raises(ValueError, match="direction-dependent kernel"):
+            potential_density_v(psi, np.eye(psi.dim)[0] * 0.5)
 
     def test_supremum_at_origin(self):
         # kernels of positive type achieve their supremum at the origin

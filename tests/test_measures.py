@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from addlevy import AtomicMeasure, discretize
 from addlevy.measures import (
+    SetDiscretization,
     cantor_product,
-    cell_width,
     circle,
     cube_grid,
     delta,
@@ -46,8 +46,20 @@ class TestConstructions:
         assert mu.weights == pytest.approx(np.full(16, 1.0 / 16))
 
     def test_cell_width(self):
-        assert cell_width(cube_grid([(0.0, 1.0)], 8)) == pytest.approx(0.125)
-        assert cell_width(cantor_product(1.0 / 3.0, 2)) == pytest.approx(1.0 / 9.0)
+        assert discretize(cube_grid([(0.0, 1.0)], 8)).cell == pytest.approx(0.125)
+        assert discretize(cantor_product(1.0 / 3.0, 2)).cell == pytest.approx(1.0 / 9.0)
+
+    def test_every_kind_carries_its_cell(self):
+        # the narrowest grid axis, the level-k interval, the separation, the arc
+        assert discretize(cube_grid([(0.0, 1.0), (0.0, 0.5)], 4)).cell == 0.125
+        assert discretize(cantor_product(0.25, 3)).cell == 0.25 ** 3
+        assert discretize(two_point(0.75, 2)).cell == 0.75
+        assert discretize(circle(2.0, 16)).cell == 2.0 * np.pi * 2.0 / 16
+        assert delta([0.0]).cell == 0.0
+
+    def test_integral_float_counts_are_counts(self):
+        mu = discretize(SetDiscretization("CubeGrid", {"bounds": [[0, 1]], "n_per_axis": 4.0}))
+        assert np.array_equal(mu.points, discretize(cube_grid([(0.0, 1.0)], 4)).points)
 
     def test_delta(self):
         mu = delta([1.0, 2.0])

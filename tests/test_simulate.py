@@ -838,5 +838,5 @@ class TestBoxCount:
     def test_seeded_path_dimension_unchanged(self):
         # [DERIVED] integer counts, so the slope is the same float
         path = sample_isotropic_stable_path(0.7, 1, 1.0, 10_000, np.random.default_rng(5))
-        scales = MCConfig().box_scales
+        scales = simulate.BOX_SCALES
         assert box_dimension_estimate(path, scales) == reference_box_dimension(path, scales)
