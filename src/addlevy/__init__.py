@@ -51,10 +51,10 @@ from addlevy.equilibrium import (
 from addlevy.classify import (
     ConvergenceVerdict,
     StableSystem,
-    dimension_by_bisection,
     intersection_dimension,
     intersections_exist,
     multiple_points_allowed,
+    numeric_intersection_dimension,
     range_dimension,
     range_has_positive_measure,
     subordinator_meet,

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -59,30 +58,28 @@ class StableSystem:
     def n(self) -> int:
         return len(self.alphas)
 
-    @cached_property
-    def _potential_shells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nodes, weights and prod_j u_j(x) on the dyadic shells, one row each.
 
-        Row k holds an 8-node Gauss-Legendre rule on [2^-k-1, 2^-k] and the
-        product of the one-potential densities u_j of the components at its
-        nodes, inverted with r_max = 400 * 2^k so that every shell sees the
-        same number of oscillations.  Row k's nodes are 2^-k times row 0's,
-        bit for bit, so one radial inversion (kernels._radial_inverse) of row
-        0's nodes serves all shells of all distinct alphas: the nodes lie in
-        one octave, (1/2, 1), so they share one node set, and under s = 2^k t
-        one weight matrix, and only K(2^k t) differs by shell and alpha.  It
-        does not depend on the test order s, so it is built once per system
-        and lives as long as it.
-        """
-        edges = 2.0 ** -np.arange(_PROBE_SHELLS, -1.0, -1.0)
-        x, w = (a.reshape(_PROBE_SHELLS, -1)[::-1] for a in panel_nodes(edges, 8))
-        alphas = sorted(set(self.alphas))
-        psis = [ExponentVector((IsotropicStable(alpha=a, dim=self.d),)) for a in alphas]
-        u = _radial_inverse(psis, x[0], QuadratureSpec(r_max=400.0), shells=_PROBE_SHELLS)
-        density = np.ones_like(x)
-        for alpha, u_alpha in zip(alphas, u):
-            density *= u_alpha ** self.alphas.count(alpha)
-        return x, w, density
+def _potential_shells(sys: StableSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, weights and prod_j u_j(x) on the dyadic shells, one row each.
+
+    Row k holds an 8-node Gauss-Legendre rule on [2^-k-1, 2^-k] and the
+    product of the one-potential densities u_j of the components at its
+    nodes, inverted with r_max = 400 * 2^k so that every shell sees the
+    same number of oscillations.  Row k's nodes are 2^-k times row 0's,
+    bit for bit, so one radial inversion (kernels._radial_inverse) of row
+    0's nodes serves all shells of all distinct alphas: the nodes lie in
+    one octave, (1/2, 1), so they share one node set, and under s = 2^k t
+    one weight matrix, and only K(2^k t) differs by shell and alpha.
+    """
+    edges = 2.0 ** -np.arange(_PROBE_SHELLS, -1.0, -1.0)
+    x, w = (a.reshape(_PROBE_SHELLS, -1)[::-1] for a in panel_nodes(edges, 8))
+    alphas = sorted(set(sys.alphas))
+    psis = [ExponentVector((IsotropicStable(alpha=a, dim=sys.d),)) for a in alphas]
+    u = _radial_inverse(psis, x[0], QuadratureSpec(r_max=400.0), shells=_PROBE_SHELLS)
+    density = np.ones_like(x)
+    for alpha, u_alpha in zip(alphas, u):
+        density *= u_alpha ** sys.alphas.count(alpha)
+    return x, w, density
 
 
 @dataclass(frozen=True)
@@ -92,6 +89,7 @@ class ConvergenceVerdict:
     kind: str  # "Convergent", "Divergent", "Inconclusive"
     slope: Optional[float] = None
     partials: tuple = ()
+    error: Optional[float] = None  # of the slope, from two depths
 
     def __post_init__(self):
         if self.kind not in ("Convergent", "Divergent", "Inconclusive"):
@@ -192,7 +190,7 @@ def _shell_verdict(radii: np.ndarray, increments: np.ndarray) -> ConvergenceVerd
     kind = "Inconclusive"
     if abs(slope) - error > _SLOPE_BAND:  # False for a NaN slope
         kind = "Convergent" if slope < 0.0 else "Divergent"
-    return ConvergenceVerdict(kind=kind, slope=slope,
+    return ConvergenceVerdict(kind=kind, slope=slope, error=error,
                               partials=tuple(np.cumsum(increments).tolist()))
 
 
@@ -211,7 +209,7 @@ def probe_intersection_dimension_test(sys: StableSystem, s: float) -> Convergenc
         raise ValueError(f"test order s must lie in [0, d), got {s}")
     if sys.d > 3:
         raise ValueError("numeric probe needs d <= 3; use the analytic route")
-    x, w, density = sys._potential_shells
+    x, w, density = _potential_shells(sys)
     increments = np.sum(w * x ** (sys.d - 1 - s) * density, axis=1)
     radii = 2.0 ** np.arange(1.0, len(increments) + 1.0)  # 1 / inner radius of each shell
     return _shell_verdict(radii, increments)
@@ -293,43 +291,20 @@ def probe_planar_point_test(psi: ExponentVector) -> ConvergenceVerdict:
     return _shell_verdict(edges[1:], increments)
 
 
-def dimension_by_bisection(test: Callable[[float], ConvergenceVerdict],
-                           lo: float, hi: float, tol: float = 0.05) -> float:
-    """sup of s with a Convergent verdict, by bisection to a bracket of width tol.
+def numeric_intersection_dimension(sys: StableSystem) -> tuple[float, float]:
+    """The intersection dimension s* and its error, from one probe at s = 0.
 
-    The test must be monotone (Convergent below the threshold, Divergent
-    above).  Every probe lies inside the bracket the earlier verdicts left,
-    so no verdict can contradict another, and a non-monotone test is not
-    detected.  Inconclusive verdicts shrink the bracket conservatively
-    toward the midpoint and are tolerated as long as a conclusive verdict
-    eventually lands.  InconclusiveError when the bracket is still wider than
-    tol after 21 of them, or is down to two neighbouring floats.  Each s is
-    probed once: a shrink can leave the midpoint where it was, and the
-    verdict there is remembered.  tol must be positive and finite.
+    Shell k's nodes are 2^-k times shell 0's, bit for bit, so the factor
+    x^-s of the test integrand adds exactly k s log 2 to the log of shell
+    k's increment: the probe's slope at s is s - s* plus transients that do
+    not depend on s, and the slope at s = 0 estimates -s*.  The value is
+    clamped to [0, d]; the error is the probe's two-depth slope difference.
+    Where some alpha_j = d, u_j carries a log factor and the slope
+    converges only like 1/k: the value then reads low, by up to about 0.05,
+    and the error can under-report the miss by an order of magnitude.
+    InconclusiveError when the slope is not finite.
     """
-    if hi <= lo:
-        raise ValueError("need lo < hi")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"bisection tolerance must be positive and finite, got {tol}")
-    inconclusive = 0
-    verdicts = {}
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # lo and hi are neighbouring floats
-            raise InconclusiveError(f"bisection cannot narrow [{lo}, {hi}] to the tolerance {tol}")
-        if mid not in verdicts:
-            verdicts[mid] = test(mid)
-        verdict = verdicts[mid]
-        if verdict.kind == "Convergent":
-            lo = mid
-        elif verdict.kind == "Divergent":
-            hi = mid
-        else:
-            inconclusive += 1
-            lo = lo + 0.25 * (mid - lo)
-            hi = hi - 0.25 * (hi - mid)
-            if inconclusive > 20 and hi - lo > tol:
-                raise InconclusiveError(
-                    f"bisection stalled: {inconclusive} Inconclusive verdicts left "
-                    f"[{lo}, {hi}], wider than the tolerance {tol}")
-    return lo
+    verdict = probe_intersection_dimension_test(sys, 0.0)
+    if not math.isfinite(verdict.slope):
+        raise InconclusiveError(f"the dimension probe's slope is {verdict.slope}")
+    return min(float(sys.d), max(0.0, -verdict.slope)), verdict.error

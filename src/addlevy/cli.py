@@ -23,6 +23,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 
@@ -31,11 +32,10 @@ import numpy as np
 from addlevy.classify import (
     InconclusiveError,
     StableSystem,
-    dimension_by_bisection,
     intersection_dimension,
     intersections_exist,
     multiple_points_allowed,
-    probe_intersection_dimension_test,
+    numeric_intersection_dimension,
     range_dimension,
     range_has_positive_measure,
     subordinator_meet,
@@ -341,12 +341,16 @@ def cmd_dimension(p) -> tuple:
     if p["numeric"]:
         if p["dim"] > 3:
             raise CliError("--numeric needs --dim <= 3, where the probe is defined")
+        tol = p["bisect_tol"]
+        if not 0.0 < tol < math.inf:
+            raise CliError(f"--bisect-tol must be positive and finite, got {tol}")
         try:
-            report["numeric_dimension"] = dimension_by_bisection(
-                lambda s: probe_intersection_dimension_test(sys_, s),
-                0.0, float(p["dim"]), tol=p["bisect_tol"])
+            value, error = numeric_intersection_dimension(sys_)
         except (InconclusiveError, QuadratureError) as exc:
             raise NotConverged(f"numeric dimension probe failed: {exc}")
+        if not error <= tol:  # False for a NaN error
+            raise NotConverged(f"numeric dimension error {error} exceeds --bisect-tol {tol}")
+        report.update(numeric_dimension=value, numeric_dimension_error=error)
     return report, None
 
 

@@ -13,6 +13,7 @@ of shape ``(..., d)`` (in d=1, plain scalars and 1-D arrays are accepted).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -232,18 +233,34 @@ _FAMILIES = {
 
 
 def exponent_from_json(desc: dict) -> LevyExponent:
-    """Build an exponent from {family, params, dim} (see CLI docs)."""
+    """Build an exponent from {family, params, dim} (see CLI docs).
+
+    A given dim must be an integer >= 1 (a bool is not, 2.0 counts as 2),
+    and a drift or a sum, which take their dim from their params, must
+    match it.  A missing b of a drift or components of a sum is named.
+    """
+    if not isinstance(desc, dict):
+        raise ValueError(f"an exponent must be a family object, got {desc!r}")
     family = desc.get("family")
     params = dict(desc.get("params", {}))
-    dim = int(desc.get("dim", params.pop("dim", 1)))
-    if family == "SumOf":
-        comps = tuple(exponent_from_json(c) for c in params["components"])
-        return SumOf(components=comps)
-    if family not in _FAMILIES:
+    dim = desc.get("dim", params.pop("dim", None))
+    if dim is not None and (isinstance(dim, bool) or not isinstance(dim, numbers.Real)
+                            or not float(dim).is_integer() or dim < 1):
+        raise ValueError(f"{family} dim must be an integer >= 1, got {dim!r}")
+    if family != "SumOf" and family not in _FAMILIES:
         raise ValueError(f"unknown exponent family: {family!r}")
-    if family == "PureDrift":
-        return PureDrift(b=tuple(params["b"]))
-    return _FAMILIES[family](dim=dim, **params)
+    key = {"SumOf": "components", "PureDrift": "b"}.get(family)
+    if key is not None and key not in params:
+        raise ValueError(f"{family} needs params[{key!r}]")
+    if family == "SumOf":
+        psi = SumOf(components=tuple(exponent_from_json(c) for c in params["components"]))
+    elif family == "PureDrift":
+        psi = PureDrift(b=tuple(params["b"]))
+    else:
+        psi = _FAMILIES[family](dim=1 if dim is None else int(dim), **params)
+    if dim is not None and psi.dim != dim:
+        raise ValueError(f"{family} takes dim {psi.dim} from its params, not the given {dim}")
+    return psi
 
 
 @dataclass(frozen=True)

@@ -117,22 +117,20 @@ class SetDiscretization:
 
 def cube_grid(bounds, n_per_axis: int) -> SetDiscretization:
     """Axis-aligned box split into n_per_axis cells per axis, cell centers."""
-    bounds = [tuple(float(v) for v in ab) for ab in np.atleast_2d(bounds)]
-    return SetDiscretization("CubeGrid", {"bounds": bounds, "n_per_axis": int(n_per_axis)})
+    bounds = [tuple(ab) for ab in np.atleast_2d(bounds).tolist()]
+    return SetDiscretization("CubeGrid", {"bounds": bounds, "n_per_axis": n_per_axis})
 
 
 def cantor_product(ratio: float, level: int, d: int = 1) -> SetDiscretization:
-    if not 0.0 < ratio < 0.5:
-        raise ValueError(f"ratio must lie in (0, 1/2), got {ratio}")
-    return SetDiscretization("CantorProduct", {"ratio": float(ratio), "level": int(level), "d": int(d)})
+    return SetDiscretization("CantorProduct", {"ratio": ratio, "level": level, "d": d})
 
 
 def two_point(separation: float, d: int = 1) -> SetDiscretization:
-    return SetDiscretization("TwoPoint", {"separation": float(separation), "d": int(d)})
+    return SetDiscretization("TwoPoint", {"separation": separation, "d": d})
 
 
 def circle(radius: float, n: int) -> SetDiscretization:
-    return SetDiscretization("Circle", {"radius": float(radius), "n": int(n)})
+    return SetDiscretization("Circle", {"radius": radius, "n": n})
 
 
 def _cantor_intervals_1d(ratio: float, level: int) -> np.ndarray:

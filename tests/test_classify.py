@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 from addlevy import (
     ConvergenceVerdict,
     StableSystem,
-    dimension_by_bisection,
     intersection_dimension,
     intersections_exist,
     multiple_points_allowed,
+    numeric_intersection_dimension,
     range_dimension,
     range_has_positive_measure,
     subordinator_meet,
 )
+from addlevy import classify
 from addlevy.classify import (
     InconclusiveError,
     _ridge_rule,
@@ -196,65 +197,57 @@ def test_probe_never_contradicts_the_analytic_dimension(sys_):
 
 @settings(max_examples=40, deadline=None)
 @given(stable_systems())
-def test_bisection_finds_the_analytic_dimension(sys_):
-    # the probe is conclusive outside 0.15 of s*, so bisection at tol 0.05
-    # lands within 0.15 + 0.05 of it
+def test_one_probe_finds_the_analytic_dimension(sys_):
+    # [DERIVED] the slope at s = 0 estimates -s*; the worst draws have some
+    # alpha_j = d, where the slope converges like 1/k and reads up to 0.054 low
     s_star = sum(sys_.alphas) - (sys_.n - 1) * sys_.d
-    found = dimension_by_bisection(lambda s: probe_intersection_dimension_test(sys_, s),
-                                   0.0, float(sys_.d), tol=0.05)
-    assert abs(found - s_star) <= 0.2
+    value, error = numeric_intersection_dimension(sys_)
+    assert abs(value - s_star) <= 0.06
+    assert error >= 0.0
 
 
-class TestBisection:
+@settings(max_examples=8, deadline=None)
+@given(stable_systems())
+def test_slope_offset_does_not_depend_on_s(sys_):
+    # [DERIVED] shell k's nodes are 2^-k times shell 0's, so x^-s adds
+    # exactly k s log 2 to log(increment_k): s - slope(s) is one number
+    offsets = [s - probe_intersection_dimension_test(sys_, s).slope
+               for s in np.arange(5) * sys_.d / 5]
+    assert max(offsets) - min(offsets) < 1e-3
+
+
+class TestNumericDimension:
     def test_stable_pair_dimension(self):
-        # [DERIVED] converges to the analytic value 1.0
-        sys_ = StableSystem(alphas=(1.5, 1.5), d=2)
-        val = dimension_by_bisection(
-            lambda s: probe_intersection_dimension_test(sys_, s), 0.0, 2.0)
-        assert val == pytest.approx(1.0, abs=0.1)
+        # [DERIVED] analytic value 2 * 1.5 - 2 = 1
+        value, error = numeric_intersection_dimension(StableSystem(alphas=(1.5, 1.5), d=2))
+        assert value == pytest.approx(1.0, abs=1e-6)
+        assert error < 1e-6
 
-    def test_always_divergent_returns_lo(self):
-        # [TRIVIAL] sup over the empty set: returns the lower endpoint
-        always_div = lambda s: ConvergenceVerdict(kind="Divergent", slope=1.0)
-        assert dimension_by_bisection(always_div, 0.0, 2.0) == pytest.approx(0.0, abs=0.06)
+    def test_clamped_at_zero(self):
+        # [DERIVED] s* = 4.5 - 6 < 0: the slope at 0 is positive
+        assert numeric_intersection_dimension(StableSystem(alphas=(1.5, 1.5, 1.5), d=3))[0] == 0.0
 
-    def test_always_convergent_returns_hi(self):
-        always_conv = lambda s: ConvergenceVerdict(kind="Convergent")
-        assert dimension_by_bisection(always_conv, 0.0, 2.0) == pytest.approx(2.0, abs=0.06)
+    def test_clamped_at_d(self):
+        # [DERIVED] alpha = 2 > d = 1: a bounded density, so s* = d
+        assert numeric_intersection_dimension(StableSystem(alphas=(2.0,), d=1))[0] == 1.0
 
-    def test_each_s_probed_once(self):
-        # [DERIVED] an Inconclusive verdict shrinks [0, 2] symmetrically, so the
-        # midpoint stays at 1 while the bracket narrows to the tolerance
+    def test_one_probe_at_zero(self, monkeypatch):
         probed = []
 
-        def inconclusive(s):
+        def probe(sys_, s):
             probed.append(s)
-            return ConvergenceVerdict(kind="Inconclusive")
+            return ConvergenceVerdict(kind="Convergent", slope=-0.7, error=0.01)
 
-        val = dimension_by_bisection(inconclusive, 0.0, 2.0)
-        assert probed == [1.0]
-        assert 1.0 - 0.05 <= val < 1.0
+        monkeypatch.setattr(classify, "probe_intersection_dimension_test", probe)
+        assert numeric_intersection_dimension(StableSystem(alphas=(0.7,), d=1)) == (0.7, 0.01)
+        assert probed == [0.0]
 
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-    def test_tolerance_must_be_positive_and_finite(self, tol):
-        always_conv = lambda s: ConvergenceVerdict(kind="Convergent")
-        with pytest.raises(ValueError, match="positive and finite"):
-            dimension_by_bisection(always_conv, 0.0, 2.0, tol=tol)
-
-    def test_stalled_bisection_raises(self):
-        # [DERIVED] 21 Inconclusive shrinks leave 2 * 0.75^21 = 0.0063 > 1e-3
-        inconclusive = lambda s: ConvergenceVerdict(kind="Inconclusive")
-        with pytest.raises(InconclusiveError, match="21 Inconclusive"):
-            dimension_by_bisection(inconclusive, 0.0, 2.0, tol=1e-3)
-
-    def test_tolerance_below_float_spacing_raises(self):
-        # the bracket stops at two neighbouring floats around 0.3 instead of
-        # probing their midpoint, one of them, forever
-        threshold = lambda s: (ConvergenceVerdict(kind="Convergent") if s < 0.3
-                               else ConvergenceVerdict(kind="Divergent", slope=1.0))
-        with pytest.raises(InconclusiveError, match="cannot narrow"):
-            dimension_by_bisection(threshold, 0.0, 1.0, tol=1e-300)
+    @pytest.mark.parametrize("slope", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slope_raises(self, slope, monkeypatch):
+        verdict = ConvergenceVerdict(kind="Inconclusive", slope=slope, error=math.nan)
+        monkeypatch.setattr(classify, "probe_intersection_dimension_test", lambda *_: verdict)
+        with pytest.raises(InconclusiveError, match="slope"):
+            numeric_intersection_dimension(StableSystem(alphas=(0.7,), d=1))
 
 
 class TestValidation:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import addlevy
-from addlevy import measures
+from addlevy import classify, measures
 from addlevy import ExponentVector, IsotropicStable, potential_density_v, sojourn_second_moment
 from addlevy.cli import main
 from addlevy.simulate import GaussianDensitySpec
@@ -335,6 +335,11 @@ class TestEnergy:
          "bounds must be a list of [a, b] pairs of numbers, got [[0, 1, 2]]"),
         ('{"kind":"Circle","radius":1,"n":NaN}', STABLE_2D, "n must be an integer, got nan"),
         ('{"kind":["Circle"]}', STABLE_2D, "unknown discretization kind: ['Circle']"),
+        ('{"kind":"CubeGrid","bounds":[[0,1]],"n_per_axis":0}', STABLE_PSI,
+         "n_per_axis must be >= 1"),
+        ('{"kind":"CantorProduct","ratio":0.6,"level":2,"d":1}', STABLE_PSI,
+         "ratio must lie in (0, 1/2)"),
+        ('{"kind":"TwoPoint","separation":-1,"d":1}', STABLE_PSI, "separation must be positive"),
     ])
     def test_bad_set_spec_exit_one(self, spec, psi, error, capsys):
         code, rep = run_cli(["energy", "--psi", psi, "--set", spec], capsys)
@@ -516,23 +521,40 @@ class TestDimension:
         assert code == 1
         assert rep["kind"] == "invalid-input" and "positive and finite" in rep["error"]
 
-    def test_stalled_bisection_is_not_converged(self, capsys):
-        # a tolerance far below the probe's Inconclusive band around s* = 1
+    def test_error_above_the_tolerance_is_not_converged(self, capsys):
+        # the slope error of (1.5, 1.5) in the plane is about 4e-8
         code, rep = run_cli(["dimension", "--stable", "1.5,1.5", "--dim", "2", "--numeric",
                              "--bisect-tol", "1e-300"], capsys)
         assert code == 2
-        assert rep["kind"] == "not-converged" and "stalled" in rep["error"]
+        assert rep["kind"] == "not-converged"
+        assert rep["error"].startswith("numeric dimension error ")
+        assert rep["error"].endswith(" exceeds --bisect-tol 1e-300")
 
-    @pytest.mark.parametrize("stable, dim, expected", [
-        ("1.5,1.5", 2, 0.9762427359819412), ("0.7,0.8", 1, 0.47888243198394775),
-        ("1.2,1.3", 2, 0.47888243198394775), ("0.9,0.9,0.9", 1, 0.667724609375),
+    def test_one_probe_per_job(self, capsys, monkeypatch):
+        calls = []
+        probe = classify.probe_intersection_dimension_test
+        monkeypatch.setattr(classify, "probe_intersection_dimension_test",
+                            lambda *args: calls.append(args) or probe(*args))
+        code, rep = run_cli(["dimension", "--stable", "0.7,0.8", "--numeric"], capsys)
+        assert code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("stable, dim, expected, error", [
+        ("1.5,1.5", 2, 0.999999997523658, 3.7106349326521126e-08),
+        ("0.7,0.8", 1, 0.49975894577067426, 0.000315434442465401),
+        ("1.2,1.3", 2, 0.499999997918794, 1.5086211779813397e-08),
+        ("0.9,0.9,0.9", 1, 0.6938183910951959, 0.004761432572809143),
     ])
-    def test_numeric_dimension_of_the_benchmark_systems(self, stable, dim, expected, capsys):
-        # rounding may move the shell densities by ~1e-12, never these results
+    def test_numeric_dimension_of_the_benchmark_systems(self, stable, dim, expected, error,
+                                                        capsys):
+        # rounding may move the shell densities by ~1e-12, and the slope by as
+        # little; each value lies within 0.01 of the analytic dimension
         code, rep = run_cli(["dimension", "--stable", stable, "--dim", str(dim), "--numeric"],
                             capsys)
         assert code == 0
-        assert rep["numeric_dimension"] == expected
+        assert rep["numeric_dimension"] == pytest.approx(expected, rel=0, abs=1e-9)
+        assert rep["numeric_dimension_error"] == pytest.approx(error, rel=1e-3, abs=1e-9)
+        assert abs(rep["numeric_dimension"] - rep["analytic_dimension"]) < 0.01
 
 
 class TestSimulateAndRun:
@@ -648,6 +670,18 @@ class TestSimulateAndRun:
         assert rep == {"error": "intersection mode needs --stable alpha1,alpha2",
                        "kind": "invalid-input"}
 
+    @pytest.mark.parametrize("argv, error", [
+        (["--mode", "hitting", "--stable", "1.5,1.5,1.5", "--set", TWO_POINT_1D],
+         "time grids beyond N=2 are out of scope in v1"),
+        (["--mode", "intersection", "--stable", "2.5,1.5"], "alpha must lie in (0, 2], got 2.5"),
+        (["--mode", "intersection", "--stable", "1.5,1.5", "--dim", "0"],
+         "need d >= 1 and n_steps >= 1"),
+    ])
+    def test_refused_system_exits_one(self, argv, error, capsys):
+        code, rep = run_cli(["simulate", *argv], capsys)
+        assert code == 1
+        assert rep == {"error": error, "kind": "invalid-input"}
+
     @pytest.mark.parametrize("mode", ["boxdim", "sojourn"])
     def test_one_index_modes_refuse_two(self, mode, capsys):
         # only the first index ran, while the report named both
@@ -754,12 +788,41 @@ class TestExponentSpec:
     @pytest.mark.parametrize("psi, error", [
         ("[]", "exponent spec must be a family object or a list of them"),
         ('{"family":"Nope","dim":1,"params":{}}', "bad exponent spec: unknown exponent family: 'Nope'"),
-        ('{"family":"PureDrift","dim":1,"params":{}}', "bad exponent spec: 'b'"),
+        ('{"family":"PureDrift","dim":1,"params":{}}',
+         "bad exponent spec: PureDrift needs params['b']"),
+        ('{"family":"SumOf","dim":1,"params":{}}',
+         "bad exponent spec: SumOf needs params['components']"),
+        ('{"family":"IsotropicStable","dim":2.5,"params":{"alpha":1.5}}',
+         "bad exponent spec: IsotropicStable dim must be an integer >= 1, got 2.5"),
+        ('{"family":"IsotropicStable","dim":true,"params":{"alpha":1.5}}',
+         "bad exponent spec: IsotropicStable dim must be an integer >= 1, got True"),
+        ('{"family":"IsotropicStable","dim":0,"params":{"alpha":1.5}}',
+         "bad exponent spec: IsotropicStable dim must be an integer >= 1, got 0"),
+        ('{"family":"PureDrift","dim":2,"params":{"b":[1]}}',
+         "bad exponent spec: PureDrift takes dim 1 from its params, not the given 2"),
+        ('[1]', "bad exponent spec: an exponent must be a family object, got 1"),
+        ('{"family":"SumOf","params":{"components":["x"]}}',
+         "bad exponent spec: an exponent must be a family object, got 'x'"),
+        ('{"family":"Skewed1DStable","dim":2,"params":{"alpha":1.5}}',
+         "bad exponent spec: Skewed1DStable requires dim=1"),
+        ('{"family":"Skewed1DStable","dim":1,"params":{"alpha":1.0,"beta":0.5}}',
+         "bad exponent spec: alpha=1 with nonzero skew is unsupported"),
     ])
     def test_bad_exponent_spec_exit_one(self, psi, error, capsys):
         code, rep = run_cli(["capacity", "--point-test", "--psi", psi], capsys)
         assert code == 1
         assert rep == {"error": error, "kind": "invalid-input"}
+
+    @pytest.mark.parametrize("psi, hits", [
+        ('{"family":"IsotropicStable","dim":2.0,"params":{"alpha":1.5}}', False),
+        ('{"family":"PureDrift","dim":2,"params":{"b":[1,0]}}', False),
+        ('{"family":"PureDrift","params":{"b":[1]}}', True),
+    ])
+    def test_integral_or_matching_dim_is_accepted(self, psi, hits, capsys):
+        # 2.0 counts as 2; a drift without dim takes it from b
+        code, rep = run_cli(["capacity", "--point-test", "--psi", psi], capsys)
+        assert code == 0
+        assert rep["singletons_hit"] is hits
 
     def test_invalid_json_exit_one(self, capsys):
         code, rep = run_cli(["capacity", "--point-test", "--psi", "{bad"], capsys)

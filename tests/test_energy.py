@@ -11,6 +11,7 @@ from addlevy import (
     ExponentVector,
     IsotropicStable,
     PureDrift,
+    Skewed1DStable,
     SumOf,
     energy_fourier,
     energy_identity_check,
@@ -137,6 +138,27 @@ class TestRealFourierAgreement:
         real = float(mu.weights @ v @ mu.weights)
         fourier = energy_fourier(psi, mu, QuadratureSpec(r_max=3200.0, rel_tol=1e-6)).value
         assert real == pytest.approx(fourier, rel=5e-5)
+
+    @pytest.mark.parametrize("alpha, beta", [(1.5, 1.0), (1.5, -1.0), (1.2, 1.0), (1.7, 0.5)])
+    def test_parseval_skewed(self, alpha, beta):
+        # [DERIVED] K is even for a skewed exponent too, so v is its cosine
+        # transform and the identity holds as in the symmetric case
+        psi = ExponentVector((Skewed1DStable(alpha=alpha, beta=beta),))
+        mu = discretize(cube_grid([(0.0, 1.0)], 4))
+        v = potential_density_v(psi, mu.points[:, None, :] - mu.points[None, :, :])
+        real = float(mu.weights @ v @ mu.weights)
+        fourier = energy_fourier(psi, mu, QuadratureSpec(r_max=3200.0, rel_tol=1e-4))
+        assert fourier.converged
+        assert real == pytest.approx(fourier.value, rel=5e-5)
+
+    @pytest.mark.parametrize("alpha, beta", [(1.5, 1.0), (1.2, 0.4), (0.8, 1.0)])
+    def test_skew_sign_leaves_the_energy(self, alpha, beta):
+        # [DERIVED] Psi_-beta = conj(Psi_beta), and K = Re 1/(1 + Psi) is
+        # the same for both
+        mu = discretize(cube_grid([(0.0, 1.0)], 8))
+        energies = [energy_fourier(ExponentVector((Skewed1DStable(alpha=alpha, beta=b),)), mu)
+                    for b in (beta, -beta)]
+        assert energies[0] == energies[1]
 
 
 def _two_brownian_v(r, d):

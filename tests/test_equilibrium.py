@@ -11,6 +11,7 @@ from addlevy import (
     IsotropicStable,
     BrownianIsotropic,
     PureDrift,
+    Skewed1DStable,
     SumOf,
     assemble_matrix,
     bessel_riesz_capacity,
@@ -456,6 +457,15 @@ class TestPointCapacity:
         # [DERIVED] two Brownian factors: tail exponent 4 > 3
         psi = ExponentVector((BrownianIsotropic(dim=3), BrownianIsotropic(dim=3)))
         assert point_capacity_test(psi)
+
+    @pytest.mark.parametrize("alpha, beta, hits", [(1.2, 1.0, True), (1.2, -1.0, True),
+                                                   (0.8, 1.0, False)])
+    def test_skewed_stable(self, alpha, beta, hits):
+        # [DERIVED] |Psi| grows like |xi|^alpha whatever the skew, so K decays
+        # like |xi|^-alpha: a totally skewed alpha = 1.2 process hits points,
+        # and the alpha = 0.8 subordinator does not
+        psi = ExponentVector((Skewed1DStable(alpha=alpha, beta=beta),))
+        assert point_capacity_test(psi) is hits
 
 
 def planar_drift(theta, speed=1.0):

@@ -21,7 +21,7 @@ from addlevy import (
     riesz_kernel,
     sector_constant,
 )
-from addlevy import kernels
+from addlevy import classify, kernels
 from addlevy.kernels import Kernel
 from addlevy.quadrature import QuadratureError, QuadratureSpec
 from helpers import cauchy_kernel, exponential_kernel, gaussian_kernel
@@ -412,7 +412,7 @@ class TestDyadicRadialInverse:
         real_nodes = kernels.panel_nodes
         monkeypatch.setattr(kernels, "panel_nodes",
                             lambda *a: calls.append(a) or real_nodes(*a))
-        StableSystem(alphas=(1.2, 1.3), d=2)._potential_shells
+        classify._potential_shells(StableSystem(alphas=(1.2, 1.3), d=2))
         assert len(calls) == 1
 
     def test_unconverged_tail_raises(self):

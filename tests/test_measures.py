@@ -187,5 +187,23 @@ class TestValidation:
             AtomicMeasure(points=np.array([[0.0], [1.0]]), weights=np.array([1.0]))
 
     def test_bad_cantor_ratio(self):
-        with pytest.raises(ValueError):
-            cantor_product(0.6, 2)
+        with pytest.raises(ValueError, match="ratio"):
+            discretize(cantor_product(0.6, 2))
+
+    @pytest.mark.parametrize("spec, name", [
+        (cube_grid([(0, 1)], 2.5), "n_per_axis"),
+        (cube_grid([(0, 1)], True), "n_per_axis"),
+        (circle(1.0, 6.7), "n"),
+        (cantor_product(0.3, 2.9), "level"),
+        (cantor_product(0.3, 2, 1.5), "d"),
+        (two_point(1.0, 2.5), "d"),
+        (two_point("1", 1), "separation"),
+    ])
+    def test_builders_do_not_truncate(self, spec, name):
+        # discretize, the one validator, sees what the caller passed
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            discretize(spec)
+
+    def test_integral_float_counts_are_accepted(self):
+        assert discretize(cube_grid([(0, 1)], 2.0)).n_atoms == 2
+        assert discretize(circle(1, 6.0)).n_atoms == 6
