@@ -291,7 +291,8 @@ def probe_planar_point_test(psi: ExponentVector) -> ConvergenceVerdict:
     return _shell_verdict(edges[1:], increments)
 
 
-def numeric_intersection_dimension(sys: StableSystem) -> tuple[float, float]:
+def numeric_intersection_dimension(sys: StableSystem,
+                                   tol: float | None = None) -> tuple[float, float]:
     """The intersection dimension s* and its error, from one probe at s = 0.
 
     Shell k's nodes are 2^-k times shell 0's, bit for bit, so the factor
@@ -302,9 +303,14 @@ def numeric_intersection_dimension(sys: StableSystem) -> tuple[float, float]:
     Where some alpha_j = d, u_j carries a log factor and the slope
     converges only like 1/k: the value then reads low, by up to about 0.05,
     and the error can under-report the miss by an order of magnitude.
-    InconclusiveError when the slope is not finite.
+    InconclusiveError when the slope is not finite, or when a tolerance tol
+    is given and the error is not finite or exceeds it.
     """
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     verdict = probe_intersection_dimension_test(sys, 0.0)
     if not math.isfinite(verdict.slope):
         raise InconclusiveError(f"the dimension probe's slope is {verdict.slope}")
+    if tol is not None and not verdict.error <= tol:  # False for a NaN error
+        raise InconclusiveError(f"error {verdict.error} exceeds tol {tol}")
     return min(float(sys.d), max(0.0, -verdict.slope)), verdict.error

@@ -250,6 +250,31 @@ class TestNumericDimension:
             numeric_intersection_dimension(StableSystem(alphas=(0.7,), d=1))
 
 
+class TestBisection:
+    # the tolerance that dimension --numeric passes as --bisect-tol
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="positive and finite"):
+            numeric_intersection_dimension(StableSystem(alphas=(1.5, 1.5), d=2), tol=tol)
+
+    def test_tolerance_below_float_spacing_raises(self):
+        # [DERIVED] no estimate of s* = 1 is closer than its float spacing
+        # 2.2e-16; the slope error of (1.5, 1.5) in the plane is about 4e-8
+        with pytest.raises(InconclusiveError, match="exceeds tol 1e-300"):
+            numeric_intersection_dimension(StableSystem(alphas=(1.5, 1.5), d=2), tol=1e-300)
+
+    def test_tolerance_met_returns_the_estimate(self):
+        sys_ = StableSystem(alphas=(1.5, 1.5), d=2)
+        assert (numeric_intersection_dimension(sys_, tol=1e-6)
+                == numeric_intersection_dimension(sys_))
+
+    def test_nan_error_does_not_meet_a_tolerance(self, monkeypatch):
+        verdict = ConvergenceVerdict(kind="Convergent", slope=-0.7, error=math.nan)
+        monkeypatch.setattr(classify, "probe_intersection_dimension_test", lambda *_: verdict)
+        with pytest.raises(InconclusiveError, match="error nan exceeds"):
+            numeric_intersection_dimension(StableSystem(alphas=(0.7,), d=1), tol=0.05)
+
+
 class TestValidation:
     def test_bad_alpha(self):
         with pytest.raises(ValueError):

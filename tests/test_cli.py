@@ -527,8 +527,19 @@ class TestDimension:
                              "--bisect-tol", "1e-300"], capsys)
         assert code == 2
         assert rep["kind"] == "not-converged"
-        assert rep["error"].startswith("numeric dimension error ")
-        assert rep["error"].endswith(" exceeds --bisect-tol 1e-300")
+        assert rep["error"].startswith("numeric dimension: error ")
+        assert rep["error"].endswith(" exceeds tol 1e-300")
+
+    def test_stalled_bisection_is_not_converged(self, capsys, monkeypatch):
+        # a probe whose slope is not finite gives no estimate to check
+        verdict = addlevy.ConvergenceVerdict(kind="Inconclusive", slope=math.nan,
+                                             error=math.nan)
+        monkeypatch.setattr(classify, "probe_intersection_dimension_test", lambda *_: verdict)
+        code, rep = run_cli(["dimension", "--stable", "1.5,1.5", "--dim", "2", "--numeric"],
+                            capsys)
+        assert code == 2
+        assert rep == {"error": "numeric dimension: the dimension probe's slope is nan",
+                       "kind": "not-converged"}
 
     def test_one_probe_per_job(self, capsys, monkeypatch):
         calls = []
