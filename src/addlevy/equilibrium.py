@@ -1,7 +1,8 @@
 """Energy minimization over probability measures on a discretized set.
 
-Assembles the pairwise energy matrix of a gauge on a point cloud and
-minimizes the quadratic form over the simplex.  The minimizer, the
+Assembles the pairwise energy matrix of a gauge on a point cloud, or on a
+grid the (multilevel) Toeplitz generator of one value per lattice offset,
+and minimizes the quadratic form over the simplex.  The minimizer, the
 discrete equilibrium measure, has constant potential M w on its support
 and no lower potential off it, so it solves M_S w_S = lambda 1 on its
 support S: a direct solve on an active support gives the starting
@@ -22,23 +23,168 @@ import numpy as np
 from addlevy.classify import InconclusiveError, probe_planar_point_test
 from addlevy.exponents import ExponentVector
 from addlevy.kernels import Kernel, PotentialDensity, _axis_points, riesz_kernel
-from addlevy.measures import AtomicMeasure, SetDiscretization, discretize
+from addlevy.measures import AtomicMeasure, SetDiscretization, _product, discretize
 from addlevy.quadrature import halfline_edges, integrate_panels
 
 
-@dataclass(frozen=True)
+# bytes that the arrays of one energy matrix may take, its n x n entries or
+# its lattice's FFT arrays; a larger matrix is refused before it is allocated
+_BYTES_BUDGET = 2 ** 31
+# atoms from which a grid's matrix is solved as an operator (FFT products and
+# PCG) in d = 1, 2 and 3 or more; below, its dense matrix is gathered and
+# solved by LAPACK.  Each sits where the operator starts to win most
+# interleaved Riesz solves on a 2-vCPU machine (BENCH_toeplitz.json).
+_LATTICE_FROM = (224, 300, 400)
+_PCG_RTOL = 1e-14  # residual of the KKT solve relative to that of x = 0
+_PCG_MAX_ITER = 200
+
+
+def _check_budget(size: int, what: str) -> None:
+    if size > _BYTES_BUDGET:
+        raise ValueError(f"{what} would take {size / 2 ** 30:.3g} GiB, over the "
+                         f"{_BYTES_BUDGET / 2 ** 30:.3g} GiB budget of an energy matrix")
+
+
 class EnergyMatrix:
-    """Symmetric pairwise-energy matrix over the atoms of a discretization."""
+    """Symmetric pairwise-energy matrix over the atoms of a discretization.
 
-    entries: np.ndarray
+    Built from dense ``entries``, checked square and exactly symmetric.  A
+    grid's matrix (``_energy_matrix``) is kept as the ``generator`` of a
+    (multilevel) Toeplitz matrix instead: for n_k atoms per axis it has
+    shape (2 n_k - 1, ...) and holds the entry at each lattice offset, so
+    row i (multi-index i_k) is the block generator[n_k - 1 - i_k : 2 n_k -
+    1 - i_k, ...]; it is centrally symmetric by construction, and its
+    ``entries`` are gathered on first read.
+    """
 
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
+    generator = None
+
+    def __init__(self, entries):
+        e = np.asarray(entries, dtype=float)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError("entries must be square")
         if not np.array_equal(e, e.T):
             raise ValueError("entries must be exactly symmetric")
-        object.__setattr__(self, "entries", e)
+        self._entries, self.shape = e, e.shape
+
+    @classmethod
+    def _of_generator(cls, gen: np.ndarray) -> EnergyMatrix:
+        m = cls.__new__(cls)
+        m.generator, m._entries = gen, None
+        m.shape = (math.prod((k + 1) // 2 for k in gen.shape),) * 2
+        return m
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            n = self.shape[0]
+            _check_budget(8 * n * n, f"the {n} x {n} energy matrix")
+            self._entries = _rows(self.generator).reshape(n, n)
+        return self._entries
+
+
+def _rows(gen: np.ndarray) -> np.ndarray:
+    """View of shape (n_1, ..., n_d, n_1, ..., n_d) whose [i, j] is entry (i, j),
+    gen[n - 1 - i + j], of the C-contiguous generator gen."""
+    grid = tuple((k + 1) // 2 for k in gen.shape)
+    return np.ndarray(grid * 2, gen.dtype, buffer=gen,
+                      offset=sum((m - 1) * s for m, s in zip(grid, gen.strides)),
+                      strides=tuple(-s for s in gen.strides) + gen.strides)
+
+
+def _fft_size(m: int) -> int:
+    """The least 2^a 3^b 5^c >= m, a length that pocketfft transforms fast."""
+    size = m
+    while True:
+        k = size
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return size
+        size += 1
+
+
+class _Lattice:
+    """A grid's energy matrix as an operator, from its generator.
+
+    ``M @ w`` is a product with a circulant embedding of 5-smooth size
+    >= 2 n_k - 1 per axis, by real FFTs; ``M[i]`` is a slice of the
+    generator; ``solve`` runs conjugate gradients on a support,
+    preconditioned with T. Chan's optimal circulant.
+    """
+
+    def __init__(self, gen: np.ndarray):
+        from numpy import fft
+
+        self._fft, self._rows = fft, _rows(gen)
+        self.grid = tuple((k + 1) // 2 for k in gen.shape)
+        n, d = math.prod(self.grid), gen.ndim
+        self.shape, self._axes = (n, n), tuple(range(d))
+        self._size = tuple(_fft_size(k) for k in gen.shape)
+        self._centre = gen[tuple(m - 1 for m in self.grid)]
+        # offset o of the generator at index o mod size: a centrally symmetric
+        # array, whose spectrum is real
+        wrapped = np.zeros(self._size)
+        wrapped[tuple(map(slice, gen.shape))] = gen
+        wrapped = np.roll(wrapped, [1 - m for m in self.grid], axis=self._axes)
+        self._spectrum = fft.rfftn(wrapped).real
+        # T. Chan's circulant, axis by axis: c_k = ((n - k) t_k + k t_(k - n)) / n
+        chan = gen
+        for axis, m in enumerate(self.grid):
+            t = np.moveaxis(chan, axis, 0)
+            k = np.arange(m).reshape((m,) + (1,) * (d - 1))
+            wrap = np.concatenate([np.zeros_like(t[:1]), t[:m - 1]])
+            chan = np.moveaxis(((m - k) * t[m - 1:] + k * wrap) / m, 0, axis)
+        self._chan = fft.rfftn(chan).real
+
+    def diagonal(self) -> np.ndarray:
+        return np.full(self.shape[0], self._centre)
+
+    def __getitem__(self, i) -> np.ndarray:
+        return self._rows[np.unravel_index(i, self.grid)].ravel()
+
+    def __matmul__(self, w: np.ndarray) -> np.ndarray:
+        f = self._fft.rfftn(w.reshape(self.grid), self._size, self._axes)
+        f *= self._spectrum
+        return self._fft.irfftn(f, self._size, self._axes)[tuple(map(slice, self.grid))].ravel()
+
+    def _precondition(self, r: np.ndarray) -> np.ndarray:
+        f = self._fft.rfftn(r.reshape(self.grid))
+        f /= self._chan
+        return self._fft.irfftn(f, self.grid, self._axes).ravel()
+
+    def solve(self, idx: np.ndarray) -> np.ndarray:
+        """x with (M x)_i = 1 for i in idx and x zero elsewhere, on idx.
+
+        Preconditioned conjugate gradients on M restricted to idx, until the
+        residual is below _PCG_RTOL times that of x = 0.  A preconditioner or
+        a restriction that is not positive definite, or no convergence in
+        _PCG_MAX_ITER steps, is a LinAlgError, as a singular dense solve.
+        """
+        if not self._chan.min() > 0.0:
+            raise np.linalg.LinAlgError("the circulant preconditioner is not positive definite")
+        mask = np.zeros(self.shape[0])
+        mask[idx] = 1.0
+        x, r = np.zeros_like(mask), mask.copy()
+        z = mask * self._precondition(r)
+        p, rz = z.copy(), r.dot(z)
+        bound = _PCG_RTOL * math.sqrt(idx.size)
+        for _ in range(_PCG_MAX_ITER):
+            q = mask * (self @ p)
+            curv = p.dot(q)
+            if not curv > 0.0:
+                raise np.linalg.LinAlgError("the matrix is not positive definite on the support")
+            step = rz / curv
+            x += step * p
+            r -= step * q
+            if math.sqrt(r.dot(r)) <= bound:
+                return x[idx]
+            z = mask * self._precondition(r)
+            rz, rz_old = r.dot(z), rz
+            p *= rz / rz_old
+            p += z
+        raise np.linalg.LinAlgError(f"PCG did not converge in {_PCG_MAX_ITER} steps")
 
 
 @dataclass(frozen=True)
@@ -96,6 +242,30 @@ def assemble_matrix(gauge: Union[Kernel, ExponentVector, PotentialDensity],
 
 
 def _energy_matrix(gauge: Kernel, mu: AtomicMeasure) -> EnergyMatrix:
+    """The energy matrix over the atoms of mu: entry (i, j) is the mean of the
+    gauge at x_i - x_j and x_j - x_i, and the diagonal is the gauge averaged
+    over one cell (_cell_average).
+
+    On a grid (``mu.lattice``) every difference is a lattice offset, so the
+    gauge is evaluated once per offset, prod(2 n_k - 1) points, and averaged
+    with its reflection: the result is the matrix's generator, symmetric by
+    construction.  Any other measure evaluates the gauge at all n^2
+    differences and averages with the transpose.  Either way the arrays are
+    checked against _BYTES_BUDGET first: the n x n x d differences and the
+    n x n matrix, or 8 (d + 4) bytes per point of each lattice's FFT embedding.
+    """
+    if mu.lattice is not None:
+        grid, _ = zip(*mu.lattice)
+        _check_budget(8 * (len(grid) + 4) * math.prod(_fft_size(2 * m - 1) for m in grid),
+                      f"the FFT arrays of the {'x'.join(map(str, grid))} lattice")
+        vals = gauge.eval(_product([h * np.arange(1 - m, m) for m, h in mu.lattice]))
+        vals = vals.reshape([2 * m - 1 for m in grid])
+        gen = vals + np.flip(vals)
+        gen *= 0.5
+        gen[tuple(m - 1 for m in grid)] = _cell_average(gauge, mu.cell)
+        return EnergyMatrix._of_generator(gen)
+    n, d = mu.points.shape
+    _check_budget(8 * n * n * (d + 1), f"the {n} x {n} energy matrix")
     vals = gauge.eval(mu.points[:, None, :] - mu.points[None, :, :])
     np.fill_diagonal(vals, _cell_average(gauge, mu.cell))
     # x_j - x_i is exactly -(x_i - x_j), so the transpose holds the gauge at
@@ -131,23 +301,28 @@ def _result(w, energy, iterations, rel_gap, tol, trace, vertex) -> EquilibriumRe
                              converged=bool(converged), energy_trace=tuple(trace))
 
 
-def _kkt_start(mat: np.ndarray) -> np.ndarray:
+def _kkt_start(mat) -> np.ndarray:
     """Starting weights from the KKT system M_S x = 1 on an active support S.
 
-    Starts from every atom.  Each round solves on S; the atoms with x <= 0
-    leave S and the next round solves again.  Once x > 0 on all of S, the
-    weights are w = x / sum(x).  When some atom off S has a potential
+    ``mat`` is an array, solved by LAPACK, or a _Lattice, solved by PCG
+    masked to S.  Starts from every atom.  Each round solves on S; the
+    atoms with x <= 0 leave S and the next round solves again.  Once x > 0
+    on all of S, the weights are w = x / sum(x).  When some atom off S has a potential
     (M w)_i below the energy w'M w, the lowest one joins S and the next
     round solves again; otherwise w is returned.  After 2n rounds, or on a
-    singular or non-finite solve, the uniform weights are returned instead.
+    singular, unconverged or non-finite solve, the uniform weights are
+    returned instead.
     """
     n = mat.shape[0]
     support = np.ones(n, dtype=bool)
     for _ in range(2 * n):
         idx = np.flatnonzero(support)
-        sub = mat if idx.size == n else mat[np.ix_(idx, idx)]
         try:
-            x = np.linalg.solve(sub, np.ones(idx.size))
+            if isinstance(mat, _Lattice):
+                x = mat.solve(idx)
+            else:
+                x = np.linalg.solve(mat if idx.size == n else mat[np.ix_(idx, idx)],
+                                    np.ones(idx.size))
         except np.linalg.LinAlgError:
             break
         keep = x > 0.0
@@ -185,21 +360,28 @@ def solve_equilibrium(m: EnergyMatrix, tol: float = 1e-8,
     test is a necessary condition for a minimum, not a certificate that M
     is PSD: it refuses the stationary point (1/2, 1/2) of [[1, 2], [2, 1]].
     ``tol`` must be positive and finite, ``max_iter`` nonnegative.
+
+    A matrix given by its generator with at least _LATTICE_FROM atoms (for
+    its dimension) is solved as an operator: M w by circulant-embedded
+    FFTs, rows as generator slices and the KKT system by PCG with T. Chan's
+    circulant, in O(n log n) memory and time per product.  A smaller one
+    gathers its entries and is solved as a dense matrix.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    mat = m.entries
-    n = mat.shape[0]
-    if not np.all(np.isfinite(mat)):
+    n, gen = m.shape[0], m.generator
+    if not np.all(np.isfinite(m.entries if gen is None else gen)):
         # any probability vector puts weight on an infinite entry pair
         return EquilibriumResult(weights=np.full(n, 1.0 / n), energy=np.inf,
                                  capacity=0.0, iterations=0, fw_gap=0.0, converged=True)
+    lattice = gen is not None and n >= _LATTICE_FROM[min(gen.ndim, len(_LATTICE_FROM)) - 1]
+    mat = _Lattice(gen) if lattice else m.entries
     return _frank_wolfe(mat, _kkt_start(mat), tol, max_iter)
 
 
-def _frank_wolfe(mat: np.ndarray, w: np.ndarray, tol: float,
+def _frank_wolfe(mat, w: np.ndarray, tol: float,
                  max_iter: int) -> EquilibriumResult:
     """Away-step Frank-Wolfe from the probability vector w, updated in place.
 
@@ -210,7 +392,7 @@ def _frank_wolfe(mat: np.ndarray, w: np.ndarray, tol: float,
     exit, and before a converged verdict is accepted, g is recomputed
     exactly.
     """
-    diag = np.diagonal(mat)
+    diag = mat.diagonal()
     g = mat @ w
     energy, i_fw, rel_gap = _fw_state(w, g)
     trace = [energy]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -230,6 +230,10 @@ _FAMILIES = {
     "Skewed1DStable": Skewed1DStable,
     "PureDrift": PureDrift,
 }
+_KEYS = {"family", "params", "dim"}  # the keys an exponent description may hold
+# the params each family reads: the fields of its class
+_PARAMS = {name: {f.name for f in fields(cls)}
+           for name, cls in [*_FAMILIES.items(), ("SumOf", SumOf)]}
 
 
 def exponent_from_json(desc: dict) -> LevyExponent:
@@ -237,10 +241,14 @@ def exponent_from_json(desc: dict) -> LevyExponent:
 
     A given dim must be an integer >= 1 (a bool is not, 2.0 counts as 2),
     and a drift or a sum, which take their dim from their params, must
-    match it.  A missing b of a drift or components of a sum is named.
+    match it.  A missing b of a drift or components of a sum is named, and
+    so is a key the description does not read: a top-level key other than
+    family, params and dim, or a param that is not a field of the family.
     """
     if not isinstance(desc, dict):
         raise ValueError(f"an exponent must be a family object, got {desc!r}")
+    if not desc.keys() <= _KEYS:
+        raise ValueError(f"an exponent does not read {sorted(desc.keys() - _KEYS)}")
     family = desc.get("family")
     params = dict(desc.get("params", {}))
     dim = desc.get("dim", params.pop("dim", None))
@@ -249,6 +257,9 @@ def exponent_from_json(desc: dict) -> LevyExponent:
         raise ValueError(f"{family} dim must be an integer >= 1, got {dim!r}")
     if family != "SumOf" and family not in _FAMILIES:
         raise ValueError(f"unknown exponent family: {family!r}")
+    read = _PARAMS[family]
+    if not params.keys() <= read:
+        raise ValueError(f"{family} does not read params {sorted(params.keys() - read)}")
     key = {"SumOf": "components", "PureDrift": "b"}.get(family)
     if key is not None and key not in params:
         raise ValueError(f"{family} needs params[{key!r}]")

@@ -8,6 +8,7 @@ inside the set, with the closed-form transform where one exists.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import partial
@@ -36,6 +37,9 @@ class AtomicMeasure:
     ``transform``, when set, maps frequencies (m, d) to the m values of
     mu_hat in closed form; ``discretize`` sets it for the sets that have one,
     and ``cell``, the linear cell size that the energy diagonals read.
+    ``lattice``, set for a grid, holds the ``(n_k, h_k)`` of each axis: the
+    atoms are the products of n_k points h_k apart, in C order, and every
+    difference of two atoms is exactly a lattice offset (i - j) h.
     """
 
     points: np.ndarray  # (n, d)
@@ -43,6 +47,7 @@ class AtomicMeasure:
     transform: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, compare=False, repr=False)
     cell: float = field(default=0.0, compare=False, repr=False)
+    lattice: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -146,6 +151,30 @@ def _cantor_intervals_1d(ratio: float, level: int) -> np.ndarray:
     return np.array([(a + b) / 2.0 for a, b in intervals])
 
 
+def _lattice_axis(a: float, b: float, n: int):
+    """The n cell centres of [a, b] on an exact lattice, and their spacing h.
+
+    h and the first centre are rounded to multiples of u, the ulp of
+    max(|a|, |b|, b - a) at the top of its binade, so every centre and every
+    difference of two centres is a multiple of u below 2^53 u: each is exact,
+    and x_i - x_j == (i - j) * h bit for bit.  A centre moves by at most
+    (n + 1) u / 2 from a + (i + 1/2)(b - a)/n.
+    """
+    u = math.ldexp(1.0, max(math.frexp(max(abs(a), abs(b), b - a))[1] - 53, -1074))
+    h = round((b - a) / n / u) * u
+    first = round((a + (b - a) / (2 * n)) / u) * u
+    return first + h * np.arange(n), h
+
+
+def _product(axes) -> np.ndarray:
+    """The points of a product of 1-D point sets, (prod n_k, d) in C order."""
+    d = len(axes)
+    pts = np.empty(tuple(len(a) for a in axes) + (d,))
+    for k, a in enumerate(axes):
+        pts[..., k] = a.reshape((-1,) + (1,) * (d - 1 - k))
+    return pts.reshape(-1, d)
+
+
 def _dirichlet(a: float, b: float, n: int, x: np.ndarray) -> np.ndarray:
     """D_n(hx/2), the transform of n equal atoms at the cell centres of [a, b]
     about their centre (b + a)/2, with h = (b - a)/n.
@@ -201,7 +230,8 @@ def discretize(spec: SetDiscretization) -> AtomicMeasure:
     """Deterministic equal-weight point cloud for the described set.
 
     Grids, Cantor products and point pairs carry their closed-form transform,
-    and every measure its linear cell size.  A missing parameter, one the
+    every measure its linear cell size, and a grid its lattice, on which its
+    atoms sit exactly (_lattice_axis).  A missing parameter, one the
     kind does not read, a non-numeric value, a fractional count or a
     negative radius is a ValueError.
     """
@@ -214,7 +244,7 @@ def discretize(spec: SetDiscretization) -> AtomicMeasure:
     if extra:
         raise ValueError(f"{kind} set does not read {extra}")
     p = {name: _param(name, value) for name, value in p.items()}
-    transform = None
+    transform = lattice = None
     if kind == "CubeGrid":
         n, bounds = p["n_per_axis"], p["bounds"]
         if n < 1:
@@ -222,13 +252,10 @@ def discretize(spec: SetDiscretization) -> AtomicMeasure:
         # a == b is a point, and one cell is the only grid that keeps it one
         if len(bounds) < 1 or not all(a < b or (a == b and n == 1) for a, b in bounds):
             raise ValueError("bounds need a < b on every axis (a == b only with n_per_axis 1)")
-        axes = []
-        for a, b in bounds:
-            h = (b - a) / n
-            axes.append(a + h * (np.arange(n) + 0.5))
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        axes, steps = zip(*(_lattice_axis(a, b, n) for a, b in bounds))
+        pts = _product(axes)
         cell = float(min((b - a) / n for a, b in bounds))
+        lattice = tuple((n, h) for h in steps)
         transform = _product_transform([(a + b) / 2.0 for a, b in bounds],
                                        [partial(_dirichlet, a, b, n) for a, b in bounds])
     elif kind == "CantorProduct":
@@ -237,9 +264,7 @@ def discretize(spec: SetDiscretization) -> AtomicMeasure:
             raise ValueError("ratio must lie in (0, 1/2)")
         if level < 0 or d < 1:
             raise ValueError("level must be >= 0 and d >= 1")
-        axis = _cantor_intervals_1d(ratio, level)
-        grids = np.meshgrid(*([axis] * d), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        pts = _product([_cantor_intervals_1d(ratio, level)] * d)
         cell = float(ratio ** level)
         transform = _product_transform([0.5] * d, [partial(_riesz_product, ratio, level)] * d)
     elif kind == "TwoPoint":
@@ -264,4 +289,4 @@ def discretize(spec: SetDiscretization) -> AtomicMeasure:
         cell = float(2.0 * np.pi * radius / n)
     n_pts = pts.shape[0]
     return AtomicMeasure(points=pts, weights=np.full(n_pts, 1.0 / n_pts), transform=transform,
-                         cell=cell)
+                         cell=cell, lattice=lattice)

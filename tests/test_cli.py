@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import addlevy
-from addlevy import classify, measures
+from addlevy import classify, equilibrium, measures
 from addlevy import ExponentVector, IsotropicStable, potential_density_v, sojourn_second_moment
 from addlevy.cli import main
 from addlevy.simulate import GaussianDensitySpec
@@ -52,6 +52,15 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    # only a lattice's energy matrix takes FFTs, and it imports numpy.fft itself
+    probe = "import sys, addlevy.cli; print('numpy.fft' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(addlevy.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True, timeout=120).stdout
+    assert out.strip() == "False"
 
 
 def test_lambda_check_and_potential_gauge_leave_scipy_integrate_unloaded():
@@ -400,6 +409,26 @@ class TestEquilibrium:
         code, rep = run_cli(argv, capsys)
         assert code == 1
         assert rep == {"error": error, "kind": "invalid-input"}
+
+    def test_dense_matrix_over_the_budget_exit_one(self, capsys):
+        # 60000 circle atoms would take 80 GiB in differences and entries;
+        # the budget refuses them before anything of that size is allocated
+        code, rep = run_cli(["capacity", "--set", '{"kind":"Circle","radius":1,"n":60000}'],
+                            capsys)
+        assert code == 1
+        assert rep == {"error": "the 60000 x 60000 energy matrix would take 80.5 GiB, over the "
+                                "2 GiB budget of an energy matrix", "kind": "invalid-input"}
+
+    def test_lattice_over_the_budget_exit_one(self, capsys, monkeypatch):
+        # the same budget bounds a lattice's FFT arrays; lowered to 1 MiB, a
+        # 20000-cell grid (5 x 8 bytes at each of 40000 embedding points) is over it
+        monkeypatch.setattr(equilibrium, "_BYTES_BUDGET", 2 ** 20)
+        spec = '{"kind":"CubeGrid","bounds":[[0,1]],"n_per_axis":20000}'
+        code, rep = run_cli(["capacity", "--set", spec], capsys)
+        assert code == 1
+        assert rep == {"error": "the FFT arrays of the 20000 lattice would take 0.00149 GiB, "
+                                "over the 0.000977 GiB budget of an energy matrix",
+                       "kind": "invalid-input"}
 
     def test_potential_capacity_of_a_point(self, capsys):
         # [DERIVED] the point mass is the only measure on a point: energy v(0)
@@ -818,6 +847,11 @@ class TestExponentSpec:
          "bad exponent spec: Skewed1DStable requires dim=1"),
         ('{"family":"Skewed1DStable","dim":1,"params":{"alpha":1.0,"beta":0.5}}',
          "bad exponent spec: alpha=1 with nonzero skew is unsupported"),
+        # a drift reads only b, and no family reads a key beside family, params, dim
+        ('{"family":"PureDrift","params":{"b":[1],"scale":7}}',
+         "bad exponent spec: PureDrift does not read params ['scale']"),
+        ('{"family":"IsotropicStable","params":{"alpha":1.5},"extra":1}',
+         "bad exponent spec: an exponent does not read ['extra']"),
     ])
     def test_bad_exponent_spec_exit_one(self, psi, error, capsys):
         code, rep = run_cli(["capacity", "--point-test", "--psi", psi], capsys)

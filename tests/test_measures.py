@@ -57,6 +57,26 @@ class TestConstructions:
         assert discretize(circle(2.0, 16)).cell == 2.0 * np.pi * 2.0 / 16
         assert delta([0.0]).cell == 0.0
 
+    @given(bounds=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)),
+                           min_size=1, max_size=2),
+           n=st.integers(1, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_grid_atoms_sit_exactly_on_their_lattice(self, bounds, n):
+        # every difference of two atoms is exactly a lattice offset, and the
+        # atoms stay within (n + 1) ulp of the cell centres
+        bounds = [(a, a + length) for a, length in bounds]
+        if len(bounds) == 2:
+            n = min(n, 30)
+        mu = discretize(cube_grid(bounds, n))
+        assert [m for m, _ in mu.lattice] == [n] * len(bounds)
+        for k, ((a, b), (_, h)) in enumerate(zip(bounds, mu.lattice)):
+            x = np.unique(mu.points[:, k])
+            assert np.array_equal(x[:, None] - x[None, :], np.subtract.outer(
+                np.arange(n), np.arange(n)) * h)
+            centres = a + (b - a) / n * (np.arange(n) + 0.5)
+            ulp = np.spacing(max(abs(a), abs(b), b - a))
+            assert np.all(np.abs(x - centres) <= (n + 1) * ulp)
+
     def test_integral_float_counts_are_counts(self):
         mu = discretize(SetDiscretization("CubeGrid", {"bounds": [[0, 1]], "n_per_axis": 4.0}))
         assert np.array_equal(mu.points, discretize(cube_grid([(0.0, 1.0)], 4)).points)
