@@ -45,7 +45,6 @@ from addlevy.equilibrium import (
     EquilibriumResult,
     assemble_matrix,
     bessel_riesz_capacity,
-    point_capacity_test,
     solve_equilibrium,
 )
 from addlevy.classify import (
@@ -55,6 +54,7 @@ from addlevy.classify import (
     intersections_exist,
     multiple_points_allowed,
     numeric_intersection_dimension,
+    point_capacity_test,
     range_dimension,
     range_has_positive_measure,
     subordinator_meet,

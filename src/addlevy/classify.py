@@ -1,6 +1,6 @@
 """Hitting, intersection, and dimension classifiers.
 
-Stable families admit closed-form answers via tail-exponent arithmetic.
+Stable families and the point test admit closed forms by tail-exponent arithmetic.
 The numeric probes decide the defining integral tests from partial
 integrals over dyadic shells and the log-log slope of their increments:
 the intersection-dimension test on the real side, through the
@@ -166,8 +166,6 @@ def _extrapolated_slope(log_radii: np.ndarray, log_inc: np.ndarray, span: int) -
     blocks damp the quadrature noise that the step amplifies.
     """
     local = (log_inc[span:] - log_inc[:-span]) / (log_radii[span:] - log_radii[:-span])
-    if local.size < 2 * span + 1:
-        return float(local[-1]) if local.size else 0.0
     a, b, c = local[-1 - 2 * span], local[-1 - span], local[-1]
     denom = (c - b) - (b - a)
     if abs(denom) < 1e-12 or abs((c - b) ** 2 / denom) > 0.5:
@@ -289,6 +287,42 @@ def probe_planar_point_test(psi: ExponentVector) -> ConvergenceVerdict:
     increments = np.array([np.sum(wk * xk * planar_averaged_kernel(psi, xk))
                            for xk, wk in zip(x, w)])
     return _shell_verdict(edges[1:], increments)
+
+
+def point_capacity_test(psi: ExponentVector) -> bool:
+    """True iff the additive field hits points: the product kernel is integrable.
+
+    The point mass is the only probability measure on a singleton, and its
+    energy is the integral of K, which depends only on the average Kbar(r) of
+    K over spheres: points are hit iff Kbar decays faster than r^-d
+    (equality is the log-divergent boundary).  A rotation-invariant K decays
+    by its analytic tail exponent.  In d >= 2, Psi_j = R_j(|xi|) - i b_j.xi;
+    a component without drift is the factor 1 / (1 + R_j), of decay g_j, the
+    growth of R_j (0 when R_j = 0).  One drifting component averages to
+    (A^2 + B^2)^-1/2 in d = 2 and arctan(B/A) / B in d = 3 (A = 1 + R,
+    B = |b| r), a decay of max(g, 1) in any d >= 2, and the decays add.  Two
+    or more drifting components are probed numerically in d = 2 and raise
+    InconclusiveError in d >= 3, or when the probe cannot classify.
+    """
+    decay = psi.kernel_decay_exponent()
+    d = psi.dim
+    if decay is not None:
+        return decay > d
+    moving, decay = [], 0.0
+    for c in psi.components:
+        if np.any(c(np.eye(d)).imag):  # Im Psi_j(e_i) = -b_ji
+            moving.append(c)
+        else:
+            decay += max(0.0, c._real_growth())
+    if len(moving) <= 1:
+        return decay + sum(max(c._real_growth(), 1.0) for c in moving) > d
+    if d > 2:
+        raise InconclusiveError(f"no point test for {len(moving)} drifting components in "
+                                f"d = {d}: the angle average is computed only in d = 2")
+    verdict = probe_planar_point_test(psi)
+    if verdict.kind == "Inconclusive":
+        raise InconclusiveError("numeric probe could not classify the kernel integral")
+    return verdict.kind == "Convergent"
 
 
 def numeric_intersection_dimension(sys: StableSystem,

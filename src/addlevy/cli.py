@@ -35,6 +35,7 @@ from addlevy.classify import (
     intersections_exist,
     multiple_points_allowed,
     numeric_intersection_dimension,
+    point_capacity_test,
     range_dimension,
     range_has_positive_measure,
     subordinator_meet,
@@ -43,7 +44,6 @@ from addlevy.energy import energy_fourier, sojourn_second_moment
 from addlevy.equilibrium import (
     assemble_matrix,
     bessel_riesz_capacity,
-    point_capacity_test,
     solve_equilibrium,
 )
 from addlevy.exponents import ExponentVector, IsotropicStable, exponent_from_json

@@ -16,6 +16,10 @@ power-law tail beyond.  Its error, like that of the d = 2, 3 energies, is
 the change of the value from r = r_max / 2 to r_max (_two_resolution): it
 covers the truncation and the tail as far as halving r moves them, not the
 panel rule.
+
+The real sides form arrays over all atom pairs; those that would exceed the
+2 GiB budget of measures._check_budget raise a ValueError before they are
+allocated.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from addlevy.exponents import DimensionMismatchError, ExponentVector
 from addlevy.kernels import Kernel, lambda_closed, potential_density_v, riesz_constant, riesz_kernel
-from addlevy.measures import AtomicMeasure
+from addlevy.measures import AtomicMeasure, _check_budget
 from addlevy.quadrature import QuadratureSpec, halfline_edges, integrate_panels, powerlaw_tail
 
 
@@ -37,11 +41,6 @@ class EnergyReport:
     value: float
     tail_estimate: float
     converged: bool
-
-
-def _pairwise_gauge(k: Kernel, mu: AtomicMeasure, nu: AtomicMeasure) -> np.ndarray:
-    diffs = mu.points[:, None, :] - nu.points[None, :, :]
-    return 0.5 * (k.eval(diffs) + k.eval(-diffs))
 
 
 def mutual_energy_real(k: Kernel, mu: AtomicMeasure, nu: AtomicMeasure,
@@ -56,10 +55,14 @@ def mutual_energy_real(k: Kernel, mu: AtomicMeasure, nu: AtomicMeasure,
     """
     if mu.dim != nu.dim or mu.dim != k.dim:
         raise DimensionMismatchError("kernel and measures must share dim")
-    vals = _pairwise_gauge(k, mu, nu)
+    # the differences, their negation and the gauge at both: (2 d + 3) arrays
+    # of n x m values at the peak of a Riesz gauge
+    n, m = mu.n_atoms, nu.n_atoms
+    _check_budget(8 * n * m * (2 * mu.dim + 3), f"the {n} x {m} pair arrays")
+    diffs = mu.points[:, None, :] - nu.points[None, :, :]
+    vals = 0.5 * (k.eval(diffs) + k.eval(-diffs))
     wprod = np.outer(mu.weights, nu.weights)
-    coincident = np.all(
-        mu.points[:, None, :] == nu.points[None, :, :], axis=-1)
+    coincident = np.all(diffs == 0.0, axis=-1)  # x - y == 0 exactly iff x == y
     if drop_diagonal:
         wprod = np.where(coincident, 0.0, wprod)
     else:
@@ -132,6 +135,10 @@ def energy_fourier(psi: ExponentVector, mu: AtomicMeasure,
     elif decay is None:
         return EnergyReport(value=np.nan, tail_estimate=np.inf, converged=False)
     else:
+        # the n x n x d differences and the seven n x n arrays that
+        # potential_density_v holds at its peak, rounding and sorting radii
+        n = mu.n_atoms
+        _check_budget(8 * n * n * (d + 7), f"the {n} x {n} pair arrays")
         diffs = mu.points[:, None, :] - mu.points[None, :, :]
 
         def upto(r):
@@ -158,7 +165,10 @@ def energy_identity_check(k: Kernel, nu: AtomicMeasure,
         raise ValueError("kernel must carry a Fourier transform")
     if k.dim != 1:
         raise ValueError("identity check supports d=1 in v1")
-    # real side
+    # real side: the shifted differences, their negation and the gauge at
+    # both, 5 arrays of n x n x m values in d = 1
+    n, m = mu.n_atoms, nu.n_atoms
+    _check_budget(40 * n * n * m, f"the {n} x {n} x {m} convolved pair arrays")
     diffs = mu.points[:, None, :] - mu.points[None, :, :]          # (n, n, d)
     shifted = diffs[:, :, None, :] - nu.points[None, None, :, :]   # (n, n, m, d)
     conv = np.tensordot(0.5 * (k.eval(shifted) + k.eval(-shifted)),

@@ -20,16 +20,12 @@ from typing import Union
 
 import numpy as np
 
-from addlevy.classify import InconclusiveError, probe_planar_point_test
 from addlevy.exponents import ExponentVector
 from addlevy.kernels import Kernel, PotentialDensity, _axis_points, riesz_kernel
-from addlevy.measures import AtomicMeasure, SetDiscretization, _product, discretize
+from addlevy.measures import AtomicMeasure, SetDiscretization, _check_budget, _product, discretize
 from addlevy.quadrature import halfline_edges, integrate_panels
 
 
-# bytes that the arrays of one energy matrix may take, its n x n entries or
-# its lattice's FFT arrays; a larger matrix is refused before it is allocated
-_BYTES_BUDGET = 2 ** 31
 # atoms from which a grid's matrix is solved as an operator (FFT products and
 # PCG) in d = 1, 2 and 3 or more; below, its dense matrix is gathered and
 # solved by LAPACK.  Each sits where the operator starts to win most
@@ -37,12 +33,6 @@ _BYTES_BUDGET = 2 ** 31
 _LATTICE_FROM = (224, 300, 400)
 _PCG_RTOL = 1e-14  # residual of the KKT solve relative to that of x = 0
 _PCG_MAX_ITER = 200
-
-
-def _check_budget(size: int, what: str) -> None:
-    if size > _BYTES_BUDGET:
-        raise ValueError(f"{what} would take {size / 2 ** 30:.3g} GiB, over the "
-                         f"{_BYTES_BUDGET / 2 ** 30:.3g} GiB budget of an energy matrix")
 
 
 class EnergyMatrix:
@@ -251,8 +241,9 @@ def _energy_matrix(gauge: Kernel, mu: AtomicMeasure) -> EnergyMatrix:
     with its reflection: the result is the matrix's generator, symmetric by
     construction.  Any other measure evaluates the gauge at all n^2
     differences and averages with the transpose.  Either way the arrays are
-    checked against _BYTES_BUDGET first: the n x n x d differences and the
-    n x n matrix, or 8 (d + 4) bytes per point of each lattice's FFT embedding.
+    checked against the budget first (measures._check_budget): the n x n x d
+    differences and the n x n matrix, or 8 (d + 4) bytes per point of each
+    lattice's FFT embedding.
     """
     if mu.lattice is not None:
         grid, _ = zip(*mu.lattice)
@@ -301,17 +292,17 @@ def _result(w, energy, iterations, rel_gap, tol, trace, vertex) -> EquilibriumRe
                              converged=bool(converged), energy_trace=tuple(trace))
 
 
-def _kkt_start(mat) -> np.ndarray:
-    """Starting weights from the KKT system M_S x = 1 on an active support S.
+def _kkt_start(mat) -> tuple[np.ndarray, np.ndarray]:
+    """Starting weights w and g = M w from the KKT system M_S x = 1 on an active support S.
 
     ``mat`` is an array, solved by LAPACK, or a _Lattice, solved by PCG
     masked to S.  Starts from every atom.  Each round solves on S; the
     atoms with x <= 0 leave S and the next round solves again.  Once x > 0
     on all of S, the weights are w = x / sum(x).  When some atom off S has a potential
     (M w)_i below the energy w'M w, the lowest one joins S and the next
-    round solves again; otherwise w is returned.  After 2n rounds, or on a
-    singular, unconverged or non-finite solve, the uniform weights are
-    returned instead.
+    round solves again; otherwise w and that M w are returned.  After 2n
+    rounds, or on a singular, unconverged or non-finite solve, the uniform
+    weights and their M w are returned instead.
     """
     n = mat.shape[0]
     support = np.ones(n, dtype=bool)
@@ -336,9 +327,10 @@ def _kkt_start(mat) -> np.ndarray:
         g = mat @ w
         i = int(np.where(support, np.inf, g).argmin())
         if support[i] or g[i] >= w.dot(g):
-            return w
+            return w, g
         support[i] = True
-    return np.full(n, 1.0 / n)
+    w = np.full(n, 1.0 / n)
+    return w, mat @ w
 
 
 def solve_equilibrium(m: EnergyMatrix, tol: float = 1e-8,
@@ -348,8 +340,9 @@ def solve_equilibrium(m: EnergyMatrix, tol: float = 1e-8,
     A direct solve of the KKT system on an active support (``_kkt_start``)
     gives the starting weights, and away-step Frank-Wolfe runs from them:
     it stops when the duality gap falls below ``tol`` relative to the
-    energy, which it checks on an exact M w before its first step, so a
-    right direct solve returns with ``iterations == 0``.  ``iterations``
+    energy, which it checks before its first step on the exact M w that the
+    direct solve formed for its last join test, so a right direct solve
+    returns with ``iterations == 0`` after one product M w.  ``iterations``
     counts the Frank-Wolfe steps after the direct start; when the direct
     solve fails, the start is uniform and the loop runs as a plain
     Frank-Wolfe solve.  The reported ``fw_gap``, ``energy`` and
@@ -378,30 +371,30 @@ def solve_equilibrium(m: EnergyMatrix, tol: float = 1e-8,
                                  capacity=0.0, iterations=0, fw_gap=0.0, converged=True)
     lattice = gen is not None and n >= _LATTICE_FROM[min(gen.ndim, len(_LATTICE_FROM)) - 1]
     mat = _Lattice(gen) if lattice else m.entries
-    return _frank_wolfe(mat, _kkt_start(mat), tol, max_iter)
+    return _frank_wolfe(mat, *_kkt_start(mat), tol, max_iter)
 
 
-def _frank_wolfe(mat, w: np.ndarray, tol: float,
+def _frank_wolfe(mat, w: np.ndarray, g: np.ndarray, tol: float,
                  max_iter: int) -> EquilibriumResult:
-    """Away-step Frank-Wolfe from the probability vector w, updated in place.
+    """Away-step Frank-Wolfe from probability vector w and g = M w, updated in place.
 
     Exact line search on the quadratic; the energy is monotone
     nonincreasing across iterations.  Each step moves toward or away from
-    one vertex e_i, so g = M w is carried along with row i of M (equal to
-    column i, M being exactly symmetric) and a step costs O(n).  At every
-    exit, and before a converged verdict is accepted, g is recomputed
-    exactly.
+    one vertex e_i, so g is carried along with row i of M (equal to column
+    i, M being exactly symmetric) and a step costs O(n).  Once a step has
+    been taken, g is recomputed exactly at the exit and before a converged
+    verdict is accepted; before any step the given g is exact already.
     """
     diag = mat.diagonal()
-    g = mat @ w
     energy, i_fw, rel_gap = _fw_state(w, g)
-    trace = [energy]
+    trace = [energy]  # one energy per step taken, after the start's
     it = 0
     for it in range(1, max_iter + 1):
         if rel_gap < tol:
-            # the carried g may have drifted by roundoff: decide on an exact M w
-            g = mat @ w
-            energy, i_fw, rel_gap = _fw_state(w, g)
+            if len(trace) > 1:
+                # the carried g may have drifted by roundoff: decide on an exact M w
+                g = mat @ w
+                energy, i_fw, rel_gap = _fw_state(w, g)
             if rel_gap < tol:
                 return _result(w, energy, it - 1, rel_gap, tol, trace, diag.min())
         i_aw = int(np.where(w > 0.0, g, -np.inf).argmax())
@@ -432,8 +425,9 @@ def _frank_wolfe(mat, w: np.ndarray, tol: float,
         g /= total
         energy, i_fw, rel_gap = _fw_state(w, g)
         trace.append(energy)
-    g = mat @ w
-    energy, _, rel_gap = _fw_state(w, g)
+    if len(trace) > 1:
+        g = mat @ w
+        energy, _, rel_gap = _fw_state(w, g)
     return _result(w, energy, it, rel_gap, tol, trace, diag.min())
 
 
@@ -447,38 +441,3 @@ def bessel_riesz_capacity(disc: SetDiscretization, s: float, tol: float = 1e-8,
     mat = _energy_matrix(riesz_kernel(d, d - s), mu)
     return solve_equilibrium(mat, tol=tol, max_iter=max_iter)
 
-
-def point_capacity_test(psi: ExponentVector) -> bool:
-    """True iff the additive field hits points: the product kernel is integrable.
-
-    The point mass is the only probability measure on a singleton, and its
-    energy is the integral of K, which depends only on the average Kbar(r) of
-    K over spheres: points are hit iff Kbar decays faster than r^-d
-    (equality is the log-divergent boundary).  A rotation-invariant K decays
-    by its analytic tail exponent.  In d >= 2, Psi_j = R_j(|xi|) - i b_j.xi;
-    a component without drift is the factor 1 / (1 + R_j), of decay g_j, the
-    growth of R_j (0 when R_j = 0).  One drifting component averages to
-    (A^2 + B^2)^-1/2 in d = 2 and arctan(B/A) / B in d = 3 (A = 1 + R,
-    B = |b| r), a decay of max(g, 1) in any d >= 2, and the decays add.  Two
-    or more drifting components are probed numerically in d = 2 and raise
-    InconclusiveError in d >= 3, or when the probe cannot classify.
-    """
-    decay = psi.kernel_decay_exponent()
-    d = psi.dim
-    if decay is not None:
-        return decay > d
-    moving, decay = [], 0.0
-    for c in psi.components:
-        if np.any(c(np.eye(d)).imag):  # Im Psi_j(e_i) = -b_ji
-            moving.append(c)
-        else:
-            decay += max(0.0, c._real_growth())
-    if len(moving) <= 1:
-        return decay + sum(max(c._real_growth(), 1.0) for c in moving) > d
-    if d > 2:
-        raise InconclusiveError(f"no point test for {len(moving)} drifting components in "
-                                f"d = {d}: the angle average is computed only in d = 2")
-    verdict = probe_planar_point_test(psi)
-    if verdict.kind == "Inconclusive":
-        raise InconclusiveError("numeric probe could not classify the kernel integral")
-    return verdict.kind == "Convergent"

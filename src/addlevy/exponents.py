@@ -42,7 +42,7 @@ def _as_points(xi, dim: int) -> tuple[np.ndarray, tuple]:
 
 @dataclass(frozen=True, kw_only=True)
 class LevyExponent:
-    """Base class; concrete families override ``_eval`` and ``_growth``."""
+    """Base class; families override ``_eval`` (real or complex) and ``_growth``."""
 
     dim: int = 1
 
@@ -57,7 +57,7 @@ class LevyExponent:
         """Psi(xi): a complex number for one point, else a complex array of
         the lead shape of xi."""
         pts, lead = _as_points(xi, self.dim)
-        out = self._eval(pts).reshape(lead)
+        out = self._eval(pts).astype(complex, copy=False).reshape(lead)
         return complex(out) if out.ndim == 0 else out
 
     def _growth(self) -> Optional[tuple[float, float]]:
@@ -100,7 +100,7 @@ class IsotropicStable(LevyExponent):
 
     def _eval(self, pts):
         r = np.linalg.norm(pts, axis=-1)
-        return ((self.scale * r) ** self.alpha).astype(complex)
+        return (self.scale * r) ** self.alpha
 
     def _growth(self):
         return (self.alpha, self.alpha)
@@ -119,7 +119,7 @@ class BrownianIsotropic(LevyExponent):
 
     def _eval(self, pts):
         r2 = np.sum(pts * pts, axis=-1)
-        return (0.5 * self.diffusivity * r2).astype(complex)
+        return 0.5 * self.diffusivity * r2
 
     def _growth(self):
         return (2.0, 2.0)

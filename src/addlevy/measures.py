@@ -28,6 +28,16 @@ _SET_PARAMS = {
     "Circle": {"radius", "n"},
 }
 _COUNTS = {"n_per_axis", "level", "d", "n"}  # the parameters that must be integral
+# bytes that the arrays of one energy matrix may take, its n x n entries, its
+# lattice's FFT arrays or the pair arrays of an energy; more is refused
+# before it is allocated
+_BYTES_BUDGET = 2 ** 31
+
+
+def _check_budget(size: int, what: str) -> None:
+    if size > _BYTES_BUDGET:
+        raise ValueError(f"{what} would take {size / 2 ** 30:.3g} GiB, over the "
+                         f"{_BYTES_BUDGET / 2 ** 30:.3g} GiB budget of an energy matrix")
 
 
 @dataclass(frozen=True)

@@ -123,7 +123,7 @@ def test_criterion_04_equilibrium_solver():
             assemble_matrix(riesz_kernel(1, 0.5), cube_grid([(0.0, 1.0)], 64)).entries]
     for mat in mats:
         start = np.eye(mat.shape[0])[0]
-        trace = np.asarray(_frank_wolfe(mat, start, 1e-10, 50000).energy_trace)
+        trace = np.asarray(_frank_wolfe(mat, start, mat @ start, 1e-10, 50000).energy_trace)
         assert len(trace) > 1
         assert np.all(np.diff(trace) <= 1e-12)
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from addlevy import (
     ConvergenceVerdict,
@@ -21,6 +21,7 @@ from addlevy.classify import (
     InconclusiveError,
     _ridge_rule,
     planar_averaged_kernel,
+    point_capacity_test,
     probe_intersection_dimension_test,
     probe_planar_point_test,
 )
@@ -214,6 +215,30 @@ def test_slope_offset_does_not_depend_on_s(sys_):
     offsets = [s - probe_intersection_dimension_test(sys_, s).slope
                for s in np.arange(5) * sys_.d / 5]
     assert max(offsets) - min(offsets) < 1e-3
+
+
+@st.composite
+def isotropic_systems(draw):
+    """N <= 5 isotropic stable indices in d <= 4; multiples of 1/8 half the
+    time, so that sum(alpha) = d is drawn exactly."""
+    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    alpha = st.one_of(st.floats(0.01, 2.0), st.sampled_from([k / 8 for k in range(1, 17)]))
+    return StableSystem(alphas=tuple(draw(st.lists(alpha, min_size=n, max_size=n))), d=d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(isotropic_systems())
+@example(StableSystem(alphas=(1.0,), d=1))
+@example(StableSystem(alphas=(0.5, 0.5), d=1))
+@example(StableSystem(alphas=(1.0, 1.0), d=2))
+@example(StableSystem(alphas=(1.5, 1.5), d=3))
+@example(StableSystem(alphas=(0.75, 0.75, 0.75, 0.75), d=3))
+@example(StableSystem(alphas=(2.0, 2.0), d=4))
+def test_range_has_positive_measure_iff_points_are_hit(sys_):
+    # [DERIVED] read at F = {x}, the range has positive measure exactly when
+    # Cap_K({x}) > 0, that is when int K < infinity; equality fails on both sides
+    psi = ExponentVector(tuple(IsotropicStable(alpha=a, dim=sys_.d) for a in sys_.alphas))
+    assert range_has_positive_measure(sys_) == point_capacity_test(psi)
 
 
 class TestNumericDimension:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import addlevy
-from addlevy import classify, equilibrium, measures
+from addlevy import classify, measures
 from addlevy import ExponentVector, IsotropicStable, potential_density_v, sojourn_second_moment
 from addlevy.cli import main
 from addlevy.simulate import GaussianDensitySpec
@@ -422,11 +422,23 @@ class TestEquilibrium:
     def test_lattice_over_the_budget_exit_one(self, capsys, monkeypatch):
         # the same budget bounds a lattice's FFT arrays; lowered to 1 MiB, a
         # 20000-cell grid (5 x 8 bytes at each of 40000 embedding points) is over it
-        monkeypatch.setattr(equilibrium, "_BYTES_BUDGET", 2 ** 20)
+        monkeypatch.setattr(measures, "_BYTES_BUDGET", 2 ** 20)
         spec = '{"kind":"CubeGrid","bounds":[[0,1]],"n_per_axis":20000}'
         code, rep = run_cli(["capacity", "--set", spec], capsys)
         assert code == 1
         assert rep == {"error": "the FFT arrays of the 20000 lattice would take 0.00149 GiB, "
+                                "over the 0.000977 GiB budget of an energy matrix",
+                       "kind": "invalid-input"}
+
+    def test_energy_pair_arrays_over_the_budget_exit_one(self, capsys, monkeypatch):
+        # the d = 2 energy forms the 400 x 400 x 2 atom differences and seven
+        # 400 x 400 arrays of radii: 11.5 MB, over a budget lowered to 1 MiB
+        monkeypatch.setattr(measures, "_BYTES_BUDGET", 2 ** 20)
+        spec = '{"kind":"CubeGrid","bounds":[[0,1],[0,1]],"n_per_axis":20}'
+        code, rep = run_cli(["energy", "--psi", f"[{STABLE_2D},{STABLE_2D}]", "--set", spec],
+                            capsys)
+        assert code == 1
+        assert rep == {"error": "the 400 x 400 pair arrays would take 0.0107 GiB, "
                                 "over the 0.000977 GiB budget of an energy matrix",
                        "kind": "invalid-input"}
 

@@ -21,7 +21,7 @@ from addlevy import (
     riesz_kernel,
     sojourn_second_moment,
 )
-from addlevy import energy
+from addlevy import energy, measures
 from addlevy.energy import riesz_identity_sides
 from addlevy.kernels import Kernel, potential_density_v
 from addlevy.measures import (
@@ -69,6 +69,36 @@ class TestMutualEnergyReal:
         nu = discretize(two_point(1.0))
         assert mutual_energy_real(k, mu, nu) == pytest.approx(
             mutual_energy_real(k, nu, mu), rel=1e-12)
+
+
+class TestPairBudget:
+    """Pair arrays over the budget are refused before they are allocated;
+    the budget is lowered to 1 MiB so that the grids stay small."""
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(measures, "_BYTES_BUDGET", 2 ** 20)
+
+    def test_mutual_energy(self):
+        # 200 x 100 pairs in d = 1: 5 arrays of 8 bytes, 0.8 MB, fit; 300 x 100 do not
+        k = riesz_kernel(1, 0.5)
+        small = discretize(cube_grid([(0.0, 1.0)], 100))
+        assert math.isfinite(mutual_energy_real(k, discretize(cube_grid([(0.0, 1.0)], 200)),
+                                                small))
+        with pytest.raises(ValueError, match="the 300 x 100 pair arrays would take"):
+            mutual_energy_real(k, discretize(cube_grid([(0.0, 1.0)], 300)), small)
+
+    def test_energy_fourier(self):
+        psi = ExponentVector((IsotropicStable(alpha=1.5, dim=2),) * 2)
+        with pytest.raises(ValueError, match="the 400 x 400 pair arrays would take"):
+            energy_fourier(psi, discretize(cube_grid([(0.0, 1.0)] * 2, 20)))
+
+    def test_identity_check(self):
+        # 40 x 40 x 100 pairs of 5 arrays: 6.4 MB
+        with pytest.raises(ValueError, match="the 40 x 40 x 100 convolved pair arrays"):
+            energy_identity_check(exponential_kernel(1.0),
+                                  discretize(cube_grid([(0.0, 1.0)], 100)),
+                                  discretize(cube_grid([(0.0, 1.0)], 40)))
 
 
 class TestEnergyFourier:

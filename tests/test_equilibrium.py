@@ -18,14 +18,13 @@ from addlevy import (
     SumOf,
     assemble_matrix,
     bessel_riesz_capacity,
-    point_capacity_test,
     riesz_kernel,
     solve_equilibrium,
 )
 from addlevy import equilibrium
+from addlevy.classify import InconclusiveError, point_capacity_test
 from addlevy.cli import main
 from addlevy.equilibrium import (
-    InconclusiveError,
     _Lattice,
     _cell_average,
     _energy_matrix,
@@ -290,10 +289,39 @@ def random_spd(n, seed, positive, shift):
     return 0.5 * (mat + mat.T)
 
 
+class CountingDense(np.ndarray):
+    """A dense energy matrix that counts its products M w."""
+
+    products = 0
+
+    def __matmul__(self, w):
+        self.products += 1
+        return np.asarray(self) @ w
+
+
+class CountingLattice(_Lattice):
+    """A lattice operator that counts its products M w outside its own PCG solves."""
+
+    products = 0
+    _solving = False
+
+    def solve(self, idx):
+        self._solving = True
+        try:
+            return super().solve(idx)
+        finally:
+            self._solving = False
+
+    def __matmul__(self, w):
+        self.products += not self._solving
+        return super().__matmul__(w)
+
+
 def fw_from_uniform(m, tol=1e-8, max_iter=50000):
     """The Frank-Wolfe loop of ``solve_equilibrium`` started from uniform weights."""
     n = m.entries.shape[0]
-    return _frank_wolfe(m.entries, np.full(n, 1.0 / n), tol, max_iter)
+    w = np.full(n, 1.0 / n)
+    return _frank_wolfe(m.entries, w, m.entries @ w, tol, max_iter)
 
 
 class TestSolveEquilibrium:
@@ -428,13 +456,28 @@ class TestSolveEquilibrium:
         # {0, 2} leaves e_0, where g_1 = 1/2 < 1 adds atom 1; on {0, 1} the
         # potentials g = (3/4, 3/4, 2) are lowest on the support (KKT)
         mat = [[1, 0.5, 2], [0.5, 1, 2], [2, 2, 5]]
-        w0 = _kkt_start(np.array(mat, dtype=float))
+        w0, g0 = _kkt_start(np.array(mat, dtype=float))
+        assert np.array_equal(g0, np.array(mat, dtype=float) @ w0)
         assert w0[2] == 0.0 and w0 == pytest.approx([0.5, 0.5, 0.0], abs=1e-15)
         res = solve_equilibrium(toy(mat))
         assert res.converged and res.iterations == 0
         assert res.weights[2] == 0.0
         assert res.weights == pytest.approx([0.5, 0.5, 0.0], abs=1e-15)
         assert res.energy == pytest.approx(0.75, rel=1e-15)
+
+    @pytest.mark.parametrize("path", ["dense", "lattice", "uniform-fallback"])
+    def test_certified_start_forms_one_product(self, path):
+        # the direct start hands Frank-Wolfe the M w of its join test, or of
+        # the uniform weights when the solve fails (a singular all-ones
+        # matrix), which certifies the start before any step: one product M w
+        m = assemble_matrix(riesz_kernel(1, 0.5), cube_grid([(0.0, 1.0)], 256))
+        if path == "lattice":
+            mat = CountingLattice(m.generator)
+        else:
+            mat = (np.ones((2, 2)) if path == "uniform-fallback" else m.entries).view(CountingDense)
+        res = _frank_wolfe(mat, *_kkt_start(mat), 1e-8, 50000)
+        assert res.converged and res.iterations == 0
+        assert mat.products == 1
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1),
@@ -461,7 +504,9 @@ class TestSolveEquilibrium:
         mat = np.array(entries, dtype=float)
         n = mat.shape[0]
         assert np.linalg.eigvalsh(mat).min() < 0.0 < np.diagonal(mat).min()
-        assert np.array_equal(_kkt_start(mat), np.full(n, 1.0 / n))
+        w0, g0 = _kkt_start(mat)
+        assert np.array_equal(w0, np.full(n, 1.0 / n))
+        assert np.array_equal(g0, mat @ w0)
         res = solve_equilibrium(toy(mat))
         plain = fw_from_uniform(toy(mat))
         assert res.iterations == plain.iterations

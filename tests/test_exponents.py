@@ -102,6 +102,27 @@ class TestKPsi:
         assert 0.0 < psi.kernel_values(xi) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_values_match_the_complex_formula(d):
+    # real exponents stay real inside kernel_values; Re z / |z|^2 of the
+    # complex 1 + Psi is the same bits, factor by factor and in the product
+    comps = [IsotropicStable(alpha=1.3, scale=0.7, dim=d),
+             BrownianIsotropic(diffusivity=1.7, dim=d),
+             PureDrift(b=tuple(np.linspace(0.5, -0.4, d))),
+             SumOf(components=(IsotropicStable(alpha=0.6, dim=d), BrownianIsotropic(dim=d))),
+             SumOf(components=(IsotropicStable(alpha=0.6, dim=d), PureDrift(b=(0.3,) * d)))]
+    if d == 1:
+        comps.append(Skewed1DStable(alpha=1.4, beta=-0.6))
+    pts = 10.0 * np.random.default_rng(d).standard_normal((500, d))
+    product = np.ones(500)
+    for c in comps:
+        z = 1.0 + c(pts)
+        assert z.dtype == complex
+        factor = z.real / np.abs(z) ** 2
+        assert np.array_equal(ExponentVector((c,)).kernel_values(pts), factor)
+        product *= factor
+    assert np.array_equal(ExponentVector(tuple(comps)).kernel_values(pts), product)
+
 class TestSectorConstant:
     GRID = (-100.0, -10.0, -1.0, 1.0, 10.0, 100.0)
 
