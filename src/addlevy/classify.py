@@ -1,6 +1,8 @@
 """Hitting, intersection, and dimension classifiers.
 
-Stable families and the point test admit closed forms by tail-exponent arithmetic.
+Stable families and the point test admit closed forms by tail-exponent
+arithmetic; the point test and the planar angle average read each
+component's real part R_j and drift b_j off the exponent (``_radial``, ``drift``).
 The numeric probes decide the defining integral tests from partial
 integrals over dyadic shells and the log-log slope of their increments:
 the intersection-dimension test on the real side, through the
@@ -21,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from addlevy.exponents import ExponentVector, IsotropicStable
-from addlevy.kernels import _axis_points, _radial_inverse
+from addlevy.kernels import _radial_inverse
 from addlevy.quadrature import QuadratureSpec, panel_nodes
 
 # Dyadic shells [2^-k-1, 2^-k], k < _PROBE_SHELLS, of the real-side
@@ -252,8 +254,8 @@ def planar_averaged_kernel(psi: ExponentVector, r: np.ndarray) -> np.ndarray:
     out = np.ones(r.size)
     moving = []
     for c in psi.components:
-        a = 1.0 + c(_axis_points(r, 2)).real
-        b = -c(np.eye(2)).imag
+        a = 1.0 + c._radial(r * r)
+        b = c.drift
         if np.any(b):
             moving.append((a, math.hypot(*b), (math.atan2(b[1], b[0]) + 0.5 * math.pi) % math.pi))
         else:
@@ -308,14 +310,10 @@ def point_capacity_test(psi: ExponentVector) -> bool:
     d = psi.dim
     if decay is not None:
         return decay > d
-    moving, decay = [], 0.0
-    for c in psi.components:
-        if np.any(c(np.eye(d)).imag):  # Im Psi_j(e_i) = -b_ji
-            moving.append(c)
-        else:
-            decay += max(0.0, c._real_growth())
+    moving = [c for c in psi.components if np.any(c.drift)]
     if len(moving) <= 1:
-        return decay + sum(max(c._real_growth(), 1.0) for c in moving) > d
+        return (sum(max(0.0, c._growth()) for c in psi.components if not np.any(c.drift))
+                + sum(max(c._growth(), 1.0) for c in moving) > d)
     if d > 2:
         raise InconclusiveError(f"no point test for {len(moving)} drifting components in "
                                 f"d = {d}: the angle average is computed only in d = 2")

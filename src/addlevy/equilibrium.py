@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from addlevy.exponents import ExponentVector
-from addlevy.kernels import Kernel, PotentialDensity, _axis_points, riesz_kernel
+from addlevy.kernels import Kernel, PotentialDensity, riesz_kernel
 from addlevy.measures import AtomicMeasure, SetDiscretization, _check_budget, _product, discretize
 from addlevy.quadrature import halfline_edges, integrate_panels
 
@@ -211,7 +211,7 @@ def _cell_average(k: Kernel, h: float) -> float:
     edges = halfline_edges(half, min_scale=1e-12)
 
     def radial(r):
-        return np.nan_to_num(k.eval(_axis_points(r, d)), posinf=0.0) * r ** (d - 1)
+        return np.nan_to_num(k.eval(r[:, None] * np.eye(1, d)), posinf=0.0) * r ** (d - 1)
 
     integral = integrate_panels(radial, edges)
     return float(d * integral / half ** d)

@@ -4,7 +4,9 @@ An exponent is the negative-definite function Psi with
 ``E exp(i xi . X(t)) = exp(-t Psi(xi))``.  The module ships the stable /
 Brownian / drift families plus a sum combinator, and evaluates the product
 kernel  ``K(xi) = prod_j Re(1 / (1 + Psi_j(xi)))``  of an N-tuple of
-exponents.
+exponents.  Every family but Skewed1DStable is R(|xi|) - i b . xi: ``_radial``
+gives R on q = |xi|^2 and ``drift`` gives b.  Without b, K depends on q alone
+and ``ExponentVector.kernel_radial`` evaluates it on radii.
 
 All evaluation is vectorized: ``xi`` may be a single d-vector or an array
 of shape ``(..., d)`` (in d=1, plain scalars and 1-D arrays are accepted).
@@ -40,18 +42,45 @@ def _as_points(xi, dim: int) -> tuple[np.ndarray, tuple]:
     return arr.reshape(-1, dim), lead
 
 
+def _squared_radius(pts: np.ndarray) -> np.ndarray:
+    """|x|^2 of the rows of an (n, d) array, summed as np.linalg.norm sums it:
+    in column order below 8 columns, in place; numpy sums wider rows pairwise."""
+    if pts.shape[1] >= 8:
+        return np.add.reduce(pts * pts, axis=-1)
+    q = pts[:, 0] * pts[:, 0]
+    for k in range(1, pts.shape[1]):
+        q += pts[:, k] * pts[:, k]
+    return q
+
+
+def _finite(name: str, value):
+    """value, refused unless it is a finite real number (a bool is not one)."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, kw_only=True)
 class LevyExponent:
-    """Base class; families override ``_eval`` (real or complex) and ``_growth``."""
+    """Base class; families define ``_growth`` (the growth exponent of Re Psi
+    at infinity, -inf where it is 0) and ``_radial`` (R on q = |xi|^2) or, if
+    Psi is not R(|xi|), ``_eval`` with radial False (a drift defines both)."""
 
     dim: int = 1
+    radial = True  # Psi is R(|xi|): no drift, no skew
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
 
     def _eval(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._radial(_squared_radius(pts))
+
+    @property
+    def drift(self) -> np.ndarray:
+        """b of Psi = R - i b . xi: zero but for drifts and their sums."""
+        return np.zeros(self.dim)
 
     def __call__(self, xi):
         """Psi(xi): a complex number for one point, else a complex array of
@@ -60,28 +89,16 @@ class LevyExponent:
         out = self._eval(pts).astype(complex, copy=False).reshape(lead)
         return complex(out) if out.ndim == 0 else out
 
-    def _growth(self) -> Optional[tuple[float, float]]:
-        """Growth exponents (of Re Psi, of |Psi|) for radial tail rules.
-
-        Returns None when no radial power law certifies the tail (e.g. a
-        drift in d >= 2, whose exponent is not rotation invariant).
-        """
-        raise NotImplementedError
-
-    def _real_growth(self) -> float:
-        """Growth exponent of Re Psi at infinity; -inf where Re Psi is 0."""
-        return self._growth()[0]
-
     def kernel_decay_exponent(self) -> Optional[float]:
         """Decay exponent p with Re(1/(1+Psi(xi))) ~ |xi|^-p at infinity.
 
-        None when the analytic tail rule does not apply to this family.
+        |Psi| grows like Re Psi, or like |xi| if b != 0 and that is faster.
+        None in d >= 2 for a drift or a sum holding one: K depends on direction.
         """
-        g = self._growth()
-        if g is None:
+        if self.dim > 1 and not self.radial:
             return None
-        g_re, g_abs = g
-        return 2.0 * max(0.0, g_abs) - max(0.0, g_re)
+        g = self._growth()
+        return 2.0 * max(0.0, g, 1.0 if np.any(self.drift) else 0.0) - max(0.0, g)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -93,17 +110,16 @@ class IsotropicStable(LevyExponent):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.0 < self.alpha <= 2.0:
+        if not 0.0 < _finite("alpha", self.alpha) <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if self.scale <= 0.0:
+        if _finite("scale", self.scale) <= 0.0:
             raise ValueError("scale must be positive")
 
-    def _eval(self, pts):
-        r = np.linalg.norm(pts, axis=-1)
-        return (self.scale * r) ** self.alpha
+    def _radial(self, q):
+        return (self.scale * np.sqrt(q)) ** self.alpha
 
     def _growth(self):
-        return (self.alpha, self.alpha)
+        return self.alpha
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -114,15 +130,14 @@ class BrownianIsotropic(LevyExponent):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.diffusivity <= 0.0:
+        if _finite("diffusivity", self.diffusivity) <= 0.0:
             raise ValueError("diffusivity must be positive")
 
-    def _eval(self, pts):
-        r2 = np.sum(pts * pts, axis=-1)
-        return 0.5 * self.diffusivity * r2
+    def _radial(self, q):
+        return 0.5 * self.diffusivity * q
 
     def _growth(self):
-        return (2.0, 2.0)
+        return 2.0
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -131,22 +146,23 @@ class Skewed1DStable(LevyExponent):
 
     Psi(xi) = |scale*xi|^alpha * (1 - i beta sgn(xi) tan(pi alpha / 2)).
     alpha = 1 with beta != 0 is unsupported (the log correction term of
-    that boundary case is excluded).
+    that boundary case is excluded).  Its skew is not a drift.
     """
 
     alpha: float = 2.0
     beta: float = 0.0
     scale: float = 1.0
+    radial = False
 
     def __post_init__(self):
         super().__post_init__()
         if self.dim != 1:
             raise ValueError("Skewed1DStable requires dim=1")
-        if not 0.0 < self.alpha <= 2.0:
+        if not 0.0 < _finite("alpha", self.alpha) <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if not -1.0 <= self.beta <= 1.0:
+        if not -1.0 <= _finite("beta", self.beta) <= 1.0:
             raise ValueError("beta must lie in [-1, 1]")
-        if self.scale <= 0.0:
+        if _finite("scale", self.scale) <= 0.0:
             raise ValueError("scale must be positive")
         if self.alpha == 1.0 and self.beta != 0.0:
             raise ValueError("alpha=1 with nonzero skew is unsupported")
@@ -163,7 +179,7 @@ class Skewed1DStable(LevyExponent):
         return mag * (1.0 - 1j * self.beta * np.sign(x) * self.skew_factor())
 
     def _growth(self):
-        return (self.alpha, self.alpha)
+        return self.alpha
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -171,21 +187,25 @@ class PureDrift(LevyExponent):
     """Deterministic motion X(t) = b t; Psi(xi) = -i b . xi."""
 
     b: tuple = (1.0,)
+    radial = False
 
     def __post_init__(self):
-        object.__setattr__(self, "b", tuple(float(v) for v in np.atleast_1d(self.b)))
+        b = self.b if isinstance(self.b, (tuple, list)) else np.ravel(self.b).tolist()
+        object.__setattr__(self, "b", tuple(float(_finite("b", v)) for v in b))
         object.__setattr__(self, "dim", len(self.b))
         super().__post_init__()
+
+    def _radial(self, q):
+        return np.zeros_like(q)
 
     def _eval(self, pts):
         return -1j * (pts @ np.asarray(self.b))
 
-    def _growth(self):
-        if self.dim > 1:
-            return None  # decay is direction dependent, no radial rule
-        return (-math.inf, 1.0 if any(self.b) else -math.inf)
+    @property
+    def drift(self):
+        return np.asarray(self.b)
 
-    def _real_growth(self):
+    def _growth(self):
         return -math.inf
 
 
@@ -204,24 +224,21 @@ class SumOf(LevyExponent):
             raise DimensionMismatchError("SumOf components must share dim")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "dim", comps[0].dim)
+        object.__setattr__(self, "radial", all(c.radial for c in comps))
         super().__post_init__()
+
+    def _radial(self, q):
+        return sum(c._radial(q) for c in self.components)
 
     def _eval(self, pts):
         return sum(c._eval(pts) for c in self.components)
 
-    def _growth(self):
-        # drifts add before growths are taken: opposite ones cancel
-        drifts = [c.b for c in self.components if isinstance(c, PureDrift)]
-        parts = [c for c in self.components if not isinstance(c, PureDrift)]
-        if drifts:
-            parts.append(PureDrift(b=tuple(np.sum(drifts, axis=0))))
-        gs = [c._growth() for c in parts]
-        if any(g is None for g in gs):
-            return None
-        return (max(g[0] for g in gs), max(g[1] for g in gs))
+    @property
+    def drift(self):
+        return sum(c.drift for c in self.components)
 
-    def _real_growth(self):
-        return max(c._real_growth() for c in self.components)
+    def _growth(self):
+        return max(c._growth() for c in self.components)
 
 
 _FAMILIES = {
@@ -297,24 +314,31 @@ class ExponentVector:
     def dim(self) -> int:
         return self.components[0].dim
 
+    def _kernel(self, q: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """K at the points pts of squared radii q: radial components read q."""
+        out = np.ones(q.shape)
+        for comp in self.components:
+            z = 1.0 + (comp._radial(q) if comp.radial else comp._eval(pts))
+            out *= z.real / np.abs(z) ** 2
+        return out
+
     def kernel_values(self, xi) -> np.ndarray:
         """Vectorized K(xi) = prod_j (1 + Re Psi_j) / |1 + Psi_j|^2, in (0, 1]."""
         pts, lead = _as_points(xi, self.dim)
-        out = np.ones(pts.shape[0])
-        for comp in self.components:
-            z = 1.0 + comp._eval(pts)
-            out *= z.real / np.abs(z) ** 2
-        return out.reshape(lead)
+        return self._kernel(_squared_radius(pts), pts).reshape(lead)
+
+    def kernel_radial(self, r) -> np.ndarray:
+        """K(r e_1) from q = r^2, in the shape of r: kernel_values at (r, 0, ..., 0),
+        bit for bit.  A component that is not radial is read at r in d = 1 only."""
+        if self.dim > 1 and not all(c.radial for c in self.components):
+            raise ValueError(f"K depends on the direction in d = {self.dim}")
+        s = np.ravel(np.asarray(r, dtype=float))
+        return self._kernel(s * s, s[:, None]).reshape(np.shape(r))
 
     def kernel_decay_exponent(self) -> Optional[float]:
         """Radial decay exponent of K at infinity, or None if uncertifiable."""
-        total = 0.0
-        for comp in self.components:
-            p = comp.kernel_decay_exponent()
-            if p is None:
-                return None
-            total += p
-        return total
+        decays = [comp.kernel_decay_exponent() for comp in self.components]
+        return None if None in decays else sum(decays, 0.0)
 
 
 def sector_constant(exp: LevyExponent, sample_grid: Sequence) -> float:

@@ -4,7 +4,7 @@ A kernel is a nonnegative gauge on R^d, finite off the origin and possibly
 infinite at 0, optionally carrying a closed-form Fourier transform.  The
 symmetrized one-potential density v of an additive Levy process is computed
 by radial Fourier inversion of the product kernel (v_hat = K), supported in
-d = 1, 2 and 3.
+d = 1, 2 and 3, with K evaluated on the radii (ExponentVector.kernel_radial).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from addlevy.exponents import ExponentVector, _as_points
+from addlevy.exponents import ExponentVector, _as_points, _squared_radius
 from addlevy.quadrature import (
     QuadratureError,
     QuadratureSpec,
@@ -47,10 +47,8 @@ class Kernel:
 def _radius(x: np.ndarray, dim: int) -> np.ndarray:
     """np.linalg.norm(x, axis=-1), bit for bit, with fewer temporaries."""
     pts, lead = _as_points(x, dim)
-    r = pts[:, 0] * pts[:, 0]
-    for k in range(1, dim):  # the order of norm's sum over the last axis
-        r += pts[:, k] * pts[:, k]
-    return np.sqrt(r, out=r).reshape(lead)
+    q = _squared_radius(pts)
+    return np.sqrt(q, out=q).reshape(lead)
 
 
 def riesz_constant(d: int, alpha: float) -> float:
@@ -153,14 +151,6 @@ def lambda_bruteforce(z: complex, quad: Optional[QuadratureSpec] = None) -> floa
 # ---------------------------------------------------------------------------
 # one-potential densities by radial Fourier inversion
 # ---------------------------------------------------------------------------
-
-def _axis_points(s, d: int) -> np.ndarray:
-    """The points (s_k, 0, ..., 0) of R^d, one row per value s_k."""
-    s = np.ravel(np.asarray(s, dtype=float))
-    pts = np.zeros((s.size, d))
-    pts[:, 0] = s
-    return pts
-
 
 # J0 below _J0_TABLE_END: a polynomial of degree _J0_DEGREE on each piece
 # [j - 1/2, j + 1/2] / _J0_PIECES_PER_UNIT, fitted at first use.
@@ -266,11 +256,6 @@ def _min_scale(r_max: float) -> float:
     return 1e-9 * min(1.0, 400.0 / r_max)
 
 
-def _k_values(psi: ExponentVector, s: np.ndarray) -> np.ndarray:
-    """K at the points (s, 0, ..., 0), in the shape of s."""
-    return psi.kernel_values(_axis_points(s, psi.dim)).reshape(np.shape(s))
-
-
 def _radial_inverse(psis, y: np.ndarray, quad: QuadratureSpec, shells: int = 1) -> np.ndarray:
     """Row [i, k], k < shells: v of psis[i] at the radii 2^-k y (y >= 0),
     inverted with r_max = 2^k quad.r_max.
@@ -315,17 +300,17 @@ def _radial_inverse(psis, y: np.ndarray, quad: QuadratureSpec, shells: int = 1) 
         for i, psi in enumerate(psis):
             for k, c in enumerate(scales):
                 # row by row: a matrix product would round each row by the group's size
-                main[i, k, group] = np.einsum("ij,j->i", w, _k_values(psi, c * nodes))
+                main[i, k, group] = np.einsum("ij,j->i", w, psi.kernel_radial(c * nodes))
     main *= scales[:, None] ** np.where(pos, min(d, 2), d)
     radii = y / scales[:, None]
     ends = quad.r_max * scales
     tail = np.zeros_like(main)
     for psi, decay, part, rows in zip(psis, decays, main, tail):
         rows[:, pos] = averaged_oscillatory_tail(
-            lambda s, r: _radial_weight(s, r, d) * _k_values(psi, s), ends[:, None],
+            lambda s, r: _radial_weight(s, r, d) * psi.kernel_radial(s), ends[:, None],
             radii[:, pos], rel_tol=quad.rel_tol, scale=np.maximum(np.abs(part[:, pos]), 1.0))
         if decay is not None and decay > d:
-            rows[:, ~pos] = powerlaw_tail(ends ** (d - 1) * _k_values(psi, ends), ends,
+            rows[:, ~pos] = powerlaw_tail(ends ** (d - 1) * psi.kernel_radial(ends), ends,
                                           decay - (d - 1))[:, None]
     return np.where(finite[:, None, :], (main + tail) / _radial_norm(radii, d), np.inf)
 
@@ -352,11 +337,19 @@ def potential_density_v(psi: ExponentVector, x, quad: Optional[QuadratureSpec] =
         raise ValueError(f"no radial inversion of a direction-dependent kernel in d = {psi.dim}")
     if quad is None:
         quad = QuadratureSpec(r_max=400.0, rel_tol=1e-8)
+    # in place: besides x, two arrays of the radii's size at a time
     r = _radius(x, psi.dim)
-    unit = 10.0 ** (np.floor(np.log10(np.where(r > 0.0, r, 1.0))) - 13.0)
-    r = np.round(r / unit) * unit
-    radii, inverse = np.unique(r, return_inverse=True)
-    out = _radial_inverse((psi,), radii, quad)[0, 0, inverse].reshape(r.shape)
+    unit = np.where(r > 0.0, r, 1.0)
+    np.floor(np.log10(unit, out=unit), out=unit)
+    unit -= 13.0
+    np.power(10.0, unit, out=unit)
+    np.round(np.divide(r, unit, out=r), out=r)
+    r *= unit
+    del unit
+    radii = np.unique(r)
+    inverse = np.searchsorted(radii, r)
+    del r
+    out = _radial_inverse((psi,), radii, quad)[0, 0, inverse]
     return float(out) if out.ndim == 0 else out
 
 

@@ -431,14 +431,14 @@ class TestEquilibrium:
                        "kind": "invalid-input"}
 
     def test_energy_pair_arrays_over_the_budget_exit_one(self, capsys, monkeypatch):
-        # the d = 2 energy forms the 400 x 400 x 2 atom differences and seven
-        # 400 x 400 arrays of radii: 11.5 MB, over a budget lowered to 1 MiB
+        # the d = 2 energy forms the 400 x 400 x 2 atom differences and four
+        # 400 x 400 arrays of radii: 7.7 MB, over a budget lowered to 1 MiB
         monkeypatch.setattr(measures, "_BYTES_BUDGET", 2 ** 20)
         spec = '{"kind":"CubeGrid","bounds":[[0,1],[0,1]],"n_per_axis":20}'
         code, rep = run_cli(["energy", "--psi", f"[{STABLE_2D},{STABLE_2D}]", "--set", spec],
                             capsys)
         assert code == 1
-        assert rep == {"error": "the 400 x 400 pair arrays would take 0.0107 GiB, "
+        assert rep == {"error": "the 400 x 400 pair arrays would take 0.00715 GiB, "
                                 "over the 0.000977 GiB budget of an energy matrix",
                        "kind": "invalid-input"}
 
@@ -864,6 +864,24 @@ class TestExponentSpec:
          "bad exponent spec: PureDrift does not read params ['scale']"),
         ('{"family":"IsotropicStable","params":{"alpha":1.5},"extra":1}',
          "bad exponent spec: an exponent does not read ['extra']"),
+        # a parameter is a finite number: NaN and inf are not, nor is a bool
+        ('[{"family":"IsotropicStable","dim":2,"params":{"alpha":1.5}},'
+         '{"family":"IsotropicStable","dim":2,"params":{"alpha":1.5,"scale":NaN}}]',
+         "bad exponent spec: scale must be a finite number, got nan"),
+        ('{"family":"IsotropicStable","dim":2,"params":{"alpha":true}}',
+         "bad exponent spec: alpha must be a finite number, got True"),
+        ('{"family":"BrownianIsotropic","params":{"diffusivity":Infinity}}',
+         "bad exponent spec: diffusivity must be a finite number, got inf"),
+        ('{"family":"Skewed1DStable","params":{"alpha":1.5,"scale":-Infinity}}',
+         "bad exponent spec: scale must be a finite number, got -inf"),
+        ('{"family":"Skewed1DStable","params":{"alpha":1.5,"beta":false}}',
+         "bad exponent spec: beta must be a finite number, got False"),
+        ('{"family":"PureDrift","params":{"b":[Infinity]}}',
+         "bad exponent spec: b must be a finite number, got inf"),
+        ('[{"family":"PureDrift","params":{"b":[NaN,0]}},{"family":"PureDrift","params":{"b":[1,1]}}]',
+         "bad exponent spec: b must be a finite number, got nan"),
+        ('{"family":"PureDrift","params":{"b":[true]}}',
+         "bad exponent spec: b must be a finite number, got True"),
     ])
     def test_bad_exponent_spec_exit_one(self, psi, error, capsys):
         code, rep = run_cli(["capacity", "--point-test", "--psi", psi], capsys)

@@ -1,5 +1,6 @@
 """Energy functionals: real-side, Fourier-side, and the identity bridges."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from addlevy import (
     riesz_kernel,
     sojourn_second_moment,
 )
-from addlevy import energy, measures
+from addlevy import energy, kernels, measures
 from addlevy.energy import riesz_identity_sides
 from addlevy.kernels import Kernel, potential_density_v
 from addlevy.measures import (
@@ -92,6 +93,24 @@ class TestPairBudget:
         psi = ExponentVector((IsotropicStable(alpha=1.5, dim=2),) * 2)
         with pytest.raises(ValueError, match="the 400 x 400 pair arrays would take"):
             energy_fourier(psi, discretize(cube_grid([(0.0, 1.0)] * 2, 20)))
+
+    @pytest.mark.parametrize("d, n_per_axis", [(2, 40), (3, 10)])
+    def test_energy_fourier_charges_its_peak(self, d, n_per_axis, monkeypatch):
+        # what the d = 2, 3 energy charges the budget is at or above what it
+        # allocates at its peak (the J0 table is built once per process)
+        charged = []
+        monkeypatch.setattr(energy, "_check_budget", lambda size, what: charged.append(size))
+        psi = ExponentVector((IsotropicStable(alpha=1.5, dim=d), IsotropicStable(alpha=1.9, dim=d)))
+        mu = discretize(cube_grid([(0.0, 1.0)] * d, n_per_axis))
+        kernels._j0_table()
+        tracemalloc.start()
+        try:
+            energy_fourier(psi, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert charged == [8 * mu.n_atoms ** 2 * (d + 4)]
+        assert peak <= charged[0]
 
     def test_identity_check(self):
         # 40 x 40 x 100 pairs of 5 arrays: 6.4 MB

@@ -1,6 +1,7 @@
 """Exponent algebra: evaluation, product kernel, sector constants."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -199,3 +200,122 @@ class TestValidation:
     def test_vector_shape(self):
         psi = ExponentVector((IsotropicStable(dim=2), BrownianIsotropic(dim=2)))
         assert psi.n == 2 and psi.dim == 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, False])
+@pytest.mark.parametrize("name, build", [
+    ("alpha", lambda v: IsotropicStable(alpha=v, dim=2)),
+    ("scale", lambda v: IsotropicStable(alpha=1.5, scale=v, dim=2)),
+    ("diffusivity", lambda v: BrownianIsotropic(diffusivity=v, dim=3)),
+    ("alpha", lambda v: Skewed1DStable(alpha=v)),
+    ("beta", lambda v: Skewed1DStable(alpha=1.5, beta=v)),
+    ("scale", lambda v: Skewed1DStable(alpha=1.5, beta=0.5, scale=v)),
+    ("b", lambda v: PureDrift(b=(1.0, v))),
+    ("b", lambda v: PureDrift(b=np.array([v]))),
+])
+def test_non_finite_and_boolean_parameters_refused(name, build, bad):
+    # NaN passes every order test, inf passes "positive", and True reads as 1
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a finite number, got {bad!r}")):
+        build(bad)
+
+
+# ---------------------------------------------------------------------------
+# the split Psi = R(|xi|) - i b . xi, bit for bit
+# ---------------------------------------------------------------------------
+
+ALPHAS = st.floats(min_value=0.05, max_value=2.0)
+SCALES = st.floats(min_value=1e-3, max_value=1e3)
+
+
+def radial_families(d):
+    return st.one_of(
+        st.builds(IsotropicStable, alpha=ALPHAS, scale=SCALES, dim=st.just(d)),
+        st.builds(BrownianIsotropic, diffusivity=SCALES, dim=st.just(d)))
+
+
+def radial_components(d):
+    return st.one_of(radial_families(d), st.builds(
+        lambda cs: SumOf(components=tuple(cs)), st.lists(radial_families(d), min_size=1,
+                                                         max_size=3)))
+
+
+def drifts(d):
+    return st.builds(lambda b: PureDrift(b=tuple(b)),
+                     st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=d, max_size=d))
+
+
+def skewed():
+    return st.builds(lambda a, beta: Skewed1DStable(alpha=a, beta=0.0 if a == 1.0 else beta),
+                     ALPHAS, st.floats(min_value=-1.0, max_value=1.0))
+
+
+def components_1d():
+    """Every family in d = 1, and sums that mix them."""
+    one = st.one_of(radial_families(1), drifts(1), skewed())
+    return st.one_of(one, st.builds(lambda cs: SumOf(components=tuple(cs)),
+                                    st.lists(one, min_size=1, max_size=3)))
+
+
+RADII = st.lists(st.one_of(st.just(0.0),
+                           st.floats(min_value=1e-170, max_value=1e-155),  # r^2 subnormal
+                           st.floats(min_value=1e-6, max_value=1e6),
+                           st.floats(min_value=1e150, max_value=1e200)),  # r^2 may be inf
+                 min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2, 3]), radii=RADII)
+def test_kernel_radial_is_kernel_values_on_the_first_axis(data, d, radii):
+    comps = components_1d() if d == 1 else radial_components(d)
+    psi = ExponentVector(tuple(data.draw(st.lists(comps, min_size=1, max_size=4))))
+    r = np.array(radii)
+    pts = np.zeros((r.size, d))
+    pts[:, 0] = r
+    with np.errstate(all="ignore"):  # inf / inf at the huge radii
+        got, want = psi.kernel_radial(r), psi.kernel_values(pts)
+    assert got.shape == r.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kernel_radial_keeps_the_shape_and_refuses_a_direction():
+    psi = ExponentVector((IsotropicStable(alpha=1.5, dim=2), BrownianIsotropic(dim=2)))
+    r = np.linspace(0.0, 3.0, 6).reshape(2, 3)
+    assert psi.kernel_radial(r).shape == (2, 3)
+    with pytest.raises(ValueError, match="direction"):
+        ExponentVector((SumOf(components=(IsotropicStable(alpha=1.5, dim=2),
+                                          PureDrift(b=(0.0, 0.0)))),)).kernel_radial(r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), d=st.integers(min_value=1, max_value=10),
+       alpha=ALPHAS, scale=SCALES)
+def test_radial_families_keep_the_norm_formulas(data, d, alpha, scale):
+    # Psi on q = |xi|^2 is (scale ||xi||)^alpha and diffusivity sum(xi^2) / 2
+    # as np.linalg.norm and np.sum form them; from 8 columns numpy sums pairwise
+    n = data.draw(st.integers(min_value=1, max_value=20))
+    pts = np.array(data.draw(st.lists(
+        st.floats(min_value=-1e6, max_value=1e6), min_size=n * d, max_size=n * d))).reshape(n, d)
+    stable = IsotropicStable(alpha=alpha, scale=scale, dim=d)
+    brownian = BrownianIsotropic(diffusivity=scale, dim=d)
+    old_stable = (scale * np.linalg.norm(pts, axis=-1)) ** alpha
+    old_brownian = 0.5 * scale * np.sum(pts * pts, axis=-1)
+    assert stable._eval(pts).tobytes() == old_stable.tobytes()
+    assert brownian._eval(pts).tobytes() == old_brownian.tobytes()
+    assert np.array_equal(stable(pts), old_stable.astype(complex))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2, 3]))
+def test_drift_is_minus_im_psi_at_the_unit_vectors(data, d):
+    # a skewed stable's imaginary part is a skew, not a drift: beta = 0 only
+    one = st.one_of(radial_families(d), drifts(d),
+                    *([st.builds(Skewed1DStable, alpha=ALPHAS)] if d == 1 else []))
+    comps = data.draw(st.lists(one, min_size=1, max_size=4))
+    for c in [*comps, SumOf(components=tuple(comps))]:
+        assert c.drift.shape == (d,)
+        assert np.array_equal(c.drift, -c(np.eye(d)).imag)
+
+
+def test_skewed_stable_has_no_drift():
+    c = Skewed1DStable(alpha=1.5, beta=1.0)
+    assert np.array_equal(c.drift, [0.0]) and c(1.0).imag != 0.0

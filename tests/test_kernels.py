@@ -315,6 +315,23 @@ class TestPotentialDensity:
         assert scalar[0] == scalar[3]
         assert np.array_equal(PotentialDensity(psi).as_kernel().eval(pts), scalar)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_radii_keyed_as_by_an_out_of_place_rounding(self, d):
+        # the 14-digit key rounded in place, and its inverse by searchsorted,
+        # give the values of the out-of-place rounding and np.unique's inverse
+        psi = ExponentVector((IsotropicStable(alpha=1.5, dim=d), BrownianIsotropic(dim=d)))
+        rng = np.random.default_rng(d)
+        pts = rng.standard_normal((40, d)) * 10.0 ** rng.integers(-9, 1, (40, 1))
+        edge = [0.0, 0.1, 0.1 - 1e-16, 0.1 + 1e-16, 0.09999999999999, 9.99999999999999e-3,
+                1.00000000000004, 1.00000000000006, 2.0, 2.0]
+        pts = np.concatenate([pts, pts[::-1], np.pad(np.array(edge)[:, None], ((0, 0), (0, d - 1)))])
+        r = np.linalg.norm(pts, axis=-1)
+        unit = 10.0 ** (np.floor(np.log10(np.where(r > 0.0, r, 1.0))) - 13.0)
+        radii, inverse = np.unique(np.round(r / unit) * unit, return_inverse=True)
+        quad = QuadratureSpec(r_max=400.0, rel_tol=1e-8)
+        want = kernels._radial_inverse((psi,), radii, quad)[0, 0, inverse]
+        assert np.array_equal(potential_density_v(psi, pts), want)
+
     def test_one_node_set_per_octave(self, monkeypatch):
         # the 128 x 128 differences of a 128-cell grid on [0, 1] take 128
         # distinct radii k/128 in 9 octaves (0 among them), and the octave
@@ -336,8 +353,7 @@ class TestPotentialDensity:
         class Resonant:
             dim = 1
 
-            def kernel_values(self, xi):
-                s = np.asarray(xi)[:, 0]
+            def kernel_radial(self, s):
                 return np.cos(s) / s
 
         quad = QuadratureSpec(r_max=40.0)
@@ -421,8 +437,7 @@ class TestDyadicRadialInverse:
         class Resonant:
             dim = 1
 
-            def kernel_values(self, xi):
-                s = np.asarray(xi)[:, 0]
+            def kernel_radial(self, s):
                 return np.cos(s) / s
 
         quad = QuadratureSpec(r_max=40.0)
