@@ -15,11 +15,14 @@ sojourn moment are one half-line integral, _halfline: panels up to r and a
 power-law tail beyond.  Its error, like that of the d = 2, 3 energies, is
 the change of the value from r = r_max / 2 to r_max (_two_resolution): it
 covers the truncation and the tail as far as halving r moves them, not the
-panel rule.
+panel rule.  The energy and both identity checks read |mu_hat|^2 from
+``AtomicMeasure.power``: the phase of mu_hat cancels, so a discretized
+grid, Cantor set or point pair gives the product of its squared real
+factors, with no complex exponential.
 
-The real sides form arrays over all atom pairs; those that would exceed the
-2 GiB budget of measures._check_budget raise a ValueError before they are
-allocated.
+The real sides form arrays over all atom pairs, and the half-line integral
+arrays over its nodes; those that would exceed the 2 GiB budget of
+measures._check_budget raise a ValueError before they are allocated.
 """
 
 from __future__ import annotations
@@ -33,7 +36,13 @@ import numpy as np
 from addlevy.exponents import DimensionMismatchError, ExponentVector
 from addlevy.kernels import Kernel, lambda_closed, potential_density_v, riesz_constant, riesz_kernel
 from addlevy.measures import AtomicMeasure, _check_budget
-from addlevy.quadrature import QuadratureSpec, halfline_edges, integrate_panels, powerlaw_tail
+from addlevy.quadrature import (QuadratureSpec, halfline_edges, integrate_panels, powerlaw_tail,
+                                uniform_panel_count)
+
+# bytes per node that a half-line integral holds at its peak: the nodes, the
+# weights and the integrand's arrays; tracemalloc peaks at 97.6 per node in the
+# energy of a grid, 106 in the identity check of a phase-matrix nu
+_NODE_BYTES = 112
 
 
 @dataclass(frozen=True)
@@ -92,10 +101,18 @@ def _halfline(f: Callable[[np.ndarray], np.ndarray], r_max: float, norm: float,
     """norm * int_0^inf f and its error, for an f ~ amp (s / r_max)^-decay beyond r_max.
 
     The panels are period-matched to max_freq.  amp = 0 adds no tail; a tail
-    with decay <= 1 is not integrable and gives value and error inf.
+    with decay <= 1 is not integrable and gives value and error inf.  Nodes
+    that would take more than the 2 GiB budget of measures._check_budget,
+    or are not finite in number, are a ValueError before any is allocated.
     """
     if amp and decay <= 1.0:
         return np.inf, np.inf
+    # 12 nodes per panel; the cascade toward 0 adds fewer than 32 panels
+    nodes = 12.0 * (float(uniform_panel_count(r_max, max_freq)) + 32.0)
+    if not math.isfinite(nodes):
+        raise ValueError(f"the half-line panels up to {r_max:g} at frequency {max_freq:g} "
+                         f"are not finite in number")
+    _check_budget(_NODE_BYTES * nodes, f"the {nodes:.4g} half-line nodes")
 
     def upto(r):
         tail = powerlaw_tail(amp * (r_max / r) ** decay, r, decay) if amp else 0.0
@@ -125,7 +142,7 @@ def energy_fourier(psi: ExponentVector, mu: AtomicMeasure,
         return EnergyReport(value=np.inf, tail_estimate=np.inf, converged=False)
     if d == 1:
         def f(s):
-            return np.abs(mu.fourier(s)) ** 2 * psi.kernel_values(s)
+            return mu.power(s) * psi.kernel_values(s)
 
         # the mean |mu_hat|^2 at large xi, times K at r_max
         amp = float(np.sum(mu.weights ** 2)) * float(psi.kernel_values(np.array([quad.r_max]))[0])
@@ -178,7 +195,7 @@ def energy_identity_check(k: Kernel, nu: AtomicMeasure,
 
     # fourier side (even integrand in d=1 for symmetric kernels)
     def f(s):
-        return k.fourier(s) * np.real(nu.fourier(s)) * np.abs(mu.fourier(s)) ** 2
+        return k.fourier(s) * np.real(nu.fourier(s)) * mu.power(s)
 
     r_max = 2000.0
     k_mid, k_end = (float(v) for v in np.atleast_1d(k.fourier(np.array([r_max / 2.0, r_max]))))
@@ -215,7 +232,7 @@ def riesz_identity_sides(mu: AtomicMeasure, s: float) -> tuple[float, float, flo
     real_side += diag_avg * float(np.sum(mu.weights ** 2))
 
     def f(x):
-        return np.abs(mu.fourier(x)) ** 2 * x ** (-s)
+        return mu.power(x) * x ** (-s)
 
     cutoff = math.pi / cell
     fourier_side, error = _halfline(f, cutoff, riesz_constant(d, alpha) / math.pi,

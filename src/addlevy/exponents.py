@@ -315,11 +315,18 @@ class ExponentVector:
         return self.components[0].dim
 
     def _kernel(self, q: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """K at the points pts of squared radii q: radial components read q."""
-        out = np.ones(q.shape)
+        """K at the points pts of squared radii q: radial components read q.
+        Each factor Re z / |z|^2 is formed in place in the array of |z|."""
+        out = None
         for comp in self.components:
             z = 1.0 + (comp._radial(q) if comp.radial else comp._eval(pts))
-            out *= z.real / np.abs(z) ** 2
+            factor = np.abs(z)
+            np.square(factor, out=factor)
+            np.divide(z.real, factor, out=factor)
+            if out is None:
+                out = factor
+            else:
+                out *= factor
         return out
 
     def kernel_values(self, xi) -> np.ndarray:

@@ -4,6 +4,12 @@ An :class:`AtomicMeasure` stands in for a compactly supported probability
 measure; discretizers turn simple set descriptions (cube grids, Cantor
 products, point pairs, circles) into equal-weight atomic measures supported
 inside the set, with the closed-form transform where one exists.
+
+A closed form is a centre c and one real factor per axis,
+mu_hat(xi) = exp(i xi . c) prod_k f_k(xi_k): ``fourier`` reads all of it,
+``power``, |mu_hat|^2, only the squared factors, so the energies take no
+complex exponential.  The grid's factor, the Dirichlet kernel, is formed
+from half-angle tangents.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,12 +47,41 @@ def _check_budget(size: int, what: str) -> None:
 
 
 @dataclass(frozen=True)
+class ProductTransform:
+    """The closed form exp(i xi . centre) prod_k f_k(xi_k) of a product of
+    measures symmetric about ``centre``: ``factors`` holds the real
+    transform f_k of each axis about its centre, None where the axis holds
+    the centre alone (f_k = 1).  Both take frequencies (m, d)."""
+
+    centre: tuple
+    factors: tuple
+
+    def _product(self, xi: np.ndarray, squared: bool) -> np.ndarray:
+        out = np.ones(xi.shape[0])
+        for k, f in enumerate(self.factors):
+            if f is not None:
+                v = f(xi[:, k])
+                out *= v * v if squared else v
+        return out
+
+    def __call__(self, xi: np.ndarray) -> np.ndarray:
+        """mu_hat.  One complex product per value: numpy's complex multiply
+        rounds differently by array length."""
+        phase = sum(xi[:, k] * c for k, c in enumerate(self.centre))
+        return np.exp(1j * phase) * self._product(xi, False)
+
+    def power(self, xi: np.ndarray) -> np.ndarray:
+        """|mu_hat|^2, the product of the squared factors: the phase cancels."""
+        return self._product(xi, True)
+
+
+@dataclass(frozen=True)
 class AtomicMeasure:
     """Probability measure sum_k w_k * delta_{x_k}.
 
-    ``transform``, when set, maps frequencies (m, d) to the m values of
-    mu_hat in closed form; ``discretize`` sets it for the sets that have one,
-    and ``cell``, the linear cell size that the energy diagonals read.
+    ``transform``, when set, is mu_hat in closed form; ``discretize`` sets
+    it for the sets that have one, and ``cell``, the linear cell size that
+    the energy diagonals read.
     ``lattice``, set for a grid, holds the ``(n_k, h_k)`` of each axis: the
     atoms are the products of n_k points h_k apart, in C order, and every
     difference of two atoms is exactly a lattice offset (i - j) h.
@@ -54,8 +89,7 @@ class AtomicMeasure:
 
     points: np.ndarray  # (n, d)
     weights: np.ndarray  # (n,)
-    transform: Optional[Callable[[np.ndarray], np.ndarray]] = field(
-        default=None, compare=False, repr=False)
+    transform: Optional[ProductTransform] = field(default=None, compare=False, repr=False)
     cell: float = field(default=0.0, compare=False, repr=False)
     lattice: Optional[tuple] = field(default=None, compare=False, repr=False)
 
@@ -95,9 +129,22 @@ class AtomicMeasure:
         """
         pts, lead = _as_points(xi, self.dim)
         if self.transform is not None:
-            vals = np.asarray(self.transform(pts), dtype=complex)
+            vals = self.transform(pts)
             return complex(vals[0]) if lead == () else vals.reshape(lead)
         return self._phase_sums(pts, lead)
+
+    def power(self, xi) -> np.ndarray:
+        """|mu_hat(xi)|^2, a float for one point, else an array of the lead shape.
+
+        A closed-form ``transform`` gives the product of its squared real
+        factors; any other measure squares the modulus of its phase sums,
+        the bits of ``np.abs(fourier(xi)) ** 2``.
+        """
+        pts, lead = _as_points(xi, self.dim)
+        if self.transform is None:
+            return np.abs(self._phase_sums(pts, lead)) ** 2
+        vals = self.transform.power(pts)
+        return float(vals[0]) if lead == () else vals.reshape(lead)
 
     def _phase_sums(self, pts: np.ndarray, lead: tuple):
         if lead == ():
@@ -189,14 +236,25 @@ def _dirichlet(a: float, b: float, n: int, x: np.ndarray) -> np.ndarray:
     """D_n(hx/2), the transform of n equal atoms at the cell centres of [a, b]
     about their centre (b + a)/2, with h = (b - a)/n.
 
-    D_n(t) = sin(nt) / (n sin t) = (-1)^(m(n-1)) sinc(nt'/pi) / sinc(t'/pi)
-    with m = rint(t / pi) and t' = t - m pi; |t'| <= pi/2 keeps the
-    denominator >= 2/pi, so no branch is needed at the poles of 1/sin t.
+    With m = rint(t / pi), t' = t - m pi, tau = tan(t'/2) and T = tan(nt'/2),
+    the half-angle forms of both sines give
+    D_n(t) = sin(nt) / (n sin t) = (-1)^(m(n-1)) T (1 + tau^2) / (n tau (1 + T^2)).
+    |t'| <= pi/2 keeps |tau| <= 1, so no branch is needed at the poles of
+    1/sin t.  Where |nt'/2| < 2^-27, 1 - (n^2 - 1) t'^2 / 6 rounds to 1 and
+    D is set to it: the quotient would lose the bits of a subnormal t'.
+    numpy's tan is vectorized where its sin calls libm per value.
     """
     t = x * ((b - a) / (2 * n))
     m = np.rint(t / np.pi)
-    t = t - m * np.pi
-    return (1.0 - 2.0 * (m * (n - 1) % 2.0)) * np.sinc(n * t / np.pi) / np.sinc(t / np.pi)
+    t -= m * np.pi
+    half_nt = (0.5 * n) * t
+    tau = np.tan(0.5 * t)
+    big = np.tan(half_nt)
+    out = np.divide(big * (1.0 + tau * tau), n * tau * (1.0 + big * big),
+                    out=np.ones_like(t), where=np.abs(half_nt) >= 2.0 ** -27)
+    if n % 2 == 0:  # m (n - 1) has the parity of m
+        out *= 1.0 - 2.0 * np.square(m - 2.0 * np.rint(0.5 * m))
+    return out
 
 
 def _riesz_product(ratio: float, level: int, x: np.ndarray) -> np.ndarray:
@@ -206,16 +264,6 @@ def _riesz_product(ratio: float, level: int, x: np.ndarray) -> np.ndarray:
     for j in range(level):
         out *= np.cos(x * ((1.0 - ratio) * ratio ** j / 2.0))
     return out
-
-
-def _product_transform(centre, axes) -> Callable[[np.ndarray], np.ndarray]:
-    """exp(i xi . centre) prod_k f_k(xi_k) for a product of measures symmetric
-    about ``centre`` with real transforms f_k.  One complex product per value:
-    numpy's complex multiply rounds differently by array length."""
-    def transform(xi):
-        phase = sum(xi[:, k] * c for k, c in enumerate(centre))
-        return np.exp(1j * phase) * np.prod([f(xi[:, k]) for k, f in enumerate(axes)], axis=0)
-    return transform
 
 
 def _param(name: str, value):
@@ -266,8 +314,8 @@ def discretize(spec: SetDiscretization) -> AtomicMeasure:
         pts = _product(axes)
         cell = float(min((b - a) / n for a, b in bounds))
         lattice = tuple((n, h) for h in steps)
-        transform = _product_transform([(a + b) / 2.0 for a, b in bounds],
-                                       [partial(_dirichlet, a, b, n) for a, b in bounds])
+        transform = ProductTransform(tuple((a + b) / 2.0 for a, b in bounds),
+                                     tuple(partial(_dirichlet, a, b, n) for a, b in bounds))
     elif kind == "CantorProduct":
         ratio, level, d = p["ratio"], p["level"], p["d"]
         if not 0.0 < ratio < 0.5:
@@ -276,7 +324,7 @@ def discretize(spec: SetDiscretization) -> AtomicMeasure:
             raise ValueError("level must be >= 0 and d >= 1")
         pts = _product([_cantor_intervals_1d(ratio, level)] * d)
         cell = float(ratio ** level)
-        transform = _product_transform([0.5] * d, [partial(_riesz_product, ratio, level)] * d)
+        transform = ProductTransform((0.5,) * d, (partial(_riesz_product, ratio, level),) * d)
     elif kind == "TwoPoint":
         sep, d = p["separation"], p["d"]
         if sep <= 0.0:
@@ -287,7 +335,8 @@ def discretize(spec: SetDiscretization) -> AtomicMeasure:
         pts[0, 0] = -sep / 2.0
         pts[1, 0] = sep / 2.0
         cell = float(sep)
-        transform = lambda xi: np.cos(xi[:, 0] * (sep / 2.0))
+        transform = ProductTransform((0.0,) * d,
+                                     (lambda x: np.cos(x * (sep / 2.0)),) + (None,) * (d - 1))
     else:  # Circle
         radius, n = p["radius"], p["n"]
         if n < 1:

@@ -69,10 +69,12 @@ def uniform_panel_count(r_max: float, max_freq=0.0):
     """Number of uniform panels of ``halfline_edges(r_max, max_freq)``.
 
     Elementwise in max_freq; the edges depend on max_freq only through it.
+    The count is an integral float: one that no int holds (a huge or
+    infinite max_freq or r_max) stays visible to a caller's budget.
     """
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         width = np.minimum(r_max / 16.0, np.pi / (2.0 * np.asarray(max_freq, dtype=float)))
-    return np.ceil(r_max / width).astype(int)
+        return np.ceil(r_max / width)
 
 
 def halfline_edges(r_max: float, max_freq: float = 0.0, min_scale: float = 1e-9) -> np.ndarray:

@@ -442,6 +442,17 @@ class TestEquilibrium:
                                 "over the 0.000977 GiB budget of an energy matrix",
                        "kind": "invalid-input"}
 
+    @pytest.mark.parametrize("length, nodes, size", [(1e5, "2.037e+08", "21.2"),
+                                                     (1e300, "2.037e+303", "2.12e+296")])
+    def test_energy_halfline_nodes_over_the_budget_exit_one(self, length, nodes, size, capsys):
+        # 3 cells of [0, L] span 2L/3: panels pi / (2 (2L/3)) wide up to 400, 12 nodes each
+        spec = json.dumps({"kind": "CubeGrid", "bounds": [[0.0, length]], "n_per_axis": 3})
+        code, rep = run_cli(["energy", "--psi", STABLE_PSI, "--set", spec], capsys)
+        assert code == 1
+        assert rep == {"error": f"the {nodes} half-line nodes would take {size} GiB, "
+                                "over the 2 GiB budget of an energy matrix",
+                       "kind": "invalid-input"}
+
     def test_potential_capacity_of_a_point(self, capsys):
         # [DERIVED] the point mass is the only measure on a point: energy v(0)
         code, rep = run_cli(["equilibrium", "--set", self.POINT, "--gauge", "potential",

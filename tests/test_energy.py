@@ -120,6 +120,36 @@ class TestPairBudget:
                                   discretize(cube_grid([(0.0, 1.0)], 40)))
 
 
+class TestHalflineBudget:
+    """The nodes of a half-line integral are counted against the budget
+    before they are allocated."""
+
+    @pytest.mark.parametrize("components", [(BrownianIsotropic(),),
+                                            (IsotropicStable(alpha=1.5), IsotropicStable(alpha=1.8))])
+    def test_energy_charges_its_peak(self, components, monkeypatch):
+        # a 64-cell grid of [0, 30]: 7,521 uniform panels, about 90,000 nodes
+        charged = []
+        monkeypatch.setattr(energy, "_check_budget", lambda size, what: charged.append(size))
+        psi, mu = ExponentVector(components), discretize(cube_grid([(0.0, 30.0)], 64))
+        energy_fourier(psi, mu)
+        charged.clear()
+        tracemalloc.start()
+        try:
+            energy_fourier(psi, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(charged) == 1
+        assert peak <= charged[0]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_infinitely_many_panels_are_refused(self):
+        # the atoms span inf: the panels, pi / (2 inf) wide, have no count
+        mu = AtomicMeasure(points=np.array([[-1e308], [1e308]]), weights=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="are not finite in number"):
+            energy_fourier(ExponentVector((BrownianIsotropic(),)), mu)
+
+
 class TestEnergyFourier:
     def test_brownian_delta(self):
         # [DERIVED] (1/2pi) int dxi / (1 + xi^2/2) = 1/sqrt(2)
@@ -305,9 +335,10 @@ class TestIdentityChecks:
          (0.7358252930188938, 0.7358248199602258)),
         (cauchy_kernel(1.0), discretize(two_point(0.5)), discretize(two_point(1.0)),
          (0.7281492109038737, 0.7281492109038739)),
-        # the grid's closed form gives the phase matrix's bits here
+        # the grid's closed form squares its real Dirichlet factor where the
+        # phase matrix takes a modulus: the last bits of the Fourier side differ
         (exponential_kernel(1.0), delta([0.0]), GRID_64,
-         (0.7358252930188938, 0.7358248199602258)),
+         (0.7358252930188938, 0.7358248199602256)),
     ])
     def test_fourier_side_is_one_resolution(self, k, nu, mu, expected, monkeypatch):
         # the values at r_max of the two-resolution rule (with and without a

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from addlevy import AtomicMeasure, discretize
 from addlevy.measures import (
     SetDiscretization,
+    _dirichlet,
     cantor_product,
     circle,
     cube_grid,
@@ -138,7 +139,10 @@ def closed_form_cases(draw):
     """A set with a closed-form transform and frequencies (m, d) to take it at.
 
     Grid frequencies include points within a few ulps of 2 pi m / h, where
-    the Dirichlet kernel's numerator and denominator both vanish.
+    the Dirichlet kernel's numerator and denominator both vanish, and of
+    2 pi (2j + 1) / (b - a), where its numerator vanishes and
+    tan(nt'/2) of its tangent form may have a pole.  Every set takes some
+    subnormal frequencies.
     """
     kind = draw(st.sampled_from(["CubeGrid", "CantorProduct", "TwoPoint"]))
     if kind == "CubeGrid":
@@ -166,7 +170,24 @@ def closed_form_cases(draw):
             for _ in range(draw(st.integers(0, 4))):
                 poles = np.nextafter(poles, draw(st.sampled_from([-np.inf, np.inf])))
             xi[: m // 2, k] = poles
+            odd = draw(st.lists(st.integers(-300, 300), min_size=m // 4, max_size=m // 4))
+            zeros = 2.0 * np.pi * (2.0 * np.array(odd, dtype=float) + 1.0) / (b - a)
+            for _ in range(draw(st.integers(0, 4))):
+                zeros = np.nextafter(zeros, draw(st.sampled_from([-np.inf, np.inf])))
+            xi[m // 2: m // 2 + m // 4, k] = zeros
+    tiny = draw(st.lists(st.floats(-2.0 ** -1022, 2.0 ** -1022), max_size=(m // 4) * d))
+    if tiny:
+        xi.reshape(-1)[-len(tiny):] = tiny
     return spec, xi
+
+
+def sinc_dirichlet(a: float, b: float, n: int, x: np.ndarray) -> np.ndarray:
+    """D_n(hx/2) as (-1)^(m(n-1)) sinc(nt'/pi) / sinc(t'/pi), the reference
+    for the tangent form of measures._dirichlet."""
+    t = x * ((b - a) / (2 * n))
+    m = np.rint(t / np.pi)
+    t = t - m * np.pi
+    return (1.0 - 2.0 * (m * (n - 1) % 2.0)) * np.sinc(n * t / np.pi) / np.sinc(t / np.pi)
 
 
 class TestClosedFormTransforms:
@@ -179,6 +200,9 @@ class TestClosedFormTransforms:
         matrix = AtomicMeasure(mu.points, mu.weights).fourier(xi)
         reach = np.linalg.norm(xi, axis=1) * np.linalg.norm(mu.points, axis=1).max()
         assert np.all(np.abs(mu.fourier(xi) - matrix) <= 64 * EPS * (1.0 + reach))
+        # |a|^2 - |b|^2 = (|a| + |b|)(|a| - |b|), and |a| + |b| <= 2 here
+        assert np.all(np.abs(mu.power(xi) - np.abs(matrix) ** 2)
+                      <= 2 * 64 * EPS * (1.0 + reach))
 
     @given(closed_form_cases(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -192,6 +216,33 @@ class TestClosedFormTransforms:
         one = mu.fourier(xi[i])
         assert isinstance(one, complex)
         assert one == mu.fourier(xi)[i]
+        power = mu.power(xi[i])
+        assert isinstance(power, float)
+        assert power == mu.power(xi)[i]
+
+    @given(closed_form_cases(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_phase_matrix_power_is_the_squared_modulus(self, case, data):
+        # without a closed form, power keeps the bits of |fourier|^2
+        spec, xi = case
+        mu = discretize(spec)
+        plain = AtomicMeasure(mu.points, mu.weights)
+        if plain.dim == 1:
+            xi = xi[:, 0]
+        assert np.array_equal(plain.power(xi), np.abs(plain.fourier(xi)) ** 2)
+        i = data.draw(st.integers(0, xi.shape[0] - 1))
+        assert plain.power(xi[i]) == np.abs(plain.fourier(xi[i])) ** 2
+
+    @given(closed_form_cases().filter(lambda case: case[0].kind == "CubeGrid"))
+    @settings(max_examples=200, deadline=None)
+    def test_tangent_dirichlet_matches_the_sinc_quotient(self, case):
+        # both reduce t by the same m pi, and a relative error EPS in an
+        # argument moves D by at most EPS |t'| / |sin t'| <= EPS pi / 2
+        spec, xi = case
+        n = spec.params["n_per_axis"]
+        for k, (a, b) in enumerate(spec.params["bounds"]):
+            x = xi[:, k]
+            assert np.all(np.abs(_dirichlet(a, b, n, x) - sinc_dirichlet(a, b, n, x)) <= 16 * EPS)
 
     def test_circle_keeps_the_phase_matrix(self):
         assert discretize(circle(1.0, 8)).transform is None
