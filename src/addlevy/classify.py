@@ -159,14 +159,15 @@ def subordinator_meet(alpha1: float, alpha2: float) -> bool:
 # numeric convergence probes
 # ---------------------------------------------------------------------------
 
-def _extrapolated_slope(log_radii: np.ndarray, log_inc: np.ndarray, span: int) -> float:
+def _extrapolated_slope(log_radii: np.ndarray, log_inc: np.ndarray) -> float:
     """Limit of the log-log slope of increments against their radii.
 
-    Slopes are taken over blocks of ``span`` increments.  They approach
+    Slopes are taken over blocks of _SLOPE_SPAN increments.  They approach
     their limit with a geometrically shrinking transient, so a final Aitken
     delta-squared step on the last three blocks removes most of it; wider
     blocks damp the quadrature noise that the step amplifies.
     """
+    span = _SLOPE_SPAN
     local = (log_inc[span:] - log_inc[:-span]) / (log_radii[span:] - log_radii[:-span])
     a, b, c = local[-1 - 2 * span], local[-1 - span], local[-1]
     denom = (c - b) - (b - a)
@@ -184,9 +185,8 @@ def _shell_verdict(radii: np.ndarray, increments: np.ndarray) -> ConvergenceVerd
     (slope < 0) or Divergent only when |slope| - error clears _SLOPE_BAND.
     """
     log_r, log_inc = np.log(radii), np.log(increments)
-    slope = _extrapolated_slope(log_r, log_inc, _SLOPE_SPAN)
-    error = abs(slope - _extrapolated_slope(log_r[:-_SLOPE_SPAN], log_inc[:-_SLOPE_SPAN],
-                                            _SLOPE_SPAN))
+    slope = _extrapolated_slope(log_r, log_inc)
+    error = abs(slope - _extrapolated_slope(log_r[:-_SLOPE_SPAN], log_inc[:-_SLOPE_SPAN]))
     kind = "Inconclusive"
     if abs(slope) - error > _SLOPE_BAND:  # False for a NaN slope
         kind = "Convergent" if slope < 0.0 else "Divergent"

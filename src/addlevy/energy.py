@@ -6,9 +6,9 @@ measures in a gauge kappa is the symmetrized double sum over atoms.  In
 d = 1 the Fourier-side integral is taken on the half-line.  In d = 2 and 3
 with a rotation-invariant K it is taken on the real side: by Parseval it
 equals ``sum_ij w_i w_j v(x_i - x_j)`` with v the one-potential density,
-one radial inversion per distinct pair distance and no phase matrix.  The
-module also carries the Parseval-type identity checks and the sojourn
-second-moment formula built from the Lambda kernel.
+the form w'Mw of equilibrium's energy matrix of v.  The module also carries
+the Parseval-type identity checks, whose real sides are such forms too, and
+the sojourn second-moment formula built from the Lambda kernel.
 
 The d = 1 energy, the Fourier sides of both identity checks and the
 sojourn moment are one half-line integral, _halfline: panels up to r and a
@@ -20,9 +20,8 @@ panel rule.  The energy and both identity checks read |mu_hat|^2 from
 grid, Cantor set or point pair gives the product of its squared real
 factors, with no complex exponential.
 
-The real sides form arrays over all atom pairs, and the half-line integral
-arrays over its nodes; those that would exceed the 2 GiB budget of
-measures._check_budget raise a ValueError before they are allocated.
+Energy matrices, mutual_energy_real's pair arrays and half-line nodes over
+the 2 GiB budget of measures._check_budget are refused before allocation.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from addlevy.equilibrium import _energy_matrix, _operator
 from addlevy.exponents import DimensionMismatchError, ExponentVector
 from addlevy.kernels import Kernel, lambda_closed, potential_density_v, riesz_constant, riesz_kernel
 from addlevy.measures import AtomicMeasure, _check_budget
@@ -52,42 +52,35 @@ class EnergyReport:
     converged: bool
 
 
-def mutual_energy_real(k: Kernel, mu: AtomicMeasure, nu: AtomicMeasure,
-                       drop_diagonal: bool = False) -> float:
+def mutual_energy_real(k: Kernel, mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     """Symmetrized double sum  sum_ij w_i v_j (kappa(x_i-y_j)+kappa(y_j-x_i))/2.
 
     Coincident pairs with an infinite gauge value and positive weight make
-    the energy infinite.  ``drop_diagonal=True`` switches to the
-    continuum-approximation mode used by the identity checks: exact
-    coincident-point pairs are excluded from the sum (an O(h^{1-s}) bias for
-    an h-grid and a ||x||^-s gauge).
+    the energy infinite.
     """
     if mu.dim != nu.dim or mu.dim != k.dim:
         raise DimensionMismatchError("kernel and measures must share dim")
-    # the differences, their negation and the gauge at both: (2 d + 3) arrays
-    # of n x m values at the peak of a Riesz gauge
+    # the differences, their negation and the gauge at both: (2 d + 3) n x m arrays
     n, m = mu.n_atoms, nu.n_atoms
     _check_budget(8 * n * m * (2 * mu.dim + 3), f"the {n} x {m} pair arrays")
     diffs = mu.points[:, None, :] - nu.points[None, :, :]
     vals = 0.5 * (k.eval(diffs) + k.eval(-diffs))
     wprod = np.outer(mu.weights, nu.weights)
-    coincident = np.all(diffs == 0.0, axis=-1)  # x - y == 0 exactly iff x == y
-    if drop_diagonal:
-        wprod = np.where(coincident, 0.0, wprod)
-    else:
-        if np.any((~np.isfinite(vals)) & (wprod > 0.0)):
-            return np.inf
-    vals = np.where(wprod > 0.0, vals, 0.0)
-    return float(np.sum(vals * wprod))
+    if np.any((~np.isfinite(vals)) & (wprod > 0.0)):
+        return np.inf
+    return float(np.sum(np.where(wprod > 0.0, vals, 0.0) * wprod))
+
+
+def _form(gauge: Kernel, mu: AtomicMeasure, diagonal: Optional[float]) -> float:
+    """w'Mw of the gauge's energy matrix over mu with that diagonal, applied
+    as solve_equilibrium applies it: dense as (w'M)w, the pair form's order."""
+    w, m = mu.weights, _operator(_energy_matrix(gauge, mu, diagonal))
+    return float((w @ m if isinstance(m, np.ndarray) else m @ w) @ w)
 
 
 def _max_frequency(*measures: AtomicMeasure) -> float:
     """Largest pairwise coordinate span among the atoms (d=1 oscillation rate)."""
-    spans = []
-    for m in measures:
-        pts = m.points[:, 0]
-        spans.append(float(pts.max() - pts.min()))
-    return max(spans + [0.0])
+    return max([float(np.ptp(m.points[:, 0])) for m in measures] + [0.0])
 
 
 def _two_resolution(upto: Callable[[float], float], r_max: float) -> tuple[float, float]:
@@ -129,8 +122,9 @@ def energy_fourier(psi: ExponentVector, mu: AtomicMeasure,
     weights), so the energy is finite exactly when K is integrable; the
     analytic tail-exponent rule certifies divergence without quadrature.
     The value is computed again at r_max / 2 and the difference, the
-    reported error, is held to ``quad.rel_tol``.  A direction-dependent K
-    in d >= 2 has no radial route and reports nan, unconverged.
+    reported error, is held to ``quad.rel_tol``.  In d = 2, 3 it is w'Mw for
+    the energy matrix of v with v(0) on its diagonal (_form).  A
+    direction-dependent K in d >= 2 has no radial route and reports nan.
     """
     if mu.dim != psi.dim:
         raise DimensionMismatchError("measure and exponent dims differ")
@@ -152,16 +146,9 @@ def energy_fourier(psi: ExponentVector, mu: AtomicMeasure,
     elif decay is None:
         return EnergyReport(value=np.nan, tail_estimate=np.inf, converged=False)
     else:
-        # the n x n x d differences and four n x n arrays: potential_density_v holds
-        # two at a time, its weight matrices (per distinct radius) 1.6 more in a 40^2
-        # grid; tracemalloc peaks at 5.93 x 8 n^2 bytes there, 5.25 in a 12^3 grid
-        n = mu.n_atoms
-        _check_budget(8 * n * n * (d + 4), f"the {n} x {n} pair arrays")
-        diffs = mu.points[:, None, :] - mu.points[None, :, :]
-
         def upto(r):
-            v = potential_density_v(psi, diffs, QuadratureSpec(r_max=r, rel_tol=quad.rel_tol))
-            return float(mu.weights @ v @ mu.weights)
+            spec = QuadratureSpec(r_max=r, rel_tol=quad.rel_tol)
+            return _form(Kernel(eval=lambda x: potential_density_v(psi, x, spec), dim=d), mu, None)
 
         value, error = _two_resolution(upto, quad.r_max)
     return EnergyReport(value=value, tail_estimate=error,
@@ -172,8 +159,8 @@ def energy_identity_check(k: Kernel, nu: AtomicMeasure,
                           mu: AtomicMeasure) -> tuple[float, float, float]:
     """Both sides of the convolved-gauge identity; returns (real, fourier, error).
 
-    Real side: mutual energy of mu against itself in the convolved gauge
-    (kappa * nu)(x) = sum_k w_k kappa(x - y_k).  Fourier side:
+    Real side: w'Mw of mu's energy matrix in the convolved gauge
+    (kappa * nu)(x) = sum_k w_k kappa(x - y_k) (_form).  Fourier side:
     (2 pi)^-d int kappa_hat Re(nu_hat) |mu_hat|^2 dxi up to 2000, plus a
     power-law tail whose decay is read off kappa_hat over the last octave;
     error is the Fourier side's (_halfline).  A transform decaying no faster
@@ -183,15 +170,12 @@ def energy_identity_check(k: Kernel, nu: AtomicMeasure,
         raise ValueError("kernel must carry a Fourier transform")
     if k.dim != 1:
         raise ValueError("identity check supports d=1 in v1")
-    # real side: the shifted differences, their negation and the gauge at
-    # both, 5 arrays of n x n x m values in d = 1
-    n, m = mu.n_atoms, nu.n_atoms
-    _check_budget(40 * n * n * m, f"the {n} x {n} x {m} convolved pair arrays")
-    diffs = mu.points[:, None, :] - mu.points[None, :, :]          # (n, n, d)
-    shifted = diffs[:, :, None, :] - nu.points[None, None, :, :]   # (n, n, m, d)
-    conv = np.tensordot(0.5 * (k.eval(shifted) + k.eval(-shifted)),
-                        nu.weights, axes=([2], [0]))
-    real_side = float(mu.weights @ conv @ mu.weights)
+
+    def conv(x):  # kappa symmetrized and convolved with nu, one atom of nu at a time
+        atoms = zip(nu.points, nu.weights)
+        return sum(w * (0.5 * (k.eval(x - y) + k.eval(y - x))) for y, w in atoms)
+
+    real_side = _form(Kernel(eval=conv, dim=1), mu, None)
 
     # fourier side (even integrand in d=1 for symmetric kernels)
     def f(s):
@@ -210,32 +194,27 @@ def energy_identity_check(k: Kernel, nu: AtomicMeasure,
 def riesz_identity_sides(mu: AtomicMeasure, s: float) -> tuple[float, float, float]:
     """Both sides of the Riesz energy identity for a grid discretization.
 
-    Real side drops exact-diagonal terms; the Fourier side integrates the
-    atomic |mu_hat|^2 up to the grid Nyquist frequency pi/mu.cell (where the
-    atomic transform tracks the continuum one) plus the tail of an
-    interval's |mu_hat|^2 ~ 2 xi^-2.  Returns (real, fourier, error): both
-    sides estimate the continuum energy ``int int ||x-y||^-s dmu dmu``, and
-    error is the Fourier side's (_halfline).  mu.cell, the grid's cell
-    width, must be positive.
+    Real side: w'Mw of the Riesz matrix with the within-cell average
+    E |X - Y|^-s = 2 h^-s / ((1-s)(2-s)), h = mu.cell, on its diagonal.  The
+    Fourier side integrates the atomic |mu_hat|^2 up to the grid Nyquist
+    frequency pi/mu.cell (where the atomic transform tracks the continuum
+    one) plus the tail of an interval's |mu_hat|^2 ~ 2 xi^-2.  Returns
+    (real, fourier, error): both sides estimate the continuum energy
+    ``int int ||x-y||^-s dmu dmu``, and error is the Fourier side's
+    (_halfline).  mu.cell, the grid's cell width, must be positive.
     """
-    d, cell = mu.dim, mu.cell
-    if d != 1:
+    cell = mu.cell
+    if mu.dim != 1:
         raise ValueError("Riesz identity check supports d=1 in v1")
     if not cell > 0.0:
         raise ValueError(f"the measure's cell must be positive, got {cell}")
-    alpha = d - s
-    gauge = riesz_kernel(d, alpha)
-    real_side = mutual_energy_real(gauge, mu, mu, drop_diagonal=True)
-    # reinstate the diagonal with its exact within-cell double average
-    # E |X - Y|^-s over one cell: 2 h^-s / ((1-s)(2-s))
-    diag_avg = 2.0 * cell ** (-s) / ((1.0 - s) * (2.0 - s))
-    real_side += diag_avg * float(np.sum(mu.weights ** 2))
+    real_side = _form(riesz_kernel(1, 1.0 - s), mu, 2.0 * cell ** (-s) / ((1.0 - s) * (2.0 - s)))
 
     def f(x):
         return mu.power(x) * x ** (-s)
 
     cutoff = math.pi / cell
-    fourier_side, error = _halfline(f, cutoff, riesz_constant(d, alpha) / math.pi,
+    fourier_side, error = _halfline(f, cutoff, riesz_constant(1, 1.0 - s) / math.pi,
                                     _max_frequency(mu), 2.0 + s, 2.0 * cutoff ** (-2.0 - s))
     return real_side, fourier_side, error
 

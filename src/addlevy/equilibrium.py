@@ -9,19 +9,21 @@ support S: a direct solve on an active support gives the starting
 weights, and away-step Frank-Wolfe (exact line search on the quadratic)
 certifies them with its duality gap, or polishes them, or starts over
 from uniform weights when the direct solve fails.  The reciprocal of the
-minimal energy is the capacity estimate.
+minimal energy is the capacity estimate.  The energies of the energy
+module are quadratic forms w'Mw of the same matrix (_energy_matrix,
+_operator), the one assembly of a pair energy matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
 from addlevy.exponents import ExponentVector
-from addlevy.kernels import Kernel, PotentialDensity, riesz_kernel
+from addlevy.kernels import _CHUNK_BYTES, Kernel, PotentialDensity, riesz_kernel
 from addlevy.measures import AtomicMeasure, SetDiscretization, _check_budget, _product, discretize
 from addlevy.quadrature import halfline_edges, integrate_panels
 
@@ -33,6 +35,9 @@ from addlevy.quadrature import halfline_edges, integrate_panels
 _LATTICE_FROM = (224, 300, 400)
 _PCG_RTOL = 1e-14  # residual of the KKT solve relative to that of x = 0
 _PCG_MAX_ITER = 200
+# bytes charged per atom pair or lattice embedding point: a potential gauge peaks
+# at 370 a pair on random atoms (a radius per pair), 306 a point in d = 1
+_POINT_BYTES = 448
 
 
 class EnergyMatrix:
@@ -200,21 +205,18 @@ def _cell_average(k: Kernel, h: float) -> float:
     quadrature along the first axis otherwise.  At h = 0 it is the limit,
     the gauge at the origin (np.inf for the Riesz gauge).
     """
-    meta = k.meta.get("riesz")
-    d = k.dim
+    meta, d = k.meta.get("riesz"), k.dim
     if h == 0.0:
         return float(k.eval(np.zeros((1, d)))[0])
     half = h / 2.0
     if meta is not None:
         s = d - meta["alpha"]
         return d * half ** (-s) / (d - s)
-    edges = halfline_edges(half, min_scale=1e-12)
 
     def radial(r):
         return np.nan_to_num(k.eval(r[:, None] * np.eye(1, d)), posinf=0.0) * r ** (d - 1)
 
-    integral = integrate_panels(radial, edges)
-    return float(d * integral / half ** d)
+    return float(d * integrate_panels(radial, halfline_edges(half, min_scale=1e-12)) / half ** d)
 
 
 def assemble_matrix(gauge: Union[Kernel, ExponentVector, PotentialDensity],
@@ -228,42 +230,51 @@ def assemble_matrix(gauge: Union[Kernel, ExponentVector, PotentialDensity],
         gauge = PotentialDensity(gauge)
     if isinstance(gauge, PotentialDensity):
         gauge = gauge.as_kernel()
-    return _energy_matrix(gauge, discretize(disc))
+    mu = discretize(disc)
+    return _energy_matrix(gauge, mu, _cell_average(gauge, mu.cell))
 
 
-def _energy_matrix(gauge: Kernel, mu: AtomicMeasure) -> EnergyMatrix:
+def _energy_matrix(gauge: Kernel, mu: AtomicMeasure, diagonal: Optional[float]) -> EnergyMatrix:
     """The energy matrix over the atoms of mu: entry (i, j) is the mean of the
-    gauge at x_i - x_j and x_j - x_i, and the diagonal is the gauge averaged
-    over one cell (_cell_average).
+    gauge at x_i - x_j and x_j - x_i, and the diagonal is the caller's value
+    (a capacity's _cell_average), or with None the gauge's own at 0.
 
-    On a grid (``mu.lattice``) every difference is a lattice offset, so the
-    gauge is evaluated once per offset, prod(2 n_k - 1) points, and averaged
-    with its reflection: the result is the matrix's generator, symmetric by
-    construction.  Any other measure evaluates the gauge at all n^2
-    differences and averages with the transpose.  Either way the arrays are
-    checked against the budget first (measures._check_budget): the n x n x d
-    differences and the n x n matrix, or 8 (d + 4) bytes per point of each
-    lattice's FFT embedding.
+    On a grid (``mu.lattice``) the gauge is evaluated once per lattice
+    offset, prod(2 n_k - 1) points, and averaged with its reflection: the
+    matrix's generator.  Any other measure evaluates it at all n^2
+    differences and averages with the transpose.  The budget is charged
+    first: _POINT_BYTES per pair or lattice embedding point, and one row
+    chunk of a potential gauge's inversion (kernels._CHUNK_BYTES).
     """
     if mu.lattice is not None:
         grid, _ = zip(*mu.lattice)
-        _check_budget(8 * (len(grid) + 4) * math.prod(_fft_size(2 * m - 1) for m in grid),
-                      f"the FFT arrays of the {'x'.join(map(str, grid))} lattice")
-        vals = gauge.eval(_product([h * np.arange(1 - m, m) for m, h in mu.lattice]))
-        vals = vals.reshape([2 * m - 1 for m in grid])
+        _check_budget(_POINT_BYTES * math.prod(_fft_size(2 * m - 1) for m in grid) + _CHUNK_BYTES,
+                      f"the energy matrix of the {'x'.join(map(str, grid))} lattice")
+        vals = gauge.eval(_product([h * np.arange(1 - m, m) for m, h in mu.lattice])).reshape(
+            [2 * m - 1 for m in grid])
         gen = vals + np.flip(vals)
         gen *= 0.5
-        gen[tuple(m - 1 for m in grid)] = _cell_average(gauge, mu.cell)
+        if diagonal is not None:
+            gen[tuple(m - 1 for m in grid)] = diagonal
         return EnergyMatrix._of_generator(gen)
-    n, d = mu.points.shape
-    _check_budget(8 * n * n * (d + 1), f"the {n} x {n} energy matrix")
+    n = mu.n_atoms
+    _check_budget(_POINT_BYTES * n * n + _CHUNK_BYTES, f"the {n} x {n} energy matrix")
     vals = gauge.eval(mu.points[:, None, :] - mu.points[None, :, :])
-    np.fill_diagonal(vals, _cell_average(gauge, mu.cell))
+    if diagonal is not None:
+        np.fill_diagonal(vals, diagonal)
     # x_j - x_i is exactly -(x_i - x_j), so the transpose holds the gauge at
     # the negated differences; halving in place keeps two n x n arrays alive
     entries = vals + vals.T
     entries *= 0.5
     return EnergyMatrix(entries=entries)
+
+
+def _operator(m: EnergyMatrix):
+    """M as it is applied: a _Lattice from _LATTICE_FROM grid atoms, else the entries."""
+    gen = m.generator
+    if gen is not None and m.shape[0] >= _LATTICE_FROM[min(gen.ndim, len(_LATTICE_FROM)) - 1]:
+        return _Lattice(gen)
+    return m.entries
 
 
 def _step_length(slope: float, curv: float, gamma_max: float) -> float:
@@ -352,13 +363,8 @@ def solve_equilibrium(m: EnergyMatrix, tol: float = 1e-8,
     certifies a minimum only for positive semidefinite M, and the vertex
     test is a necessary condition for a minimum, not a certificate that M
     is PSD: it refuses the stationary point (1/2, 1/2) of [[1, 2], [2, 1]].
-    ``tol`` must be positive and finite, ``max_iter`` nonnegative.
-
-    A matrix given by its generator with at least _LATTICE_FROM atoms (for
-    its dimension) is solved as an operator: M w by circulant-embedded
-    FFTs, rows as generator slices and the KKT system by PCG with T. Chan's
-    circulant, in O(n log n) memory and time per product.  A smaller one
-    gathers its entries and is solved as a dense matrix.
+    ``tol`` must be positive and finite, ``max_iter`` nonnegative.  M is
+    applied as _operator chooses: by FFTs on a large grid, else dense.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -369,8 +375,7 @@ def solve_equilibrium(m: EnergyMatrix, tol: float = 1e-8,
         # any probability vector puts weight on an infinite entry pair
         return EquilibriumResult(weights=np.full(n, 1.0 / n), energy=np.inf,
                                  capacity=0.0, iterations=0, fw_gap=0.0, converged=True)
-    lattice = gen is not None and n >= _LATTICE_FROM[min(gen.ndim, len(_LATTICE_FROM)) - 1]
-    mat = _Lattice(gen) if lattice else m.entries
+    mat = _operator(m)
     return _frank_wolfe(mat, *_kkt_start(mat), tol, max_iter)
 
 
@@ -438,6 +443,7 @@ def bessel_riesz_capacity(disc: SetDiscretization, s: float, tol: float = 1e-8,
     d = mu.dim
     if not 0.0 < s < d:
         raise ValueError(f"s must lie in (0, {d}), got {s}")
-    mat = _energy_matrix(riesz_kernel(d, d - s), mu)
+    gauge = riesz_kernel(d, d - s)
+    mat = _energy_matrix(gauge, mu, _cell_average(gauge, mu.cell))
     return solve_equilibrium(mat, tol=tol, max_iter=max_iter)
 

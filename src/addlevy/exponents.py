@@ -116,7 +116,8 @@ class IsotropicStable(LevyExponent):
             raise ValueError("scale must be positive")
 
     def _radial(self, q):
-        return (self.scale * np.sqrt(q)) ** self.alpha
+        r = np.sqrt(q)  # in place after it: the bits of (scale * sqrt(q)) ** alpha
+        return np.power(np.multiply(r, self.scale, out=r), self.alpha, out=r)
 
     def _growth(self):
         return self.alpha

@@ -256,6 +256,12 @@ def _min_scale(r_max: float) -> float:
     return 1e-9 * min(1.0, 400.0 / r_max)
 
 
+# weights of a row chunk of _radial_inverse (one row at least) and the bytes
+# charged for it: it peaks at 6 arrays of its size in d = 2 (J0), 2 in d = 1, 3
+_CHUNK_WEIGHTS = 2 ** 16
+_CHUNK_BYTES = 64 * _CHUNK_WEIGHTS
+
+
 def _radial_inverse(psis, y: np.ndarray, quad: QuadratureSpec, shells: int = 1) -> np.ndarray:
     """Row [i, k], k < shells: v of psis[i] at the radii 2^-k y (y >= 0),
     inverted with r_max = 2^k quad.r_max.
@@ -272,8 +278,10 @@ def _radial_inverse(psis, y: np.ndarray, quad: QuadratureSpec, shells: int = 1) 
     The node set of y is that of its octave top 2^ceil(log2 y), whose
     uniform panels are no wider than y's own, with the cascade toward 0 as
     deep as the last shell's.  The radii whose tops share a panel count
-    share it.  It depends on y alone, and each row is reduced on its own, so
-    a value does not depend on the other radii or exponents of the call.
+    share it and one evaluation of K, and its weights are formed in row
+    chunks of _CHUNK_WEIGHTS.  It depends on y alone, and each row is
+    reduced on its own, so a value does not depend on the other radii or
+    exponents of the call, nor on its chunk.
     Beyond r_max the tail is a power law at y = 0 and the averaged
     oscillatory tail elsewhere, which also sums the growing envelopes of d=2
     and d=3 when K decays slowly; the tails of all rows of an exponent run
@@ -295,12 +303,15 @@ def _radial_inverse(psis, y: np.ndarray, quad: QuadratureSpec, shells: int = 1) 
         group = np.flatnonzero(wanted & (counts == count))
         nodes, weights = panel_nodes(
             halfline_edges(quad.r_max, max_freq=top[group[0]], min_scale=min_scale))
-        w = weights * np.where(pos[group, None], _radial_weight(nodes, y[group, None], d),
-                               nodes ** (d - 1))
-        for i, psi in enumerate(psis):
-            for k, c in enumerate(scales):
-                # row by row: a matrix product would round each row by the group's size
-                main[i, k, group] = np.einsum("ij,j->i", w, psi.kernel_radial(c * nodes))
+        ks = {(i, k): psi.kernel_radial(c * nodes)
+              for i, psi in enumerate(psis) for k, c in enumerate(scales)}
+        step = max(1, _CHUNK_WEIGHTS // nodes.size)
+        for rows in np.split(group, np.arange(step, group.size, step)):
+            w = weights * np.where(pos[rows, None], _radial_weight(nodes, y[rows, None], d),
+                                   nodes ** (d - 1))
+            for (i, k), kv in ks.items():
+                # row by row: a matrix product would round each row by the chunk's size
+                main[i, k, rows] = np.einsum("ij,j->i", w, kv)
     main *= scales[:, None] ** np.where(pos, min(d, 2), d)
     radii = y / scales[:, None]
     ends = quad.r_max * scales
@@ -364,8 +375,7 @@ class PotentialDensity:
 
     def as_kernel(self) -> Kernel:
         """Expose v as a gauge with fourier = K (the defining transform)."""
-        return Kernel(eval=self, dim=self.source.dim,
-                      fourier=lambda xi: self.source.kernel_values(xi))
+        return Kernel(eval=self, dim=self.source.dim, fourier=self.source.kernel_values)
 
 
 def kernel_sup_check(k: Kernel, samples) -> bool:

@@ -34,9 +34,9 @@ _SET_PARAMS = {
     "Circle": {"radius", "n"},
 }
 _COUNTS = {"n_per_axis", "level", "d", "n"}  # the parameters that must be integral
-# bytes that the arrays of one energy matrix may take, its n x n entries, its
-# lattice's FFT arrays or the pair arrays of an energy; more is refused
-# before it is allocated
+# bytes that one energy matrix with its gauge evaluation, the pair arrays of a
+# mutual energy or the nodes of a half-line integral may take; more is
+# refused before it is allocated
 _BYTES_BUDGET = 2 ** 31
 
 
@@ -290,8 +290,8 @@ def discretize(spec: SetDiscretization) -> AtomicMeasure:
     Grids, Cantor products and point pairs carry their closed-form transform,
     every measure its linear cell size, and a grid its lattice, on which its
     atoms sit exactly (_lattice_axis).  A missing parameter, one the
-    kind does not read, a non-numeric value, a fractional count or a
-    negative radius is a ValueError.
+    kind does not read, a non-numeric value, a fractional count, a negative
+    radius or a grid axis whose length b - a overflows is a ValueError.
     """
     kind, p = spec.kind, spec.params
     if not isinstance(kind, str) or kind not in _SET_PARAMS:
@@ -310,6 +310,8 @@ def discretize(spec: SetDiscretization) -> AtomicMeasure:
         # a == b is a point, and one cell is the only grid that keeps it one
         if len(bounds) < 1 or not all(a < b or (a == b and n == 1) for a, b in bounds):
             raise ValueError("bounds need a < b on every axis (a == b only with n_per_axis 1)")
+        if not all(math.isfinite(b - a) for a, b in bounds):
+            raise ValueError("bounds need a finite length b - a on every axis")
         axes, steps = zip(*(_lattice_axis(a, b, n) for a, b in bounds))
         pts = _product(axes)
         cell = float(min((b - a) / n for a, b in bounds))

@@ -322,6 +322,11 @@ class TestEnergy:
          "bounds need a < b on every axis (a == b only with n_per_axis 1)"),
         ('{"kind":"CubeGrid","bounds":[[0.0,0.0]],"n_per_axis":64}', STABLE_PSI,
          "bounds need a < b on every axis (a == b only with n_per_axis 1)"),
+        # b - a overflowed to inf, and the lattice's round(inf) was an OverflowError
+        ('{"kind":"CubeGrid","bounds":[[-1.5e308,1.5e308]],"n_per_axis":3}', STABLE_PSI,
+         "bounds need a finite length b - a on every axis"),
+        ('{"kind":"CubeGrid","bounds":[[0,1],[-Infinity,0]],"n_per_axis":3}', STABLE_2D,
+         "bounds need a finite length b - a on every axis"),
         ('{"kind":"Circle","radius":1.0}', STABLE_2D, "Circle set needs ['n']"),
         ('{"kind":"CubeGrid","bounds":[[0.0,1.0]],"n_per_axis":4,"extra":1}', STABLE_PSI,
          "CubeGrid set does not read ['extra']"),
@@ -411,36 +416,53 @@ class TestEquilibrium:
         assert rep == {"error": error, "kind": "invalid-input"}
 
     def test_dense_matrix_over_the_budget_exit_one(self, capsys):
-        # 60000 circle atoms would take 80 GiB in differences and entries;
-        # the budget refuses them before anything of that size is allocated
+        # 60000 circle atoms, at 448 bytes a pair (what a potential gauge takes
+        # at its peak), would take 1.5 TiB; the budget refuses them before
+        # anything of that size is allocated
         code, rep = run_cli(["capacity", "--set", '{"kind":"Circle","radius":1,"n":60000}'],
                             capsys)
         assert code == 1
-        assert rep == {"error": "the 60000 x 60000 energy matrix would take 80.5 GiB, over the "
-                                "2 GiB budget of an energy matrix", "kind": "invalid-input"}
+        assert rep == {"error": "the 60000 x 60000 energy matrix would take 1.5e+03 GiB, over "
+                                "the 2 GiB budget of an energy matrix", "kind": "invalid-input"}
 
     def test_lattice_over_the_budget_exit_one(self, capsys, monkeypatch):
-        # the same budget bounds a lattice's FFT arrays; lowered to 1 MiB, a
-        # 20000-cell grid (5 x 8 bytes at each of 40000 embedding points) is over it
-        monkeypatch.setattr(measures, "_BYTES_BUDGET", 2 ** 20)
+        # the same budget bounds a lattice's matrix; lowered to 16 MiB, a
+        # 20000-cell grid (448 bytes at each of 40000 embedding points, and
+        # 4 MiB for a chunk of the radial inversion) is over it
+        monkeypatch.setattr(measures, "_BYTES_BUDGET", 2 ** 24)
         spec = '{"kind":"CubeGrid","bounds":[[0,1]],"n_per_axis":20000}'
         code, rep = run_cli(["capacity", "--set", spec], capsys)
         assert code == 1
-        assert rep == {"error": "the FFT arrays of the 20000 lattice would take 0.00149 GiB, "
-                                "over the 0.000977 GiB budget of an energy matrix",
+        assert rep == {"error": "the energy matrix of the 20000 lattice would take 0.0206 GiB, "
+                                "over the 0.0156 GiB budget of an energy matrix",
                        "kind": "invalid-input"}
 
     def test_energy_pair_arrays_over_the_budget_exit_one(self, capsys, monkeypatch):
-        # the d = 2 energy forms the 400 x 400 x 2 atom differences and four
-        # 400 x 400 arrays of radii: 7.7 MB, over a budget lowered to 1 MiB
-        monkeypatch.setattr(measures, "_BYTES_BUDGET", 2 ** 20)
-        spec = '{"kind":"CubeGrid","bounds":[[0,1],[0,1]],"n_per_axis":20}'
+        # the d = 2 energy of a circle is the form of its dense energy matrix:
+        # 400 x 400 pairs at 448 bytes and a 4 MiB chunk, 76 MB, over a budget
+        # lowered to 16 MiB
+        monkeypatch.setattr(measures, "_BYTES_BUDGET", 2 ** 24)
+        spec = '{"kind":"Circle","radius":1,"n":400}'
         code, rep = run_cli(["energy", "--psi", f"[{STABLE_2D},{STABLE_2D}]", "--set", spec],
                             capsys)
         assert code == 1
-        assert rep == {"error": "the 400 x 400 pair arrays would take 0.00715 GiB, "
-                                "over the 0.000977 GiB budget of an energy matrix",
+        assert rep == {"error": "the 400 x 400 energy matrix would take 0.0707 GiB, "
+                                "over the 0.0156 GiB budget of an energy matrix",
                        "kind": "invalid-input"}
+
+    def test_large_grid_energy_exit_zero(self, capsys):
+        # a 100 x 100 grid: its 10^8 pair differences would take 4.5 GiB; the
+        # lattice inverts v at its 199^2 offsets and applies the matrix by
+        # FFTs, in about 0.7 s.  The energies of the 5, 10, 20, 50 and 100
+        # grids of the square fall toward the continuum's (0.07490, 0.07413,
+        # 0.07397, 0.073934, 0.073929)
+        spec = '{"kind":"CubeGrid","bounds":[[0,1],[0,1]],"n_per_axis":%d}'
+        code, rep = run_cli(["energy", "--psi", f"[{STABLE_2D},{STABLE_2D}]",
+                             "--set", spec % 100], capsys)
+        assert code == 0 and rep["converged"] is True
+        _, coarse = run_cli(["energy", "--psi", f"[{STABLE_2D},{STABLE_2D}]",
+                             "--set", spec % 20], capsys)
+        assert 0.0 < rep["energy"] < coarse["energy"]
 
     @pytest.mark.parametrize("length, nodes, size", [(1e5, "2.037e+08", "21.2"),
                                                      (1e300, "2.037e+303", "2.12e+296")])

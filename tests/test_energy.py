@@ -22,7 +22,7 @@ from addlevy import (
     riesz_kernel,
     sojourn_second_moment,
 )
-from addlevy import energy, kernels, measures
+from addlevy import energy, equilibrium, kernels, measures
 from addlevy.energy import riesz_identity_sides
 from addlevy.kernels import Kernel, potential_density_v
 from addlevy.measures import (
@@ -49,15 +49,6 @@ class TestMutualEnergyReal:
                                              np.shape(np.atleast_1d(x))), dim=1)
         mu = discretize(cube_grid([(0.0, 1.0)], 8))
         assert mutual_energy_real(ones, mu, mu) == pytest.approx(1.0)
-
-    def test_riesz_uniform_off_diagonal(self):
-        # [DERIVED] continuum value 2/((1-s)(2-s)) = 8/3 at s = 1/2.
-        # Dropping the diagonal loses the within-cell mass, an O(n^{s-1})
-        # deficit (about 4.4% at n=512), so the estimate sits just below.
-        mu = discretize(cube_grid([(0.0, 1.0)], 512))
-        k = riesz_kernel(1, 0.5)
-        val = mutual_energy_real(k, mu, mu, drop_diagonal=True)
-        assert UNIFORM_HALF_ENERGY * 0.95 < val < UNIFORM_HALF_ENERGY
 
     def test_delta_diagonal_infinite(self):
         # [TRIVIAL] kappa(0) = +inf on the diagonal atom
@@ -90,16 +81,20 @@ class TestPairBudget:
             mutual_energy_real(k, discretize(cube_grid([(0.0, 1.0)], 300)), small)
 
     def test_energy_fourier(self):
+        # the d = 2, 3 energy is the form of equilibrium's matrix, under its budget
         psi = ExponentVector((IsotropicStable(alpha=1.5, dim=2),) * 2)
-        with pytest.raises(ValueError, match="the 400 x 400 pair arrays would take"):
+        with pytest.raises(ValueError, match="the energy matrix of the 20x20 lattice would take"):
             energy_fourier(psi, discretize(cube_grid([(0.0, 1.0)] * 2, 20)))
+        with pytest.raises(ValueError, match="the 400 x 400 energy matrix would take"):
+            energy_fourier(psi, discretize(circle(1.0, 400)))
 
     @pytest.mark.parametrize("d, n_per_axis", [(2, 40), (3, 10)])
     def test_energy_fourier_charges_its_peak(self, d, n_per_axis, monkeypatch):
-        # what the d = 2, 3 energy charges the budget is at or above what it
-        # allocates at its peak (the J0 table is built once per process)
+        # what the d = 2, 3 energy charges the budget, once per resolution, is
+        # at or above what it allocates at its peak (the J0 table is built
+        # once per process); the grids solve as lattice operators: no entries
         charged = []
-        monkeypatch.setattr(energy, "_check_budget", lambda size, what: charged.append(size))
+        monkeypatch.setattr(equilibrium, "_check_budget", lambda size, what: charged.append(size))
         psi = ExponentVector((IsotropicStable(alpha=1.5, dim=d), IsotropicStable(alpha=1.9, dim=d)))
         mu = discretize(cube_grid([(0.0, 1.0)] * d, n_per_axis))
         kernels._j0_table()
@@ -109,15 +104,20 @@ class TestPairBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert charged == [8 * mu.n_atoms ** 2 * (d + 4)]
+        embedding = equilibrium._fft_size(2 * n_per_axis - 1) ** d
+        assert charged == [equilibrium._POINT_BYTES * embedding + kernels._CHUNK_BYTES] * 2
         assert peak <= charged[0]
 
-    def test_identity_check(self):
-        # 40 x 40 x 100 pairs of 5 arrays: 6.4 MB
-        with pytest.raises(ValueError, match="the 40 x 40 x 100 convolved pair arrays"):
-            energy_identity_check(exponential_kernel(1.0),
-                                  discretize(cube_grid([(0.0, 1.0)], 100)),
-                                  discretize(cube_grid([(0.0, 1.0)], 40)))
+    def test_identity_check(self, monkeypatch):
+        # the real side is the form of mu's energy matrix in the convolved
+        # gauge, charged as any energy matrix: nu's 1000 atoms add nothing
+        # (40 x 40 x 1000 convolved pairs took 64 MB), a 10000-cell mu is over
+        monkeypatch.setattr(measures, "_BYTES_BUDGET", 2 ** 23)
+        k, nu = exponential_kernel(1.0), discretize(cube_grid([(0.0, 1.0)], 1000))
+        real, fourier, _ = energy_identity_check(k, nu, discretize(cube_grid([(0.0, 1.0)], 40)))
+        assert real == pytest.approx(fourier, rel=0.01)
+        with pytest.raises(ValueError, match="the energy matrix of the 10000 lattice would take"):
+            energy_identity_check(k, nu, discretize(cube_grid([(0.0, 1.0)], 10000)))
 
 
 class TestHalflineBudget:
@@ -148,6 +148,45 @@ class TestHalflineBudget:
         mu = AtomicMeasure(points=np.array([[-1e308], [1e308]]), weights=np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="are not finite in number"):
             energy_fourier(ExponentVector((BrownianIsotropic(),)), mu)
+
+
+def pair_form(psi, mu, r_max, rel_tol):
+    """Reference d = 2, 3 energy: v at all n^2 atom differences, w'Vw."""
+    diffs = mu.points[:, None, :] - mu.points[None, :, :]
+    v = potential_density_v(psi, diffs, QuadratureSpec(r_max=r_max, rel_tol=rel_tol))
+    return float(mu.weights @ v @ mu.weights)
+
+
+class TestGridEnergy:
+    """A grid's d = 2, 3 energy is the form of equilibrium's lattice matrix:
+    the pair form's bits below _LATTICE_FROM, FFT products above it."""
+
+    @staticmethod
+    def check(psi, mu):
+        quad = QuadratureSpec(r_max=400.0, rel_tol=1e-6)
+        want, half = (pair_form(psi, mu, r, quad.rel_tol) for r in (400.0, 200.0))
+        rep = energy_fourier(psi, mu, quad)
+        if mu.n_atoms < equilibrium._LATTICE_FROM[mu.dim - 1]:
+            assert rep.value == want
+            assert rep.tail_estimate == abs(want - half)
+        else:
+            assert rep.value == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert rep.tail_estimate == pytest.approx(abs(want - half), rel=0.0, abs=1e-15 * want)
+
+    @settings(max_examples=10, deadline=None)
+    @given(d=st.sampled_from([2, 3]), data=st.data())
+    def test_matches_the_pair_form(self, d, data):
+        n = data.draw(st.integers(1, 30 if d == 2 else 8), label="n")
+        sides = data.draw(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.2, 2.0)),
+                                   min_size=d, max_size=d), label="sides")
+        alphas = data.draw(st.tuples(st.floats(1.55, 2.0), st.floats(1.55, 2.0)), label="alphas")
+        psi = ExponentVector(tuple(IsotropicStable(alpha=a, dim=d) for a in alphas))
+        self.check(psi, discretize(cube_grid([(a, a + L) for a, L in sides], n)))
+
+    @pytest.mark.parametrize("d, n", [(2, 17), (2, 18), (2, 30), (3, 7), (3, 8)])
+    def test_on_both_sides_of_the_crossover(self, d, n):
+        psi = ExponentVector((IsotropicStable(alpha=1.5, dim=d), IsotropicStable(alpha=1.9, dim=d)))
+        self.check(psi, discretize(cube_grid([(0.0, 1.0), (-0.5, 0.2), (1.0, 1.3)][:d], n)))
 
 
 class TestEnergyFourier:

@@ -2,6 +2,7 @@
 import json
 import math
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,7 @@ from addlevy import (
     riesz_kernel,
     solve_equilibrium,
 )
-from addlevy import equilibrium
+from addlevy import equilibrium, kernels
 from addlevy.classify import InconclusiveError, point_capacity_test
 from addlevy.cli import main
 from addlevy.equilibrium import (
@@ -30,6 +31,7 @@ from addlevy.equilibrium import (
     _energy_matrix,
     _frank_wolfe,
     _kkt_start,
+    _operator,
 )
 from addlevy.kernels import Kernel, PotentialDensity
 from addlevy.measures import (
@@ -123,6 +125,11 @@ def double_evaluation_matrix(gauge, disc):
     return 0.5 * (vals + vals.T)
 
 
+def cell_matrix(gauge, mu):
+    """The energy matrix of a capacity: the diagonal is the cell average."""
+    return _energy_matrix(gauge, mu, _cell_average(gauge, mu.cell))
+
+
 def without_lattice(mu):
     """The same atoms as a plain measure, which takes the dense n^2 path."""
     return AtomicMeasure(points=mu.points, weights=mu.weights, cell=mu.cell)
@@ -145,8 +152,8 @@ class TestLatticeMatrix:
             gauge = riesz_kernel(d, d - data.draw(st.floats(0.1, d - 0.1), label="s"))
         mu = discretize(cube_grid([(a, a + length)] * d, n if d == 1 else min(n, 8)))
         with mock.patch.object(equilibrium, "_LATTICE_FROM", (1,)):
-            lattice = solve_equilibrium(_energy_matrix(gauge, mu))
-        dense = solve_equilibrium(_energy_matrix(gauge, without_lattice(mu)))
+            lattice = solve_equilibrium(cell_matrix(gauge, mu))
+        dense = solve_equilibrium(cell_matrix(gauge, without_lattice(mu)))
         assert lattice.converged and dense.converged
         assert lattice.energy == pytest.approx(dense.energy, rel=1e-10)
         assert np.abs(lattice.weights - dense.weights).max() <= 1e-10 * dense.weights.max()
@@ -161,8 +168,8 @@ class TestLatticeMatrix:
         # the gathered entries are the gauge at the atom differences: the
         # atoms sit exactly on their lattice
         mu = discretize(disc())
-        m = _energy_matrix(gauge(), mu)
-        assert np.array_equal(m.entries, _energy_matrix(gauge(), without_lattice(mu)).entries)
+        m = cell_matrix(gauge(), mu)
+        assert np.array_equal(m.entries, cell_matrix(gauge(), without_lattice(mu)).entries)
         op = _Lattice(m.generator)
         for i in range(op.shape[0]):
             assert np.array_equal(op[i], m.entries[i])
@@ -176,7 +183,7 @@ class TestLatticeMatrix:
         points = []
         counting = Kernel(eval=lambda x: points.append(x.shape[:-1]) or riesz.eval(x), dim=d,
                           meta=riesz.meta)
-        m = _energy_matrix(counting, discretize(cube_grid([(0.0, 1.0)] * d, n)))
+        m = cell_matrix(counting, discretize(cube_grid([(0.0, 1.0)] * d, n)))
         assert [math.prod(shape) for shape in points] == [(2 * n - 1) ** d]
         assert m.generator.shape == (2 * n - 1,) * d
 
@@ -193,6 +200,43 @@ class TestLatticeMatrix:
         # grid refines: the n = 576 grid reads 0.3819, this one 0.3814
         small = bessel_riesz_capacity(cube_grid([(0.0, 1.0)], 576), 0.5)
         assert 0.99 * small.capacity < rep["capacity"] < small.capacity
+
+
+class TestMatrixBudget:
+    """What _energy_matrix charges the budget covers what it and the operator
+    of its matrix allocate at their peak.  A potential gauge is the heavier:
+    random atoms, each pair at its own radius, set the charge per pair."""
+
+    @staticmethod
+    def potential(d):
+        psi = ExponentVector((IsotropicStable(alpha=1.5, dim=d), IsotropicStable(alpha=1.9, dim=d)))
+        return PotentialDensity(psi).as_kernel()
+
+    @pytest.mark.parametrize("gauge, mu", [
+        ("potential", lambda: discretize(circle(1.0, 400))),
+        ("potential", lambda: discretize(cube_grid([(0.0, 1.0)] * 2, 40))),
+        ("potential", lambda: discretize(cube_grid([(0.0, 1.0)] * 3, 10))),
+        ("potential", lambda: AtomicMeasure(points=np.random.default_rng(5).random((200, 3)),
+                                            weights=np.full(200, 1.0 / 200), cell=0.01)),
+        ("riesz", lambda: discretize(circle(1.0, 400))),
+        ("riesz", lambda: discretize(cube_grid([(0.0, 1.0)] * 2, 40))),
+    ], ids=["potential-circle-400", "potential-grid-40x40", "potential-grid-10x10x10",
+            "potential-random-200", "riesz-circle-400", "riesz-grid-40x40"])
+    def test_charges_its_peak(self, gauge, mu, monkeypatch):
+        mu = mu()
+        k = self.potential(mu.dim) if gauge == "potential" else riesz_kernel(mu.dim, 0.7 * mu.dim)
+        diagonal = _cell_average(k, mu.cell)
+        charged = []
+        monkeypatch.setattr(equilibrium, "_check_budget", lambda size, what: charged.append(size))
+        kernels._j0_table()
+        tracemalloc.start()
+        try:
+            _operator(_energy_matrix(k, mu, diagonal))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(charged) == 1
+        assert peak <= charged[0]
 
 
 # A branch decision that cleared its threshold by less than this, relative to

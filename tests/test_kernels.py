@@ -23,6 +23,7 @@ from addlevy import (
 )
 from addlevy import classify, kernels
 from addlevy.kernels import Kernel
+from addlevy.measures import cube_grid, discretize
 from addlevy.quadrature import QuadratureError, QuadratureSpec
 from helpers import cauchy_kernel, exponential_kernel, gaussian_kernel
 
@@ -445,6 +446,43 @@ class TestDyadicRadialInverse:
         assert np.all(np.isfinite(converging))
         with pytest.raises(QuadratureError, match="1 of 4"):
             kernels._radial_inverse((Resonant(),), np.array([0.5, 1.0]), quad, shells=2)
+
+
+class TestRowChunks:
+    """_radial_inverse reduces each node-set group in row chunks of at most
+    _CHUNK_WEIGHTS weights; a row is reduced on its own, so no bit moves."""
+
+    @staticmethod
+    def offset_radii(d, n):
+        mu = discretize(cube_grid([(0.0, 1.0), (0.0, 0.7)][:d] + [(0.0, 1.3)] * (d - 2), n))
+        offsets = np.stack(np.meshgrid(*[h * np.arange(1 - m, m) for m, h in mu.lattice]), -1)
+        return np.unique(np.linalg.norm(offsets.reshape(-1, d), axis=-1))
+
+    @pytest.mark.parametrize("weights", [1, 10_000])
+    def test_chunks_give_the_bits_of_one_chunk(self, weights, monkeypatch):
+        # one row per chunk at 1 weight; a row takes 3,000 to 7,000 nodes, so a
+        # few rows per chunk at 10,000
+        quad = QuadratureSpec(r_max=400.0)
+        cases = [((ExponentVector((IsotropicStable(alpha=1.5, dim=d),
+                                   IsotropicStable(alpha=1.9, dim=d))),), self.offset_radii(d, n), 1)
+                 for d, n in ((1, 40), (2, 12), (3, 5))]
+        # the probe's shells: two exponents, 36 shells of one octave
+        cases.append(([ExponentVector((IsotropicStable(alpha=a, dim=2),)) for a in (1.2, 1.3)],
+                      TestDyadicRadialInverse.Y, 36))
+        monkeypatch.setattr(kernels, "_CHUNK_WEIGHTS", 2 ** 62)
+        whole = [kernels._radial_inverse(psis, y, quad, shells) for psis, y, shells in cases]
+        monkeypatch.setattr(kernels, "_CHUNK_WEIGHTS", weights)
+        calls = []
+        real_weight = kernels._radial_weight
+        # the chunks' weights take the nodes (1-D); the tails take (rows, 8) nodes
+        monkeypatch.setattr(kernels, "_radial_weight", lambda s, r, d: (
+            s.ndim == 1 and calls.append(r.size)) or real_weight(s, r, d))
+        for (psis, y, shells), want in zip(cases, whole):
+            calls.clear()
+            assert np.array_equal(kernels._radial_inverse(psis, y, quad, shells), want)
+            assert sum(calls) == y.size and max(calls) < y.size
+            if weights == 1:
+                assert max(calls) == 1
 
 
 class TestKernelSupCheck:
